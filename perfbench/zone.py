@@ -7,9 +7,15 @@ arrive, so the rates below are steady-state rates that exclude process
 start-up (imports, database load, pool start) and, for ``track``, the
 day-1 full scan:
 
-* ``scan_domains_per_s`` — domains between the first and the last chunk
-  line over the time between them; the scan runs :data:`SCAN_REPEATS`
-  times (the sink is rewritten each time) and the median is kept;
+* ``scan_domains_per_s`` — domains between the chunk line that completes
+  the first daily zone and the last chunk line, over the time between
+  them (the first zone carries each worker's first-chunk warm-up); the
+  scan runs :data:`SCAN_REPEATS` times (the sink is rewritten each time)
+  and the median is kept;
+* ``host_rounds_per_s`` — the median of :func:`hostspeed.measure` taken
+  before the first scan and after every scan;
+* ``scan_domains_per_ref_s`` — ``scan_domains_per_s`` scaled to the
+  nominal host speed (see ``hostspeed.py``);
 * ``track_days_per_s`` — one over the median interval between consecutive
   day lines, days 2..K (the incremental days).
 
@@ -27,15 +33,22 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import hostspeed
 from inputs import write_lines, write_snapshots
 from serve import vmhwm_from
 
 SCAN_CHUNK = 2000
 SCAN_JOBS = 2
-SCAN_REPEATS = 3
-#: Daily zones per scan input: enough that one scan runs for about a second
-#: (the CT-log zone is 0.7% IDNs, so its scan is mostly the Step II filter).
-SCAN_DAYS = {"ctlog-serve": 12, "idn-serve": 3}
+SCAN_REPEATS = 5
+#: Chunks per progress line: a CT-log chunk takes under 2 ms, and waking
+#: this process for every one of them competes with the scan for the CPUs.
+SCAN_PROGRESS_EVERY = 10
+#: Daily zones per scan input: enough that the timed part of one scan (all
+#: zones but the first) runs for one to two seconds (the CT-log zone is
+#: 0.7% IDNs, so its scan is mostly the Step II filter).
+SCAN_DAYS = {"ctlog-serve": 16, "idn-serve": 8}
+#: Length of one host-speed measurement, in seconds.
+HOST_SPEED_S = 0.75
 _CHUNK_LINE = re.compile(r"^chunk (\d+): ([\d,]+) domains")
 _DAY_LINE = re.compile(r"^(\d{4}-\d{2}-\d{2}): ")
 
@@ -43,6 +56,8 @@ _DAY_LINE = re.compile(r"^(\d{4}-\d{2}-\d{2}): ")
 @dataclass
 class ZoneResult:
     scan_domains_per_s: float
+    host_rounds_per_s: float
+    scan_domains_per_ref_s: float
     track_days_per_s: float
     scan_vmhwm_kb: int
     track_vmhwm_kb: int
@@ -101,21 +116,27 @@ def run(workload, ctx, refs_path: Path, index_dir: Path) -> ZoneResult:
     common = ["--reference-file", str(refs_path), "--cache-dir", str(ctx.cache_dir),
               "--index-dir", str(index_dir)]
 
+    first_zone = len(workload.day_sets()[0])
     scan_rates, scan_vmhwm = [], 0
+    host_speeds = [hostspeed.measure(HOST_SPEED_S, ctx.env, ctx.processes)]
     for _repeat in range(SCAN_REPEATS):
         out, err, marks = _timestamped(
             [sys.executable, str(ctx.launcher), "scan", "-i", str(scan_input), "-o", str(sink),
              "--jobs", str(SCAN_JOBS), "--chunk-size", str(SCAN_CHUNK),
-             "--progress-every", "1", *common],
+             "--progress-every", str(SCAN_PROGRESS_EVERY), *common],
             ctx, _CHUNK_LINE, work / "scan.stdout")
-        if len(marks) < 3:
-            raise RuntimeError(f"scan reported {len(marks)} chunks; need at least 3")
-        (t_first, first), (t_last, last) = marks[0], marks[-1]
-        domains = int(last.group(2).replace(",", "")) - int(first.group(2).replace(",", ""))
-        scan_rates.append(domains / (t_last - t_first))
+        seen = [(t, int(m.group(2).replace(",", ""))) for t, m in marks]
+        start = next((s for s in seen if s[1] >= first_zone), None)
+        if start is None or seen[-1][1] - start[1] < first_zone:
+            raise RuntimeError(f"scan printed {len(seen)} progress lines; "
+                               "need at least one daily zone after the first")
+        (t_first, first), (t_last, last) = start, seen[-1]
+        scan_rates.append((last - first) / (t_last - t_first))
         scan_vmhwm = max(scan_vmhwm, vmhwm_from(err))
+        host_speeds.append(hostspeed.measure(HOST_SPEED_S, ctx.env, ctx.processes))
     scan_stats = json.loads(out)
     scan_rate = statistics.median(scan_rates)
+    host_speed = statistics.median(host_speeds)
 
     state_dir = work / "track-state"
     snapshot_args = []
@@ -132,7 +153,9 @@ def run(workload, ctx, refs_path: Path, index_dir: Path) -> ZoneResult:
         later - earlier for (earlier, _), (later, _) in zip(marks, marks[1:]))
 
     return ZoneResult(
-        scan_domains_per_s=scan_rate, track_days_per_s=track_rate,
+        scan_domains_per_s=scan_rate, host_rounds_per_s=host_speed,
+        scan_domains_per_ref_s=scan_rate * hostspeed.NOMINAL_ROUNDS_PER_S / host_speed,
+        track_days_per_s=track_rate,
         scan_vmhwm_kb=scan_vmhwm, track_vmhwm_kb=vmhwm_from(err),
         sink=sink, state_dir=state_dir, snapshots=snapshots,
         scan_stats=scan_stats, track_stats=track_stats,
