@@ -57,7 +57,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import unicodedata
 import weakref
 from pathlib import Path
@@ -65,6 +64,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..homoglyph.invisible import _MARK_CATEGORIES, InvisibleTable
 from .skeleton import CharacterClasses
 
@@ -318,18 +318,7 @@ class FoldTable:
         body = self._body()
         header = self._header()
         header["body_sha256"] = hashlib.sha256(body).hexdigest()
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(json.dumps(header).encode("utf-8") + b"\n")
-                handle.write(body)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, [json.dumps(header).encode("utf-8") + b"\n", body])
         return path
 
     @classmethod

@@ -44,11 +44,9 @@ Two load paths share that one artifact:
   index instead of each paying the dict build
   (``benchmarks/bench_serve.py`` asserts the per-worker win).
 
-Format version 1 files (the pre-mmap four-section layout) are still read:
-:meth:`ReferenceIndexStore.load` falls back to the version-1 artifact for
-the same database/reference fingerprint and
-:func:`cached_reference_index` transparently rewrites it in the current
-format, so an existing store upgrades in place without a rebuild.
+Only the current format is read: a file of another version (such as the
+pre-mmap version-1 layout) has a different fingerprint, reads as a miss,
+and is rebuilt.
 """
 
 from __future__ import annotations
@@ -57,12 +55,12 @@ import hashlib
 import json
 import mmap
 import os
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from ..durable import atomic_write
 from ..idn.domain import DomainName
 from .shamfinder import PreparedReferences, ShamFinder
 from .skeleton import PACK_SEPARATOR, CharacterClasses, SkeletonIndex
@@ -81,8 +79,7 @@ __all__ = [
     "cached_reference_index",
 ]
 
-#: Bump when the on-disk layout changes; old files then read as misses
-#: (version 1 is grandfathered through the explicit fallback parser).
+#: Bump when the on-disk layout changes; old files then read as misses.
 INDEX_FORMAT_VERSION = 2
 
 INDEX_MAGIC = "shamfinder-reference-index"
@@ -426,7 +423,7 @@ class ReferenceIndexStore:
             _offset_directory(bucket_keys),
             _offset_directory(bucket_values),
         ]
-        body = "\n".join(sections)
+        body = "\n".join(sections).encode("utf-8")
         header = {
             "magic": INDEX_MAGIC,
             "version": INDEX_FORMAT_VERSION,
@@ -436,20 +433,10 @@ class ReferenceIndexStore:
             "entry_count": entry_count,
             "domain_count": prepared.domain_count,
             "section_bytes": [len(s.encode("utf-8")) for s in sections],
-            "body_sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            "body_sha256": hashlib.sha256(body).hexdigest(),
         }
-        fd, temp_name = tempfile.mkstemp(dir=self.index_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                handle.write(body)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        header_line = (json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8")
+        atomic_write(path, [header_line, body])
         return path
 
     # -- load ---------------------------------------------------------------
@@ -461,15 +448,7 @@ class ReferenceIndexStore:
         one union-find pass); everything per-reference — IDNA parse, case
         fold, skeletonisation, bucketing — is adopted from the packed body
         with C-level splits, which is where the cold-start win comes from.
-        When the current-format artifact is missing, the version-1 file for
-        the same database/reference fingerprint is tried as a fallback.
         """
-        loaded = self._load_current(key, finder)
-        if loaded is not None:
-            return loaded
-        return self._load_v1(key, finder)
-
-    def _load_current(self, key: IndexKey, finder: ShamFinder) -> ReferenceIndex | None:
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -632,66 +611,6 @@ class ReferenceIndexStore:
             buf.close()
             return None
 
-    def _load_v1(self, key: IndexKey, finder: ShamFinder) -> ReferenceIndex | None:
-        """Backward-compat read of a format-version-1 artifact.
-
-        Version 1 used the same fingerprint fields with ``format_version:
-        1`` (hence a different file name) and a four-section body with no
-        offset directories.  A hit returns the index under the *v1* key;
-        :func:`cached_reference_index` rewrites it in the current format so
-        the fallback is paid at most once per store.
-        """
-        if key.sources:
-            # Version-1 artifacts predate source selection: only the default
-            # SimChar∪UC composition may adopt one.
-            return None
-        v1_key = IndexKey(database_digest=key.database_digest,
-                          reference_hash=key.reference_hash, format_version=1)
-        path = self.path_for(v1_key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                header = json.loads(handle.readline())
-                if header.get("magic") != INDEX_MAGIC or header.get("version") != 1:
-                    return None
-                if header.get("key") != v1_key.as_dict():
-                    return None
-                label_count = header["label_count"]
-                bucket_count = header["bucket_count"]
-                entry_count = header["entry_count"]
-                domain_count = header["domain_count"]
-                if not all(isinstance(n, int) for n in
-                           (label_count, bucket_count, entry_count, domain_count)):
-                    return None
-                body = handle.read()
-                if hashlib.sha256(body.encode("utf-8")).hexdigest() != header.get("body_sha256"):
-                    return None
-                sections = body.split("\n")
-                if len(sections) != 4:
-                    return None
-                labels = sections[0].split(_FIELD_SEPARATOR) if sections[0] else []
-                groups = sections[1].split(_GROUP_SEPARATOR) if sections[1] else []
-                bucket_keys = sections[2].split(_FIELD_SEPARATOR) if sections[2] else []
-                bucket_values = sections[3].split(_GROUP_SEPARATOR) if sections[3] else []
-                if len(labels) != label_count or len(groups) != label_count:
-                    return None
-                if len(bucket_keys) != bucket_count or len(bucket_values) != bucket_count:
-                    return None
-                label_map = dict(zip(labels, groups))
-                packed_buckets = dict(zip(bucket_keys, bucket_values))
-                if len(label_map) != label_count or len(packed_buckets) != bucket_count:
-                    return None
-                if sections[3].count(PACK_SEPARATOR) + bucket_count != entry_count:
-                    return None
-                index = SkeletonIndex.from_packed(
-                    finder.matcher.classes, packed_buckets, entry_count,
-                )
-                prepared = PreparedReferences(
-                    labels=label_map, index=index, domain_count=domain_count,
-                )
-                return ReferenceIndex(prepared=prepared, key=v1_key, from_cache=True)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            return None
-
     # -- maintenance --------------------------------------------------------
 
     def entries(self) -> list[Path]:
@@ -760,36 +679,19 @@ def cached_reference_index(
 
     ``force=True`` skips the read (but still writes), and ``store=None``
     degrades to a plain in-memory build — the same contract as the SimChar
-    cache's :func:`~repro.homoglyph.cache.cached_build`.  A hit served by
-    the version-1 fallback is transparently rewritten in the current
-    format.  ``mmap_load=True`` prefers the zero-copy map (with a full
-    checksum verification, since this is the first open) and falls back to
-    the dict build when only a v1 artifact exists.
+    cache's :func:`~repro.homoglyph.cache.cached_build`.  ``mmap_load=True``
+    serves the zero-copy map (with a full checksum verification, since
+    this is the first open) instead of the dict build.
     """
     if store is None:
         return build_reference_index(finder, reference), False
     key = key_for(finder, reference)
     if not force:
         if mmap_load:
-            mapped = store.load_mmap(key, finder, verify=True)
-            if mapped is not None:
-                return mapped, True
-        cached = store.load(key, finder)
+            cached = store.load_mmap(key, finder, verify=True)
+        else:
+            cached = store.load(key, finder)
         if cached is not None:
-            if cached.key.format_version != INDEX_FORMAT_VERSION:
-                upgraded = ReferenceIndex(prepared=cached.prepared, key=key, from_cache=True)
-                try:
-                    store.store(upgraded)
-                except OSError as exc:
-                    warnings.warn(
-                        f"could not upgrade reference index in {store.index_dir}: {exc}",
-                        stacklevel=2,
-                    )
-                cached = upgraded
-            if mmap_load:
-                mapped = store.load_mmap(key, finder, verify=True)
-                if mapped is not None:
-                    return mapped, True
             return cached, True
     index = build_reference_index(finder, reference)
     try:

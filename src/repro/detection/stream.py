@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ..durable import Checkpoint, CheckpointedLog, SinkRecovery, json_record, recover_sink
 from ..parallel.pool import pool_context
 from .report import DetectionReport, HomographDetection
 from .shamfinder import PreparedReferences, ShamFinder
@@ -91,7 +92,7 @@ class ScanStats:
 
 
 @dataclass(frozen=True)
-class ScanCheckpoint:
+class ScanCheckpoint(Checkpoint):
     """Durable progress marker written after every completed chunk."""
 
     lines_done: int
@@ -103,99 +104,10 @@ class ScanCheckpoint:
     input_fingerprint: str | None = None
     version: int = CHECKPOINT_VERSION
 
-    def save(self, path: str | os.PathLike) -> None:
-        """Atomically persist (write to a temp name, then rename)."""
-        path = Path(path)
-        temp = path.with_name(path.name + ".tmp")
-        temp.write_text(json.dumps(asdict(self), sort_keys=True), encoding="utf-8")
-        os.replace(temp, path)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "ScanCheckpoint | None":
-        """Read a checkpoint; missing or corrupt files read as ``None``."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(payload, dict):
-                return None
-            if payload.get("version") != CHECKPOINT_VERSION:
-                return None
-            return cls(**payload)
-        except (OSError, ValueError, TypeError):
-            return None
-
-
-@dataclass(frozen=True)
-class SinkRecovery:
-    """Outcome of validating an existing JSONL sink before resuming."""
-
-    valid_count: int               # detection lines kept
-    dropped_corrupt: int           # truncated/unparsable lines removed
-    dropped_uncheckpointed: int    # valid lines past the checkpoint removed
-    keep_bytes: int = 0            # byte length of the kept prefix
-
-    @property
-    def dropped(self) -> int:
-        """Total lines removed from the sink."""
-        return self.dropped_corrupt + self.dropped_uncheckpointed
-
 
 def _is_valid_sink_line(line: bytes) -> bool:
-    if not line.endswith(b"\n"):
-        return False               # partial write — the scan died mid-line
-    try:
-        payload = json.loads(line)
-    except ValueError:
-        return False
-    return isinstance(payload, dict) and "idn" in payload and "reference" in payload
-
-
-def recover_sink(
-    path: str | os.PathLike,
-    *,
-    expected_lines: int | None = None,
-    dry_run: bool = False,
-    line_validator: Callable[[bytes], bool] | None = None,
-) -> SinkRecovery:
-    """Validate a sink file, truncating trailing damage (unless *dry_run*).
-
-    Keeps the longest prefix of well-formed detection lines, capped at
-    *expected_lines* (the checkpoint's durable count) when given — valid
-    lines past the checkpoint belong to a chunk that was flushed but never
-    checkpointed and would be re-emitted by the resumed scan.  With
-    ``dry_run=True`` the file is only inspected, never modified, so a
-    caller can refuse to proceed before any data is discarded.
-
-    *line_validator* overrides the well-formedness test, so other JSONL
-    sinks with the same durability discipline (the longitudinal timeline
-    store) can share the recovery logic.
-    """
-    path = Path(path)
-    if line_validator is None:
-        line_validator = _is_valid_sink_line
-    if not path.exists():
-        return SinkRecovery(0, 0, 0)
-    valid = 0
-    keep_bytes = 0
-    dropped_corrupt = 0
-    dropped_uncheckpointed = 0
-    with open(path, "rb") as handle:
-        for line in handle:
-            if not line_validator(line):
-                dropped_corrupt += 1
-                break
-            if expected_lines is not None and valid >= expected_lines:
-                dropped_uncheckpointed += 1
-                continue
-            valid += 1
-            keep_bytes += len(line)
-        # Anything after a corrupt line is unaccounted for; count it too.
-        if dropped_corrupt:
-            dropped_corrupt += sum(1 for _ in handle)
-    total_bytes = path.stat().st_size
-    if not dry_run and keep_bytes != total_bytes:
-        with open(path, "r+b") as handle:
-            handle.truncate(keep_bytes)
-    return SinkRecovery(valid, dropped_corrupt, dropped_uncheckpointed, keep_bytes)
+    record = json_record(line)
+    return record is not None and "idn" in record and "reference" in record
 
 
 def iter_sink(
@@ -468,17 +380,15 @@ class StreamingScanner:
         started = time.perf_counter()
         lines = iter(domains)
 
-        checkpoint = ScanCheckpoint.load(checkpoint_path) if resume else None
-        if resume and checkpoint is None and output_path.exists() and output_path.stat().st_size:
-            # No usable checkpoint but durable results exist: starting fresh
-            # would silently destroy them, so make the user decide.
-            raise ScanResumeError(
-                f"no usable checkpoint at {checkpoint_path} but {output_path} is "
-                "non-empty; re-run without --resume to overwrite it"
-            )
-        if checkpoint is not None:
+        with CheckpointedLog(
+            output_path, checkpoint_path, ScanCheckpoint,
+            count_field="detections_written", error=ScanResumeError,
+            line_validator=_is_valid_sink_line,
+        ) as sink:
+            checkpoint = sink.load(resume=resume)
             if (
-                checkpoint.input_fingerprint is not None
+                checkpoint is not None
+                and checkpoint.input_fingerprint is not None
                 and input_fingerprint is not None
                 and checkpoint.input_fingerprint != input_fingerprint
             ):
@@ -486,62 +396,37 @@ class StreamingScanner:
                     f"input changed since the checkpoint at {checkpoint_path} was "
                     "written; re-run without --resume to start over"
                 )
-            # Inspect read-only first: refuse (file untouched) when the
-            # damage reaches into the checkpointed prefix, truncate only
-            # when the resume actually proceeds.
-            recovery = recover_sink(
-                output_path, expected_lines=checkpoint.detections_written, dry_run=True,
-            )
-            if recovery.valid_count < checkpoint.detections_written:
-                raise ScanResumeError(
-                    f"sink {output_path} holds {recovery.valid_count} intact detections "
-                    f"but the checkpoint recorded {checkpoint.detections_written}; the "
-                    "sink was damaged inside the checkpointed prefix — re-run without "
-                    "--resume to start over"
-                )
-            if recovery.keep_bytes != output_path.stat().st_size:
-                with open(output_path, "r+b") as handle:
-                    handle.truncate(recovery.keep_bytes)
-            stats.recovered_drop = recovery.dropped
-            stats.lines_done = checkpoint.lines_done
-            stats.chunks_done = checkpoint.chunks_done
-            stats.detection_count = checkpoint.detections_written
-            stats.domains_seen = checkpoint.domains_seen
-            stats.idn_count = checkpoint.idn_count
-            stats.skipped_count = checkpoint.skipped_count
-            for _ in range(checkpoint.lines_done):
-                if next(lines, None) is None:
-                    break
-                stats.resumed_lines += 1
-            sink = open(output_path, "a", encoding="utf-8")
-        else:
-            sink = open(output_path, "w", encoding="utf-8")
-            try:
-                checkpoint_path.unlink()
-            except OSError:
-                pass
+            stats.recovered_drop = sink.open(checkpoint)
+            if checkpoint is not None:
+                stats.lines_done = checkpoint.lines_done
+                stats.chunks_done = checkpoint.chunks_done
+                stats.detection_count = checkpoint.detections_written
+                stats.domains_seen = checkpoint.domains_seen
+                stats.idn_count = checkpoint.idn_count
+                stats.skipped_count = checkpoint.skipped_count
+                for _ in range(checkpoint.lines_done):
+                    if next(lines, None) is None:
+                        break
+                    stats.resumed_lines += 1
 
-        try:
             for detections, raw_lines in self._chunk_results(lines, stats):
-                for detection in detections:
-                    sink.write(json.dumps(detection.as_dict(), ensure_ascii=False) + "\n")
-                sink.flush()
                 stats.detection_count += len(detections)
                 stats.lines_done += raw_lines
-                ScanCheckpoint(
-                    lines_done=stats.lines_done,
-                    chunks_done=stats.chunks_done,
-                    detections_written=stats.detection_count,
-                    domains_seen=stats.domains_seen,
-                    idn_count=stats.idn_count,
-                    skipped_count=stats.skipped_count,
-                    input_fingerprint=input_fingerprint,
-                ).save(checkpoint_path)
+                sink.commit(
+                    [json.dumps(d.as_dict(), ensure_ascii=False) + "\n" for d in detections],
+                    ScanCheckpoint(
+                        lines_done=stats.lines_done,
+                        chunks_done=stats.chunks_done,
+                        detections_written=stats.detection_count,
+                        domains_seen=stats.domains_seen,
+                        idn_count=stats.idn_count,
+                        skipped_count=stats.skipped_count,
+                        input_fingerprint=input_fingerprint,
+                    ),
+                )
                 stats.elapsed_seconds = time.perf_counter() - started
                 if progress is not None:
                     progress(stats)
-        finally:
-            sink.close()
         stats.elapsed_seconds = time.perf_counter() - started
         return stats
 

@@ -26,13 +26,14 @@ treated as cache misses, never as errors.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ..durable import atomic_write
 from ..fonts.registry import FontProtocol
 from .database import HomoglyphDatabase, HomoglyphPair
 from .simchar import BuildTimings, SimCharBuilder, SimCharResult
@@ -177,25 +178,15 @@ class SimCharCache:
                 "sparse_examples": list(result.sparse_examples),
             },
         }
-        fd, temp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for pair in result.database.pairs():
-                    row = [
-                        f"{ord(pair.first):04X}",
-                        f"{ord(pair.second):04X}",
-                        pair.delta,
-                        sorted(pair.sources),
-                    ]
-                    handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        rows = (
+            [f"{ord(pair.first):04X}", f"{ord(pair.second):04X}", pair.delta,
+             sorted(pair.sources)]
+            for pair in result.database.pairs()
+        )
+        atomic_write(path, (
+            (json.dumps(item, ensure_ascii=False) + "\n").encode("utf-8")
+            for item in itertools.chain([header], rows)
+        ))
         return path
 
     # -- load ---------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every fast path in this reproduction is only correct because of a handful
 of invariants the code cannot express in types: length-preserving case
 folding (the U+0130/ß bug class), config-complete cache/index
-fingerprints, atomic temp+``os.replace`` artifact writes, spawn-picklable
-worker-pool state, and lock-guarded shared state in the online detector.
+fingerprints, artifact writes only through ``repro.durable``,
+spawn-picklable worker-pool state, and lock-guarded shared state in the online detector.
 PRs 1-8 enforced these by hand-audit; this package machine-checks them so
 CI — not reviewer memory — holds the line.
 

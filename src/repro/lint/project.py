@@ -48,7 +48,7 @@ from repro.lint.pragmas import PragmaMap
 
 #: Bumped when analysis semantics change (new summary fields, different
 #: rule behaviour on identical source): invalidates every cache entry.
-ANALYSIS_VERSION = 2
+ANALYSIS_VERSION = 3
 
 #: Cache file format version (the on-disk JSON envelope).
 CACHE_FORMAT_VERSION = 1

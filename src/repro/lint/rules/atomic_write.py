@@ -1,21 +1,20 @@
-"""atomic-write: artifact files are written temp-then-``os.replace``.
+"""atomic-write: artifact files are written only through ``repro.durable``.
 
 The bug class: readers of ``refindex-*.idx``, ``foldtable-*`` sidecars,
 checkpoints, and sink/timeline stores tolerate a *missing* file but must
-never observe a torn half-write — every store in the repo therefore
-writes to a temp name in the destination directory and ``os.replace``\\ s
-it into place (crash-safe on POSIX).  A direct ``open(path, "w")`` on an
-artifact path would silently reintroduce torn-read corruption under the
+never observe a torn half-write.  ``src/repro/durable.py`` owns every
+crash-safety decision — :func:`~repro.durable.atomic_write` for whole
+files, :class:`~repro.durable.CheckpointedLog` for append logs with
+torn-tail recovery — so a direct ``open(path, "w")`` on an artifact path
+anywhere else would silently reintroduce torn-read corruption under the
 exact crash the checkpoint machinery exists to survive.
 
-Heuristic: a write-mode ``open``/``os.fdopen``/``Path.open``/
-``write_text``/``write_bytes`` whose path expression mentions an
+Heuristic: outside ``src/repro/durable.py``, a write-mode ``open``/
+``os.fdopen``/``Path.open``/``write_text``/``write_bytes`` whose path
+expression (or the name its handle is bound to) mentions an
 artifact-flavoured token (``idx``, ``checkpoint``, ``sink``,
-``foldtable``, ``timeline``, ``state``) must sit in a function that also
-calls ``os.replace`` (the temp+rename idiom), or name a temp path, or
-carry ``# lint: allow-atomic-write(<reason>)``.  Append-only logs with
-line-granular recovery (``recover_sink``) are the legitimate exception
-and are grandfathered in ``lint-baseline.json`` with their rationale.
+``foldtable``, ``timeline``, ``state``) is a finding, unless it carries
+``# lint: allow-atomic-write(<reason>)``.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.engine import Finding, ModuleUnderLint, Rule, register
-from repro.lint.rules.common import (
-    call_name,
-    enclosing_function,
-    expression_words,
-    string_constants,
-)
+from repro.lint.rules.common import call_name, expression_words, string_constants
 
 #: Identifier/literal words that mark a path expression as an artifact.
 ARTIFACT_WORDS = frozenset({
@@ -37,8 +31,8 @@ ARTIFACT_WORDS = frozenset({
     "timeline", "state",
 })
 
-#: Words marking the temp half of the temp+rename idiom (always fine).
-TEMP_WORDS = frozenset({"temp", "tmp", "fd"})
+#: The one module allowed to write artifacts directly.
+DURABLE_MODULE = "repro/durable.py"
 
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
@@ -82,7 +76,7 @@ def _path_words(node: ast.AST) -> set[str]:
     words = expression_words(node)
     for constant in string_constants(node):
         lowered_constant = constant.lower()
-        for word in ARTIFACT_WORDS | TEMP_WORDS:
+        for word in ARTIFACT_WORDS:
             if word in lowered_constant:
                 words.add(word)
     return words
@@ -93,10 +87,12 @@ class AtomicWriteRule(Rule):
     name = "atomic-write"
     description = (
         "direct write-mode open() on artifact paths (*.idx, checkpoints, "
-        "sinks, foldtables) without the temp+os.replace idiom"
+        "sinks, foldtables) outside repro.durable"
     )
 
     def check(self, module: ModuleUnderLint) -> Iterable[Finding]:
+        if ("/" + module.rel_path).endswith("/" + DURABLE_MODULE):
+            return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -107,17 +103,13 @@ class AtomicWriteRule(Rule):
             words |= self._binding_words(node, module)
             if not (words & ARTIFACT_WORDS):
                 continue
-            if words & TEMP_WORDS:
-                continue  # writing the temp half of temp+rename
-            if self._scope_replaces(node, module):
-                continue
             yield module.finding(
                 self.name, node,
                 f"write-mode open on artifact path {ast.unparse(path_expr)!r} "
-                "without os.replace in the same function: a crash mid-write "
-                "leaves a torn artifact for readers; write to a temp name "
-                "and os.replace it into place, or justify with "
-                "# lint: allow-atomic-write(<reason>)",
+                "outside repro.durable: a crash mid-write leaves a torn "
+                "artifact for readers; write it with durable.atomic_write "
+                "(or a durable.CheckpointedLog for append logs), or justify "
+                "with # lint: allow-atomic-write(<reason>)",
             )
 
     @staticmethod
@@ -136,14 +128,3 @@ class AtomicWriteRule(Rule):
         if isinstance(parent, ast.withitem) and parent.optional_vars is not None:
             return expression_words(parent.optional_vars)
         return set()
-
-    @staticmethod
-    def _scope_replaces(node: ast.Call, module: ModuleUnderLint) -> bool:
-        """True when the enclosing scope also calls ``os.replace``."""
-        scope: ast.AST | None = enclosing_function(node, module.parents)
-        if scope is None:
-            scope = module.tree
-        return any(
-            isinstance(child, ast.Call) and call_name(child) == "os.replace"
-            for child in ast.walk(scope)
-        )

@@ -37,7 +37,7 @@ def string_constants(node: ast.AST) -> Iterator[str]:
 
 
 def call_name(node: ast.Call) -> str:
-    """Dotted name of a call's callee (``os.replace`` -> ``"os.replace"``)."""
+    """Dotted name of a call's callee (``os.fdopen`` -> ``"os.fdopen"``)."""
     return dotted_name(node.func)
 
 

@@ -41,7 +41,7 @@ from repro.lint.project import ProjectUnderLint
 #: docs/LINT.md (``tests/test_lint_project.py`` pins the equivalence).
 #: package -> layer number; ISOLATED packages import nothing else.
 DEFAULT_LAYERS: dict[str, int] = {
-    "parallel": 0, "unicode": 0,
+    "durable": 0, "parallel": 0, "unicode": 0,
     "fonts": 1, "idn": 1, "langid": 1,
     "dns": 2, "metrics": 2,
     "homoglyph": 3, "web": 3,

@@ -52,9 +52,9 @@ from ..detection.stream import (
     StreamingScanner,
     file_fingerprint,
     is_idn_candidate,
-    recover_sink,
 )
 from ..dns.zonediff import ZoneDelta, diff_delegations, read_delegations
+from ..durable import Checkpoint, CheckpointedLog, json_record
 
 __all__ = [
     "TRACK_VERSION",
@@ -257,13 +257,8 @@ class HomographTimeline:
 
 
 def _is_valid_event_line(line: bytes) -> bool:
-    if not line.endswith(b"\n"):
-        return False               # partial write — the run died mid-line
-    try:
-        payload = json.loads(line)
-    except ValueError:
-        return False
-    return isinstance(payload, dict) and "event" in payload and "date" in payload
+    record = json_record(line)
+    return record is not None and "event" in record and "date" in record
 
 
 def read_timeline(path: str | os.PathLike) -> HomographTimeline:
@@ -288,8 +283,10 @@ def read_timeline(path: str | os.PathLike) -> HomographTimeline:
 
 
 @dataclass(frozen=True)
-class TrackCheckpoint:
+class TrackCheckpoint(Checkpoint):
     """Durable progress marker written after every completed day."""
+
+    JSON_SEPARATORS = (",", ":")
 
     events_written: int                     # durable lines in timeline.jsonl
     days_done: int
@@ -298,43 +295,6 @@ class TrackCheckpoint:
     reference_fingerprint: str              # identity of the reference list
     idn_delegations: dict[str, list[str]]   # IDN delegation map at last_date (diff base)
     version: int = TRACK_VERSION
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Atomically persist (write to a temp name, then rename).
-
-        The payload is assembled field-by-field instead of via
-        :func:`dataclasses.asdict`, which would deep-copy the (potentially
-        large) delegation map before serialising it.
-        """
-        path = Path(path)
-        temp = path.with_name(path.name + ".tmp")
-        payload = {
-            "events_written": self.events_written,
-            "days_done": self.days_done,
-            "last_date": self.last_date,
-            "last_snapshot_fingerprint": self.last_snapshot_fingerprint,
-            "reference_fingerprint": self.reference_fingerprint,
-            "idn_delegations": self.idn_delegations,
-            "version": self.version,
-        }
-        temp.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")),
-            encoding="utf-8",
-        )
-        os.replace(temp, path)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "TrackCheckpoint | None":
-        """Read a checkpoint; missing or corrupt files read as ``None``."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(payload, dict):
-                return None
-            if payload.get("version") != TRACK_VERSION:
-                return None
-            return cls(**payload)
-        except (OSError, ValueError, TypeError):
-            return None
 
 
 # ---------------------------------------------------------------------------
@@ -477,58 +437,28 @@ class LongitudinalTracker:
 
         timeline = HomographTimeline()
         previous: dict[str, tuple[str, ...]] = {}
-        checkpoint = TrackCheckpoint.load(self.checkpoint_path) if resume else None
-        if (
-            resume
-            and checkpoint is None
-            and self.timeline_path.exists()
-            and self.timeline_path.stat().st_size
-        ):
-            raise TrackResumeError(
-                f"no usable checkpoint at {self.checkpoint_path} but "
-                f"{self.timeline_path} is non-empty; re-run without --resume to "
-                "overwrite it"
-            )
         reference_changed = False
-        if checkpoint is not None:
-            recovery = recover_sink(
-                self.timeline_path,
-                expected_lines=checkpoint.events_written,
-                dry_run=True,
-                line_validator=_is_valid_event_line,
-            )
-            if recovery.valid_count < checkpoint.events_written:
-                raise TrackResumeError(
-                    f"timeline store {self.timeline_path} holds {recovery.valid_count} "
-                    f"intact events but the checkpoint recorded "
-                    f"{checkpoint.events_written}; the store was damaged inside the "
-                    "checkpointed prefix — re-run without --resume to start over"
+        with CheckpointedLog(
+            self.timeline_path, self.checkpoint_path, TrackCheckpoint,
+            count_field="events_written", error=TrackResumeError,
+            line_validator=_is_valid_event_line,
+        ) as sink:
+            checkpoint = sink.load(resume=resume)
+            stats.recovered_drop = sink.open(checkpoint)
+            if checkpoint is not None:
+                timeline = read_timeline(self.timeline_path)
+                previous = {
+                    domain: tuple(nameservers)
+                    for domain, nameservers in checkpoint.idn_delegations.items()
+                }
+                stats.events_written = checkpoint.events_written
+                reference_changed = (
+                    checkpoint.reference_fingerprint != self.reference_fingerprint
                 )
-            if recovery.keep_bytes != self.timeline_path.stat().st_size:
-                with open(self.timeline_path, "r+b") as handle:
-                    handle.truncate(recovery.keep_bytes)
-            stats.recovered_drop = recovery.dropped
-            timeline = read_timeline(self.timeline_path)
-            previous = {
-                domain: tuple(nameservers)
-                for domain, nameservers in checkpoint.idn_delegations.items()
-            }
-            stats.events_written = checkpoint.events_written
-            reference_changed = (
-                checkpoint.reference_fingerprint != self.reference_fingerprint
-            )
-            sink = open(self.timeline_path, "a", encoding="utf-8")
-        else:
-            sink = open(self.timeline_path, "w", encoding="utf-8")
-            try:
-                self.checkpoint_path.unlink()
-            except OSError:
-                pass
 
-        last_date = checkpoint.last_date if checkpoint is not None else None
-        days_done = checkpoint.days_done if checkpoint is not None else 0
-        processed_dates = {report.date for report in timeline.day_reports}
-        try:
+            last_date = checkpoint.last_date if checkpoint is not None else None
+            days_done = checkpoint.days_done if checkpoint is not None else 0
+            processed_dates = {report.date for report in timeline.day_reports}
             for date, path in ordered:
                 if last_date is not None and date <= last_date:
                     if date not in processed_dates:
@@ -571,8 +501,6 @@ class LongitudinalTracker:
                     "snapshot was supplied; add a snapshot to trigger the full "
                     "rescan or re-run without --resume"
                 )
-        finally:
-            sink.close()
         stats.elapsed_seconds = time.perf_counter() - started
         return TrackResult(timeline=timeline, stats=stats)
 
@@ -680,20 +608,20 @@ class LongitudinalTracker:
         }
         events.append(day_event)
 
-        for event in events:
-            sink.write(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n")
-        sink.flush()
         stats.events_written += len(events)
-        TrackCheckpoint(
-            events_written=stats.events_written,
-            days_done=len(timeline.day_reports) + 1,
-            last_date=date,
-            last_snapshot_fingerprint=file_fingerprint(path),
-            reference_fingerprint=self.reference_fingerprint,
-            idn_delegations={
-                domain: list(nameservers) for domain, nameservers in current_pairs
-            },
-        ).save(self.checkpoint_path)
+        sink.commit(
+            [json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n" for event in events],
+            TrackCheckpoint(
+                events_written=stats.events_written,
+                days_done=len(timeline.day_reports) + 1,
+                last_date=date,
+                last_snapshot_fingerprint=file_fingerprint(path),
+                reference_fingerprint=self.reference_fingerprint,
+                idn_delegations={
+                    domain: list(nameservers) for domain, nameservers in current_pairs
+                },
+            ),
+        )
 
         for event in events:
             timeline.apply(event)

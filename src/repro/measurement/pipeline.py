@@ -64,6 +64,7 @@ from typing import (
 
 from ..detection.report import DetectionReport, HomographDetection
 from ..detection.stream import iter_sink
+from ..durable import Checkpoint, CheckpointedLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .results import StudyResults
@@ -326,7 +327,7 @@ def stage_input_fingerprint(items: Sequence, *, batch_size: int | None) -> str:
 
 
 @dataclass(frozen=True)
-class StageCheckpoint:
+class StageCheckpoint(Checkpoint):
     """Durable progress marker of one stage, written after every batch."""
 
     stage: str
@@ -336,54 +337,6 @@ class StageCheckpoint:
     input_fingerprint: str
     complete: bool = False
     version: int = STAGE_CHECKPOINT_VERSION
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Atomically persist (write to a temp name, then rename)."""
-        path = Path(path)
-        temp = path.with_name(path.name + ".tmp")
-        temp.write_text(json.dumps(asdict(self), sort_keys=True), encoding="utf-8")
-        os.replace(temp, path)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "StageCheckpoint | None":
-        """Read a checkpoint; missing or corrupt files read as ``None``."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(payload, dict):
-                return None
-            if payload.get("version") != STAGE_CHECKPOINT_VERSION:
-                return None
-            return cls(**payload)
-        except (OSError, ValueError, TypeError):
-            return None
-
-
-def _read_stage_sink(path: Path) -> tuple[list[dict], list[int]]:
-    """Well-formed record prefix of a stage sink and per-record end offsets.
-
-    ``offsets[i]`` is the byte length of the sink prefix holding the first
-    ``i + 1`` records, so a resume can truncate after any record count
-    without re-reading the file.
-    """
-    records: list[dict] = []
-    offsets: list[int] = []
-    if not path.exists():
-        return records, offsets
-    position = 0
-    with open(path, "rb") as handle:
-        for line in handle:
-            if not line.endswith(b"\n"):
-                break                  # partial write - the run died mid-line
-            try:
-                payload = json.loads(line)
-            except ValueError:
-                break
-            if not isinstance(payload, dict):
-                break
-            records.append(payload)
-            position += len(line)
-            offsets.append(position)
-    return records, offsets
 
 
 @dataclass(frozen=True)
@@ -424,8 +377,7 @@ class _StageRun:
         stage: EnrichmentStage,
         batches: list[list],
         *,
-        sink_path: Path | None,
-        checkpoint_path: Path | None,
+        sink: CheckpointedLog[StageCheckpoint] | None,
         fingerprint: str,
         prefix_records: list[dict],
         batches_done: int,
@@ -433,8 +385,7 @@ class _StageRun:
     ) -> None:
         self.stage = stage
         self.batches = batches
-        self.sink_path = sink_path
-        self.checkpoint_path = checkpoint_path
+        self.sink = sink
         self.fingerprint = fingerprint
         self.records: list[dict] = list(prefix_records)
         self.batches_done = batches_done          # durable (flushed) prefix
@@ -443,18 +394,30 @@ class _StageRun:
         self.buffered: dict[int, list[dict]] = {}
         self.resumed = resumed
         self.started = time.perf_counter()
-        self.sink = None
-        if sink_path is not None:
-            self.sink = open(sink_path, "a" if resumed else "w", encoding="utf-8")
 
     @property
     def finished(self) -> bool:
         return self.next_to_write >= len(self.batches)
 
+    def commit(self, records: list[dict]) -> None:
+        """Persist *records* (may be empty) and checkpoint the progress."""
+        if self.sink is None:
+            return
+        self.sink.commit(
+            [json.dumps(record, ensure_ascii=False) + "\n" for record in records],
+            StageCheckpoint(
+                stage=self.stage.name,
+                batches_done=self.batches_done,
+                batch_count=len(self.batches),
+                records_written=len(self.records),
+                input_fingerprint=self.fingerprint,
+                complete=self.finished,
+            ),
+        )
+
     def close(self) -> None:
         if self.sink is not None:
             self.sink.close()
-            self.sink = None
 
 
 class PipelineRunner:
@@ -571,75 +534,41 @@ class PipelineRunner:
         )
         fingerprint = stage_input_fingerprint(items, batch_size=batch_size)
         sink_path = self.stage_sink_path(stage.name)
-        checkpoint_path = self.stage_checkpoint_path(stage.name)
 
+        sink: CheckpointedLog[StageCheckpoint] | None = None
+        checkpoint: StageCheckpoint | None = None
         prefix_records: list[dict] = []
         batches_done = 0
-        resumed = False
-        if self.resume and sink_path is not None:
-            prefix_records, batches_done, resumed = self._resume_stage(
-                stage, batches, fingerprint, sink_path, checkpoint_path,
+        if sink_path is not None:
+            sink = CheckpointedLog(
+                sink_path, self.stage_checkpoint_path(stage.name), StageCheckpoint,
+                count_field="records_written", error=StageResumeError,
             )
-        elif sink_path is not None and checkpoint_path is not None:
-            # Fresh run: drop any stale checkpoint before the sink is opened
-            # for writing, so a crash never pairs an old checkpoint with a
-            # new sink.
-            try:
-                checkpoint_path.unlink()
-            except OSError:
-                pass
+            checkpoint = sink.load(resume=self.resume)
+            if checkpoint is not None and (
+                checkpoint.stage != stage.name or checkpoint.input_fingerprint != fingerprint
+            ):
+                raise StageResumeError(
+                    f"stage {stage.name!r} input changed since the checkpoint at "
+                    f"{sink.checkpoint_path} was written; re-run without --resume to "
+                    "start over"
+                )
+            sink.open(checkpoint)
+            if checkpoint is not None:
+                with open(sink_path, "rb") as handle:
+                    prefix_records = [json.loads(line) for line in handle]
+                batches_done = min(checkpoint.batches_done, len(batches))
 
         run = _StageRun(
-            stage, batches,
-            sink_path=sink_path, checkpoint_path=checkpoint_path,
-            fingerprint=fingerprint, prefix_records=prefix_records,
-            batches_done=batches_done, resumed=resumed,
+            stage, batches, sink=sink, fingerprint=fingerprint,
+            prefix_records=prefix_records, batches_done=batches_done,
+            resumed=checkpoint is not None,
         )
         if run.finished:
             return run
         for index in range(run.batches_done, len(batches)):
             run.pending[executor.submit(stage.enrich, batches[index])] = index
         return run
-
-    def _resume_stage(
-        self,
-        stage: EnrichmentStage,
-        batches: list[list],
-        fingerprint: str,
-        sink_path: Path,
-        checkpoint_path: Path,
-    ) -> tuple[list[dict], int, bool]:
-        checkpoint = StageCheckpoint.load(checkpoint_path)
-        if checkpoint is None:
-            if sink_path.exists() and sink_path.stat().st_size:
-                raise StageResumeError(
-                    f"no usable checkpoint at {checkpoint_path} but {sink_path} "
-                    "is non-empty; re-run without resume to overwrite it"
-                )
-            return [], 0, False
-        if checkpoint.stage != stage.name or checkpoint.input_fingerprint != fingerprint:
-            raise StageResumeError(
-                f"stage {stage.name!r} input changed since the checkpoint at "
-                f"{checkpoint_path} was written; re-run without resume to start over"
-            )
-        records, offsets = _read_stage_sink(sink_path)
-        if len(records) < checkpoint.records_written:
-            raise StageResumeError(
-                f"stage sink {sink_path} holds {len(records)} intact records but "
-                f"the checkpoint recorded {checkpoint.records_written}; the sink "
-                "was damaged inside the checkpointed prefix - re-run without "
-                "resume to start over"
-            )
-        # Valid lines past the checkpoint belong to a batch that was flushed
-        # but never checkpointed (or to a cut-off line): drop them, they will
-        # be re-emitted.
-        records = records[:checkpoint.records_written]
-        keep_bytes = offsets[checkpoint.records_written - 1] if records else 0
-        if keep_bytes != sink_path.stat().st_size:
-            with open(sink_path, "r+b") as handle:
-                handle.truncate(keep_bytes)
-        batches_done = min(checkpoint.batches_done, len(batches))
-        return records, batches_done, True
 
     def _absorb(
         self,
@@ -652,22 +581,10 @@ class PipelineRunner:
             run.buffered[index] = future.result()   # re-raises stage errors
         while run.next_to_write in run.buffered:
             records = run.buffered.pop(run.next_to_write)
-            if run.sink is not None:
-                for record in records:
-                    run.sink.write(json.dumps(record, ensure_ascii=False) + "\n")
-                run.sink.flush()
             run.records.extend(records)
             run.next_to_write += 1
             run.batches_done = run.next_to_write
-            if run.checkpoint_path is not None:
-                StageCheckpoint(
-                    stage=run.stage.name,
-                    batches_done=run.batches_done,
-                    batch_count=len(run.batches),
-                    records_written=len(run.records),
-                    input_fingerprint=run.fingerprint,
-                    complete=run.finished,
-                ).save(run.checkpoint_path)
+            run.commit(records)
             if progress is not None:
                 progress(StageEvent(
                     stage=run.stage.name,
@@ -677,16 +594,8 @@ class PipelineRunner:
                 ))
 
     def _finish_stage(self, run: _StageRun, context: PipelineContext) -> StageTiming:
+        run.commit([])
         run.close()
-        if run.checkpoint_path is not None:
-            StageCheckpoint(
-                stage=run.stage.name,
-                batches_done=run.batches_done,
-                batch_count=len(run.batches),
-                records_written=len(run.records),
-                input_fingerprint=run.fingerprint,
-                complete=True,
-            ).save(run.checkpoint_path)
         context.records[run.stage.name] = run.records
         run.stage.finalize(context, run.records)
         return StageTiming(

@@ -30,10 +30,7 @@ import numpy as np
 
 from ..fonts.glyph import Glyph
 
-# fork_pool_context historically lived here; it is now a deprecated shim in
-# repro.parallel.pool (pools run parallel under spawn too) and is
-# re-exported for compatibility.
-from ..parallel.pool import fork_pool_context, pool_context  # noqa: F401
+from ..parallel.pool import pool_context
 
 __all__ = [
     "delta",
@@ -46,7 +43,6 @@ __all__ = [
     "pack_glyphs",
     "popcount_rows",
     "packed_candidate_pairs",
-    "fork_pool_context",
 ]
 
 

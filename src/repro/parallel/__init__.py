@@ -1,5 +1,5 @@
 """Process-pool plumbing shared by every parallel path in the repo."""
 
-from .pool import fork_pool_context, pool_context, resolve_start_method, worker_pids
+from .pool import pool_context, resolve_start_method, worker_pids
 
-__all__ = ["fork_pool_context", "pool_context", "resolve_start_method", "worker_pids"]
+__all__ = ["pool_context", "resolve_start_method", "worker_pids"]

@@ -5,31 +5,16 @@ Every parallel engine in the repo — the SimChar build shards
 and the serving worker pool (:mod:`repro.serving.server`) — creates its
 process pool through this module instead of deciding per call site.
 
-History: the original discipline was *fork-only* — where the platform start
-method was ``spawn`` (macOS, Windows), :func:`fork_pool_context` returned
-``None`` and callers silently ran serial.  That avoided two spawn hazards:
+Policy:
 
-* an unguarded host script (no ``if __name__ == "__main__"``) re-imports
-  ``__main__`` in every spawned child;
-* pool initializers that lean on fork inheritance (closures over unpicklable
-  state such as an ``mmap``-backed index) cannot be shipped to a spawned
-  child at all.
-
-Both hazards are now handled instead of dodged.  CPython's spawn bootstrap
-detects the unguarded-``__main__`` case and raises a clear ``RuntimeError``
-rather than fork-bombing, and every initializer in the repo now takes
-*picklable specs* (the artifact path for an mmap re-attach, plain dicts and
-numpy arrays otherwise) rather than inherited closures.  So the policy is:
-
-* ``fork``/``forkserver`` stay the fast path — children inherit the parent's
+* ``fork``/``forkserver`` are the fast path — children inherit the parent's
   prepared state by page sharing, and initializer arguments are not pickled;
-* ``spawn`` is *correct* instead of serial — workers rebuild their state
-  from the pickled spec, so macOS/Windows (and an explicit
-  ``set_start_method("spawn")``) get real parallelism.
-
-:func:`fork_pool_context` survives as a deprecated shim with its historical
-"``None`` on spawn" contract for external callers; nothing in the repo
-branches on it any more.
+* ``spawn`` is *correct*, not serial — every initializer in the repo takes
+  *picklable specs* (the artifact path for an mmap re-attach, plain dicts and
+  numpy arrays otherwise), so workers rebuild their state from the pickled
+  spec and macOS/Windows (or an explicit ``set_start_method("spawn")``) get
+  real parallelism.  CPython's spawn bootstrap turns an unguarded host
+  script (no ``if __name__ == "__main__"``) into a clear ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -37,12 +22,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 
 __all__ = [
     "resolve_start_method",
     "pool_context",
-    "fork_pool_context",
     "worker_pids",
 ]
 
@@ -54,7 +37,7 @@ def resolve_start_method(start_method: str | None = None) -> str:
     supported set); otherwise the host application's globally-set method is
     honoured, falling back to the platform default — all without pinning
     the global context, so a library call never forecloses the host's
-    choice (``tests/test_simchar_cache.py`` asserts this stays true).
+    choice (``tests/test_parallel_pool.py`` asserts this stays true).
     """
     if start_method is not None:
         if start_method not in multiprocessing.get_all_start_methods():
@@ -80,25 +63,6 @@ def pool_context(start_method: str | None = None):
     re-attach spec.
     """
     return multiprocessing.get_context(resolve_start_method(start_method))
-
-
-def fork_pool_context():
-    """Deprecated: a fork/forkserver context, or ``None`` under spawn.
-
-    The historical fork-only gate.  Library code no longer skips
-    parallelism on spawn platforms — use :func:`pool_context`, which
-    returns a usable context for every start method.
-    """
-    warnings.warn(
-        "fork_pool_context() is deprecated; use repro.parallel.pool_context(), "
-        "which supports spawn platforms instead of returning None",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    method = resolve_start_method()
-    if method in ("fork", "forkserver"):
-        return multiprocessing.get_context(method)
-    return None
 
 
 def _pid_probe(hold_seconds: float) -> int:

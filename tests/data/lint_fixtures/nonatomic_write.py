@@ -1,8 +1,8 @@
 """Seeded regression for the atomic-write rule (pre-PR 6 ``.idx`` write).
 
 Writing the reference index in place means a crash mid-write leaves a
-torn artifact that every later reader mmaps; the fix is temp name +
-``os.replace``.
+torn artifact that every later reader mmaps; the fix is
+``durable.atomic_write``.
 """
 
 import json

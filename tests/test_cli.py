@@ -226,6 +226,31 @@ def test_scan_resume_refuses_changed_input(tmp_path, capsys, union_db):
     assert "cannot resume" in capsys.readouterr().err
 
 
+def test_scan_resume_refuses_type_corrupted_checkpoint(tmp_path, capsys, union_db):
+    db_path = tmp_path / "db.json"
+    union_db.save(db_path)
+    input_path = tmp_path / "in.txt"
+    input_path.write_text("xn--ggle-55da.com\nxn--facbook-dya.com\n", encoding="utf-8")
+    reference_path = tmp_path / "refs.txt"
+    reference_path.write_text("google.com\nfacebook.com\n", encoding="utf-8")
+    output_path = tmp_path / "out.jsonl"
+    base = ["scan", "-i", str(input_path), "-o", str(output_path),
+            "--reference-file", str(reference_path), "--database", str(db_path)]
+    assert main(base) == 0
+    capsys.readouterr()
+    checkpoint = tmp_path / "out.jsonl.checkpoint"
+    text = checkpoint.read_text(encoding="utf-8")
+    assert '"detections_written": 2' in text
+    checkpoint.write_text(text.replace('"detections_written": 2', '"detections_written": "2"'),
+                          encoding="utf-8")
+    before = output_path.read_bytes()
+    # Parsed as a number-typed field, the string once crashed resume with
+    # a TypeError traceback; it must read as no usable checkpoint instead.
+    assert main(base + ["--resume"]) == 2
+    assert "no usable checkpoint" in capsys.readouterr().err
+    assert output_path.read_bytes() == before
+
+
 # -- query / serve ------------------------------------------------------------
 
 

@@ -300,11 +300,7 @@ def test_no_fold_safety_pragmas_remain_in_src():
 
 
 def test_committed_baseline_is_small_and_justified():
-    """The baseline only ever shrinks: few entries, every one justified
-    with real prose (the --write-baseline TODO placeholder is not)."""
+    """The baseline is empty: findings are fixed or pragma-justified next
+    to the code, never grandfathered."""
     baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-    assert len(baseline.entries) <= 10
-    for entry in baseline.entries:
-        assert not entry.justification.startswith("TODO"), (
-            f"unjustified baseline entry: [{entry.rule}] {entry.path}"
-        )
+    assert baseline.entries == []

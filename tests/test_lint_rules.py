@@ -8,7 +8,7 @@ repo actually shipped (or nearly shipped) and later fixed by hand:
 * ``fingerprint_missing.py`` — a cache-key field not threaded through
   the fingerprint function (PR 7's source_config omission);
 * ``nonatomic_write.py`` — an artifact written in place instead of
-  temp + ``os.replace``;
+  through ``durable.atomic_write``;
 * ``spawn_lambda.py`` — a lambda initializer / closure task function
   that breaks under the spawn start method (PR 8);
 * ``unguarded_cache.py`` — a declared-guarded cache read outside its
@@ -41,7 +41,7 @@ SEEDED = {
     "fold_position.py": ("fold-safety", "position indexing"),
     "fold_rename.py": ("fold-safety", "label-tainted"),
     "fingerprint_missing.py": ("fingerprint-completeness", "threshold"),
-    "nonatomic_write.py": ("atomic-write", "os.replace"),
+    "nonatomic_write.py": ("atomic-write", "durable.atomic_write"),
     "spawn_lambda.py": ("spawn-safety", "spawn start method"),
     "unguarded_cache.py": ("lock-discipline", "self._cache"),
     "silent_except.py": ("broad-except", "silently"),
@@ -180,23 +180,38 @@ def test_lock_discipline_accepts_guarded_access(tmp_path):
     assert result.ok, [f.render() for f in result.new]
 
 
-def test_atomic_write_accepts_temp_and_replace(tmp_path):
+def test_atomic_write_accepts_durable_atomic_write(tmp_path):
     patched = tmp_path / "atomic_write_ok.py"
     patched.write_text(
-        '"""Fixed form of nonatomic_write.py: temp name + os.replace."""\n'
+        '"""Fixed form of nonatomic_write.py: durable.atomic_write."""\n'
         "import json\n"
-        "import os\n"
+        "\n"
+        "from repro import durable\n"
         "\n"
         "\n"
         "def save_index(idx_path: str, payload: dict) -> None:\n"
-        '    temp_path = idx_path + ".tmp"\n'
-        '    with open(temp_path, "w", encoding="utf-8") as handle:\n'
-        "        json.dump(payload, handle)\n"
-        "    os.replace(temp_path, idx_path)\n",
+        '    durable.atomic_write(idx_path, json.dumps(payload).encode("utf-8"))\n',
         encoding="utf-8",
     )
     result = run_lint([patched], rules=["atomic-write"])
     assert result.ok, [f.render() for f in result.new]
+
+
+def test_atomic_write_flags_hand_rolled_temp_and_replace(tmp_path):
+    """The temp + os.replace idiom outside repro.durable is a finding."""
+    patched = tmp_path / "hand_rolled.py"
+    patched.write_text(
+        "import os\n"
+        "\n"
+        "\n"
+        "def save_checkpoint(checkpoint_path: str, text: str) -> None:\n"
+        '    with open(checkpoint_path + ".tmp", "w", encoding="utf-8") as handle:\n'
+        "        handle.write(text)\n"
+        '    os.replace(checkpoint_path + ".tmp", checkpoint_path)\n',
+        encoding="utf-8",
+    )
+    result = run_lint([patched], rules=["atomic-write"])
+    assert [f.rule for f in result.new] == ["atomic-write"]
 
 
 def test_spawn_safety_accepts_module_level_functions(tmp_path):

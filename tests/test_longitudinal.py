@@ -265,6 +265,23 @@ def test_corrupt_checkpoint_reads_as_missing(tmp_path):
     assert TrackCheckpoint.load(path) is None
 
 
+def test_checkpoint_with_a_wrong_typed_field_reads_as_missing(tmp_path):
+    path = tmp_path / "state.json"
+    TrackCheckpoint(events_written=3, days_done=1, last_date="2019-05-01",
+                    last_snapshot_fingerprint="aa", reference_fingerprint="bb",
+                    idn_delegations={GOOGLE: ["ns1.a.net"]}).save(path)
+    assert TrackCheckpoint.load(path) is not None
+    for field, value in (("events_written", "3"),
+                         ("idn_delegations", [[GOOGLE, ["ns1.a.net"]]]),
+                         ("idn_delegations", {GOOGLE: "ns1.a.net"}),
+                         ("last_date", 20190501)):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(json.dumps(payload), encoding="utf-8")
+        assert TrackCheckpoint.load(damaged) is None, (field, value)
+
+
 # -- reference-list changes -----------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from repro.detection.stream import StreamingScanner, read_sink
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.idn.domain import DomainName
 from repro.parallel.pool import (
-    fork_pool_context,
     pool_context,
     resolve_start_method,
     worker_pids,
@@ -60,13 +59,11 @@ def test_pool_context_never_none():
     assert pool_context("spawn").get_start_method() == "spawn"
 
 
-def test_fork_pool_context_shim_warns():
-    with pytest.warns(DeprecationWarning):
-        context = fork_pool_context()
-    if resolve_start_method() in ("fork", "forkserver"):
-        assert context is not None
-    else:
-        assert context is None
+def test_pool_context_does_not_pin_global_start_method():
+    before = multiprocessing.get_start_method(allow_none=True)
+    pool_context()
+    pool_context("spawn")
+    assert multiprocessing.get_start_method(allow_none=True) == before
 
 
 # -- demonstrable parallelism -------------------------------------------------

@@ -151,6 +151,20 @@ def test_stage_checkpoint_roundtrip(tmp_path):
     assert StageCheckpoint.load(path) is None
 
 
+def test_stage_checkpoint_with_a_wrong_typed_field_reads_as_missing(tmp_path):
+    path = tmp_path / "cp"
+    StageCheckpoint(stage="dns", batches_done=3, batch_count=5, records_written=700,
+                    input_fingerprint="abc").save(path)
+    assert StageCheckpoint.load(path) is not None
+    for field, value in (("records_written", "700"), ("complete", "false"),
+                         ("stage", None), ("batches_done", [3])):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        damaged = tmp_path / f"{field}.json"
+        damaged.write_text(json.dumps(payload), encoding="utf-8")
+        assert StageCheckpoint.load(damaged) is None, field
+
+
 # -- execution ----------------------------------------------------------------
 
 

@@ -291,7 +291,7 @@ def test_cached_reference_index_mmap_load(tmp_path, small_finder):
     assert _detect(small_finder, again.prepared) == _detect(small_finder, built.prepared)
 
 
-# -- format-version-1 fallback ------------------------------------------------
+# -- format-version-1 artifacts ------------------------------------------------
 
 
 def _write_v1_artifact(store: ReferenceIndexStore, finder, reference):
@@ -324,43 +324,18 @@ def _write_v1_artifact(store: ReferenceIndexStore, finder, reference):
     path = store.path_for(v1_key)
     path.write_text(json.dumps(header, ensure_ascii=False) + "\n" + body,
                     encoding="utf-8")
-    return index, v1_key, path
+    return index, path
 
 
-def test_v1_artifact_is_read_via_fallback(tmp_path, small_finder):
+def test_v1_artifact_reads_as_a_miss_and_is_rebuilt(tmp_path, small_finder):
     store = ReferenceIndexStore(tmp_path)
-    built, v1_key, path = _write_v1_artifact(store, small_finder, REFERENCE)
+    built, v1_path = _write_v1_artifact(store, small_finder, REFERENCE)
     key = key_for(small_finder, REFERENCE)
-    assert key.format_version == INDEX_FORMAT_VERSION
-    assert store.path_for(key) != path         # different digest, different file
-
-    loaded = store.load(key, small_finder)
-    assert loaded is not None and loaded.from_cache
-    assert loaded.key == v1_key                # served under the v1 identity
-    assert _detect(small_finder, loaded.prepared) == _detect(small_finder, built.prepared)
-
-
-def test_v1_hit_upgrades_to_current_format(tmp_path, small_finder):
-    store = ReferenceIndexStore(tmp_path)
-    built, v1_key, v1_path = _write_v1_artifact(store, small_finder, REFERENCE)
+    assert store.load(key, small_finder) is None
+    assert store.load_mmap(key, small_finder, verify=True) is None
 
     index, hit = cached_reference_index(small_finder, REFERENCE, store)
-    assert hit                                 # the fallback counts as a hit...
-    assert index.key.format_version == INDEX_FORMAT_VERSION
-    current_path = store.path_for(index.key)
-    assert current_path.exists()               # ...and was rewritten in-format
+    assert not hit
+    assert index.key == key
+    assert store.path_for(key).exists() and v1_path.exists()
     assert _detect(small_finder, index.prepared) == _detect(small_finder, built.prepared)
-
-    # From now on the current-format artifact answers directly — including
-    # through the mmap path, which never reads v1 bodies.
-    mapped, hit = cached_reference_index(small_finder, REFERENCE, store, mmap_load=True)
-    assert hit and mapped.mapped
-    assert _detect(small_finder, mapped.prepared) == _detect(small_finder, built.prepared)
-
-
-def test_corrupt_v1_fallback_is_a_miss(tmp_path, small_finder):
-    store = ReferenceIndexStore(tmp_path)
-    _built, _v1_key, path = _write_v1_artifact(store, small_finder, REFERENCE)
-    data = path.read_text(encoding="utf-8")
-    path.write_text(data[: len(data) - 5], encoding="utf-8")
-    assert store.load(key_for(small_finder, REFERENCE), small_finder) is None

@@ -220,17 +220,6 @@ def test_unwritable_cache_degrades_to_in_memory_build(builder, tmp_path):
     assert result.database.pair_count > 0
 
 
-def test_fork_pool_context_does_not_pin_global_start_method():
-    import multiprocessing
-
-    from repro.metrics.pixel import fork_pool_context
-
-    before = multiprocessing.get_start_method(allow_none=True)
-    with pytest.warns(DeprecationWarning):
-        fork_pool_context()
-    assert multiprocessing.get_start_method(allow_none=True) == before
-
-
 def test_cache_clear(builder, cache):
     cached_build(builder, cache)
     assert cache.clear() == 1

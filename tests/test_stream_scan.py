@@ -194,6 +194,20 @@ def test_corrupt_checkpoint_reads_as_missing(tmp_path):
     assert ScanCheckpoint.load(path) is None
 
 
+def test_checkpoint_with_a_wrong_typed_field_reads_as_missing(tmp_path):
+    path = tmp_path / "cp.json"
+    ScanCheckpoint(lines_done=4, chunks_done=1, detections_written=2, domains_seen=4,
+                   idn_count=2, skipped_count=0).save(path)
+    assert ScanCheckpoint.load(path) is not None
+    for field, value in (("detections_written", "2"), ("lines_done", 4.0),
+                         ("chunks_done", True), ("input_fingerprint", 7)):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        damaged = tmp_path / f"{field}.json"
+        damaged.write_text(json.dumps(payload), encoding="utf-8")
+        assert ScanCheckpoint.load(damaged) is None, field
+
+
 def test_resume_refuses_changed_input(stream_finder, corpus_file, tmp_path):
     out = tmp_path / "r.jsonl"
     scanner = StreamingScanner(stream_finder, REFERENCES, chunk_size=8)
