@@ -21,14 +21,15 @@ module runs the same pipeline over a whole batch with numpy:
    that the table cannot decide) run the exact scalar Algorithm 1 path, so
    verdicts stay byte-identical to the scalar loop.
 
-For whole *domains* (the ``query_many`` hot path) the kernel goes one step
-further: :meth:`BatchFoldKernel.domain_certain_miss` runs the entire
-fast-parse — lowercase LDH shape checks, label splitting, registrable
-label extraction — as numpy passes over one concatenated code point
-array, so a 20k-domain batch costs ~25 numpy operations instead of 20k
-regex matches and string slices.  The eligibility rules are exactly
-:data:`FAST_DOMAIN_RE` (the executable oracle the property suite compares
-against); ineligible domains are simply left to the scalar path.
+For whole *domains* the kernel goes one step further (both passes run in
+:meth:`~.shamfinder.ShamFinder.join_batch`, the one batch front-end):
+:meth:`BatchFoldKernel.domain_certain_miss` runs the entire fast-parse —
+lowercase LDH shape checks, label splitting, registrable label extraction
+— as numpy passes over one concatenated code point array, so a 20k-domain
+batch costs ~25 numpy operations instead of 20k regex matches and string
+slices.  The eligibility rules are exactly :data:`FAST_DOMAIN_RE` (the
+executable oracle the property suite compares against); ineligible domains
+are parsed and go to the label-level pass.
 
 Why the table is exact: CPython's ``str.lower()`` has exactly one
 context-sensitive mapping — Final_Sigma for U+03A3 — so for every other
@@ -76,6 +77,7 @@ __all__ = [
     "FOLD_TABLE_MAGIC",
     "FAST_DOMAIN_RE",
     "MAX_FAST_DOMAIN",
+    "MIN_KERNEL_BATCH",
     "FoldTable",
     "BatchFoldKernel",
     "fold_table_for",
@@ -114,6 +116,10 @@ _FAST_LABEL = r"(?!-)(?![a-z0-9_-]{2}--)[a-z0-9_-]{1,63}(?<!-)"
 FAST_DOMAIN_RE = re.compile(rf"{_FAST_LABEL}(?:\.{_FAST_LABEL})+")
 
 MAX_FAST_DOMAIN = 253
+
+#: Below this many inputs the kernel's fixed costs beat its savings, so
+#: :meth:`~.shamfinder.ShamFinder.join_batch` runs the scalar loop.
+MIN_KERNEL_BATCH = 8
 
 #: Per-ASCII-code lookup of the fast-parse label alphabet ``[a-z0-9_-]``.
 _LDH_LOOKUP = np.zeros(128, dtype=bool)
@@ -677,31 +683,22 @@ def kernel_for(
     prepared,
     *,
     cache_dir: str | os.PathLike | None = None,
-) -> BatchFoldKernel | None:
+) -> BatchFoldKernel:
     """The batch kernel for *prepared* under *matcher*, built once and cached.
 
-    Returns ``None`` when the prepared index cannot supply its skeleton
-    keys (an exotic duck-typed index) — callers then just run the scalar
-    path.  *cache_dir* is forwarded to the fold-table sidecar lookup.
+    *cache_dir* is forwarded to the fold-table sidecar lookup.
     """
     entry = _KERNELS.get(id(prepared))
     if entry is not None:
         ref, kernel = entry
         if ref() is prepared:
             return kernel
-    index = getattr(prepared, "index", None)
-    skeletons = getattr(index, "skeletons", None)
-    if skeletons is None:
-        return None
     table = fold_table_for(
         matcher.classes,
         database_digest=matcher.database.content_digest(),
         cache_dir=cache_dir,
     )
-    kernel = BatchFoldKernel(table, skeletons())
-    try:
-        ref = weakref.ref(prepared, lambda _, key=id(prepared): _KERNELS.pop(key, None))
-    except TypeError:
-        return kernel   # not weakref-able: still usable, just not cached
+    kernel = BatchFoldKernel(table, prepared.index.skeletons())
+    ref = weakref.ref(prepared, lambda _, key=id(prepared): _KERNELS.pop(key, None))
     _KERNELS[id(prepared)] = (ref, kernel)
     return kernel

@@ -34,11 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..idn.domain import DomainName
-from ..idn.idna_codec import IDNAError, fold_label
-from .batchfold import kernel_for
+from ..idn.idna_codec import fold_label
 from .index import (
     ReferenceIndex,
     ReferenceIndexStore,
@@ -46,17 +43,9 @@ from .index import (
     cached_reference_index,
 )
 from .report import HomographDetection
-from .shamfinder import ShamFinder
+from .shamfinder import LabelMatches, ShamFinder
 
 __all__ = ["QueryVerdict", "OnlineDetector"]
-
-#: Below this batch size the kernel's fixed costs beat its savings; the
-#: scalar loop is used instead.
-_MIN_BATCH_SIZE = 8
-
-#: Cached per-label join outcome: each match paired with the reference
-#: domains (all TLDs) carrying the matched label.
-_LabelMatches = tuple
 
 
 @dataclass(frozen=True)
@@ -175,7 +164,7 @@ class OnlineDetector:
         # The `# guarded-by:` annotations are enforced by repro-lint's
         # lock-discipline rule: accessing an annotated attribute outside a
         # `with <lock>:` block is a lint error (docs/LINT.md#lock-discipline).
-        self._cache: OrderedDict[str, _LabelMatches] = OrderedDict()  # guarded-by: _cache_lock
+        self._cache: OrderedDict[str, LabelMatches] = OrderedDict()  # guarded-by: _cache_lock
         self._cache_lock = threading.Lock()
         self._stats = _ServiceStats()
         self._inflight = 0  # guarded-by: _idle
@@ -222,109 +211,74 @@ class OnlineDetector:
         *,
         index: ReferenceIndex | None = None,
     ) -> QueryVerdict:
-        """Answer "is this one domain a homograph?" for a single domain.
-
-        *index* pins the query to a specific index generation (the serving
-        layer uses this to keep a whole batch on one fingerprint across a
-        concurrent :meth:`reload_index`); by default the current index is
-        snapshotted once at entry.
-        """
-        text = str(domain)
-        snapshot = index if index is not None else self.index
-        with self._idle:
-            self._inflight += 1
-        try:
-            with self._stats.lock:
-                self._stats.queries += 1
-            try:
-                name = domain if isinstance(domain, DomainName) else DomainName(text)
-                label = name.registrable_unicode
-            except (IDNAError, ValueError) as exc:
-                with self._stats.lock:
-                    self._stats.errors += 1
-                return QueryVerdict(domain=text, error=str(exc))
-
-            matches = self._matches_for(label, snapshot)
-            detections = []
-            for match, refs in matches:
-                for ref in refs:
-                    if ref.rpartition(".")[2] != name.tld:
-                        continue
-                    detections.append(self.finder._detection_from_match(name, ref, match))
-
-            revert = None
-            if self.include_revert and name.has_idn_registrable_label:
-                original = self.finder.reverter.best_original(label)
-                if original is not None and original != label:
-                    revert = f"{original}.{name.tld}"
-
-            return QueryVerdict(
-                domain=text,
-                ascii=name.ascii,
-                unicode=name.unicode,
-                is_idn=name.has_idn_registrable_label,
-                detections=tuple(detections),
-                revert=revert,
-            )
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
+        """Answer "is this one domain a homograph?" — a batch of one."""
+        return self.query_many([domain], index=index)[0]
 
     def query_many(
         self,
         domains: Iterable[str | DomainName],
         *,
         index: ReferenceIndex | None = None,
-        batch_kernel: bool = True,
     ) -> list[QueryVerdict]:
-        """Batched :meth:`query`, in input order.
+        """One verdict per domain, in input order.
 
-        With *index* pinned, every verdict in the batch comes from the same
-        index generation even if :meth:`reload_index` runs mid-batch — the
-        consistency contract the micro-batching server relies on.
+        *index* pins the batch to a specific index generation (the serving
+        layer uses this to keep a whole batch on one fingerprint across a
+        concurrent :meth:`reload_index`); by default the current index is
+        snapshotted once at entry.
 
-        By default the batch runs through the vectorized kernel
-        (:mod:`.batchfold`): fast-parsable LDH domains whose folded
-        skeleton provably misses every reference bucket get their (empty)
-        verdict built directly, and only the rest — bucket hits, IDNs,
-        junk — pay the full scalar :meth:`query`.  Verdicts are
-        byte-identical either way (the property suite and
-        ``benchmarks/bench_query.py`` assert it); ``batch_kernel=False``
-        opts out.
+        The batch runs through :meth:`ShamFinder.join_batch` with the
+        LRU-backed :meth:`_matches_for` as the join: a fast miss gets its
+        (empty) verdict built directly, and only labels the kernel passes
+        cannot rule out pay the join.  The whole batch counts as in flight
+        until it returns.
         """
         snapshot = index if index is not None else self.index
         items = domains if isinstance(domains, list) else list(domains)
-        if not batch_kernel or len(items) < _MIN_BATCH_SIZE:
-            return [self.query(domain, index=snapshot) for domain in items]
-        kernel = kernel_for(self.finder.matcher, snapshot.prepared,
-                            cache_dir=self.fold_table_dir)
-        if kernel is None:
-            return [self.query(domain, index=snapshot) for domain in items]
-
-        # str() on a str returns it untouched, so one C-level map covers
-        # both plain strings and DomainName items.
-        texts = list(map(str, items))
-        miss = kernel.domain_certain_miss(
-            texts, invisible_table=self.finder.invisible_table)
-        fast = int(miss.sum())
-        if fast == 0:
-            return [self.query(item, index=snapshot) for item in items]
-        # Build a fast verdict for *every* slot, then overwrite the few
-        # scalar-path ones — cheaper than a conditional per item when the
-        # batch is mostly misses (and the wasted objects are just GC'd).
-        verdicts = list(map(_fast_miss_verdict, texts))
-        with self._stats.lock:
-            self._stats.queries += fast
-        if fast != len(items):
-            for i in np.flatnonzero(~miss).tolist():
-                verdicts[i] = self.query(items[i], index=snapshot)
-        return verdicts
+        with self._idle:
+            self._inflight += len(items)
+        try:
+            outcomes = self.finder.join_batch(
+                items, snapshot.prepared,
+                lambda label: self._matches_for(label, snapshot),
+                cache_dir=self.fold_table_dir,
+            )
+            verdicts = []
+            errors = 0
+            # str() on a str returns it untouched, on a DomainName its ASCII form.
+            for text, outcome in zip(map(str, items), outcomes):
+                if outcome is None:
+                    verdicts.append(_fast_miss_verdict(text))
+                    continue
+                name, label, matches, error = outcome
+                if error is not None:
+                    errors += 1
+                    verdicts.append(QueryVerdict(domain=text, error=str(error)))
+                    continue
+                is_idn = name.has_idn_registrable_label
+                revert = None
+                if self.include_revert and is_idn:
+                    original = self.finder.reverter.best_original(label)
+                    if original is not None and original != label:
+                        revert = f"{original}.{name.tld}"
+                verdicts.append(QueryVerdict(
+                    domain=text, ascii=name.ascii, unicode=name.unicode, is_idn=is_idn,
+                    detections=tuple(self.finder.detections_for(name, matches)),
+                    revert=revert,
+                ))
+            with self._stats.lock:
+                self._stats.queries += len(items)
+                self._stats.errors += errors
+            return verdicts
+        finally:
+            with self._idle:
+                self._inflight -= len(items)
+                if self._inflight == 0:
+                    self._idle.notify_all()
 
     # -- the per-label join cache -------------------------------------------
 
-    def _matches_for(self, label: str, index: ReferenceIndex) -> _LabelMatches:
+    def _matches_for(self, label: str, index: ReferenceIndex) -> LabelMatches:
         """Skeleton-join outcome for one registrable label, memoised.
 
         Keyed by the *folded* label: two labels differing only in case fold
@@ -346,11 +300,7 @@ class OnlineDetector:
                 with self._stats.lock:
                     self._stats.cache_hits += 1
                 return cached
-        prepared = index.prepared
-        matches = tuple(
-            (match, prepared.references_for(match.reference))
-            for match in self.finder.matcher.match_with_skeleton_index(label, prepared.index)
-        )
+        matches = self.finder.join_label(label, index.prepared)
         if self.cache_size and current:
             with self._cache_lock:
                 # A reload_index() may have swapped the index (and cleared the

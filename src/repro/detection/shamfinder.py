@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from ..homoglyph.database import (
     SOURCE_INVISIBLE,
@@ -32,16 +34,12 @@ from ..homoglyph.simchar import SimCharBuilder
 from ..idn.domain import DomainName
 from ..idn.idna_codec import IDNAError
 from .algorithm import HomographMatcher, MatchResult, fold_label
-from .batchfold import kernel_for
+from .batchfold import MIN_KERNEL_BATCH, kernel_for
 from .report import DetectionReport, HomographDetection
 from .revert import HomographReverter
 from .skeleton import PACK_SEPARATOR, SkeletonIndex
 
-__all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "REFERENCE_SEPARATOR"]
-
-#: Below this many parsed candidates the kernel's fixed costs beat its
-#: savings; :meth:`ShamFinder.detect_prepared` stays scalar.
-_MIN_KERNEL_BATCH = 8
+__all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches", "REFERENCE_SEPARATOR"]
 
 #: Separator packing a label's reference domains into one string — the
 #: same C0 byte the skeleton buckets pack with, imported so the artifact
@@ -78,6 +76,11 @@ class PreparedReferences:
         if not group:
             return ()
         return tuple(group.split(REFERENCE_SEPARATOR))
+
+
+#: One label's skeleton-join outcome: each match paired with the reference
+#: domains (canonical ASCII, all TLDs) carrying the matched label.
+LabelMatches = tuple
 
 
 @dataclass(frozen=True)
@@ -283,55 +286,108 @@ class ShamFinder:
         self,
         idns: Iterable[str | DomainName],
         prepared: PreparedReferences,
-        *,
-        batch_kernel: bool = True,
     ) -> tuple[list[HomographDetection], int, int]:
         """Detection core over pre-indexed references.
 
         Returns ``(detections, idn_count, skipped_count)`` — the unit of
-        work one streaming-scan chunk performs (:mod:`.stream`).
-
-        By default the parsed labels run through the vectorized batch
-        kernel (:mod:`.batchfold`) first: labels whose folded skeleton
-        provably misses every bucket skip the scalar join entirely, and
-        only the rest run it — detections are byte-identical either way.
-        ``batch_kernel=False`` opts out.
+        work one streaming-scan chunk performs (:mod:`.stream`).  The
+        batch goes through :meth:`join_batch`; a fast miss counts in
+        ``idn_count`` exactly as parsing it would.
         """
         detections: list[HomographDetection] = []
-        parsed: list[tuple[DomainName, str]] = []
         idn_count = 0
         skipped = 0
-        for item in idns:
-            try:
-                idn = item if isinstance(item, DomainName) else DomainName(str(item))
-            except (IDNAError, ValueError):
-                skipped += 1
+        for outcome in self.join_batch(idns, prepared, lambda label: self.join_label(label, prepared)):
+            if outcome is None:
+                idn_count += 1
                 continue
-            idn_count += 1
-            try:
-                label = idn.registrable_unicode
-            except IDNAError:
+            name, _label, matches, error = outcome
+            idn_count += name is not None
+            if error is not None:
                 skipped += 1
+            else:
+                detections.extend(self.detections_for(name, matches))
+        return detections, idn_count, skipped
+
+    def join_batch(
+        self,
+        items: Iterable[str | DomainName],
+        prepared: PreparedReferences,
+        join: Callable[[str], LabelMatches],
+        *,
+        cache_dir=None,
+    ) -> list[tuple | None]:
+        """Step III's batch front-end: one outcome per input, in order.
+
+        Both :meth:`detect_prepared` (``scan``, ``track``, the Section 5
+        study) and ``OnlineDetector.query_many`` (``query``, ``serve``)
+        reach the skeleton join only through here.  An outcome is
+        ``None`` for a fast miss — its canonical forms equal ``str(item)``,
+        it is never an IDN and it has no match — and otherwise
+        ``(name, label, matches, error)``: ``error`` is set when the input
+        is not a domain name (``name`` is then ``None``) or its
+        registrable ``label`` did not decode.
+
+        From :data:`~.batchfold.MIN_KERNEL_BATCH` inputs up, the
+        domain-level kernel pass finds the fast misses among the raw
+        strings; the rest are parsed, and if that many remain the
+        label-level pass runs over their labels.
+        *join* (``label -> matches``) runs only for labels neither pass
+        proved matchless — a proved label gets ``()``, exactly what the
+        join would return.
+        Smaller batches run the plain scalar loop.  *cache_dir* is where
+        the kernel's fold-table sidecar lives.
+        """
+        items = items if isinstance(items, list) else list(items)
+        outcomes: list[tuple | None] = [None] * len(items)
+        kernel = None
+        pending = range(len(items))
+        if len(items) >= MIN_KERNEL_BATCH:
+            kernel = kernel_for(self.matcher, prepared, cache_dir=cache_dir)
+            fast = kernel.domain_certain_miss(
+                list(map(str, items)), invisible_table=self.invisible_table)
+            pending = np.flatnonzero(~fast).tolist()
+
+        parsed: list[tuple[int, DomainName, str]] = []
+        for position in pending:
+            item = items[position]
+            try:
+                name = item if isinstance(item, DomainName) else DomainName(str(item))
+            except (IDNAError, ValueError) as exc:
+                outcomes[position] = (None, None, (), exc)
                 continue
-            parsed.append((idn, label))
+            try:
+                label = name.registrable_unicode
+            except IDNAError as exc:
+                outcomes[position] = (name, None, (), exc)
+                continue
+            parsed.append((position, name, label))
 
         miss = None
-        if batch_kernel and len(parsed) >= _MIN_KERNEL_BATCH:
-            kernel = kernel_for(self.matcher, prepared)
-            if kernel is not None:
-                miss = kernel.certain_miss_mask(
-                    [label for _, label in parsed],
-                    invisible_table=self.invisible_table,
-                )
-        for position, (idn, label) in enumerate(parsed):
-            if miss is not None and miss[position]:
-                continue
-            for match in self.matcher.match_with_skeleton_index(label, prepared.index):
-                for ref in prepared.references_for(match.reference):
-                    if ref.rpartition(".")[2] != idn.tld:
-                        continue
-                    detections.append(self._detection_from_match(idn, ref, match))
-        return detections, idn_count, skipped
+        if kernel is not None and len(parsed) >= MIN_KERNEL_BATCH:
+            miss = kernel.certain_miss_mask(
+                [label for _, _, label in parsed], invisible_table=self.invisible_table)
+        for rank, (position, name, label) in enumerate(parsed):
+            matches = () if miss is not None and miss[rank] else join(label)
+            outcomes[position] = (name, label, matches, None)
+        return outcomes
+
+    def join_label(self, label: str, prepared: PreparedReferences) -> LabelMatches:
+        """The scalar skeleton join for one registrable label."""
+        return tuple(
+            (match, prepared.references_for(match.reference))
+            for match in self.matcher.match_with_skeleton_index(label, prepared.index)
+        )
+
+    def detections_for(self, name: DomainName, matches: LabelMatches) -> list[HomographDetection]:
+        """*name*'s detections from its label's *matches*, under its own TLD only."""
+        tld = name.tld
+        return [
+            self._detection_from_match(name, ref, match)
+            for match, refs in matches
+            for ref in refs
+            if ref.rpartition(".")[2] == tld
+        ]
 
     def _detection_from_match(
         self,

@@ -194,15 +194,14 @@ def _scan_worker_init(
     finder: ShamFinder,
     prepared,
     idn_only: bool,
-    batch_kernel: bool = True,
 ) -> None:
     _WORKER_STATE["finder"] = finder
-    _WORKER_STATE["args"] = (finder, _attach_prepared(prepared), idn_only, batch_kernel)
+    _WORKER_STATE["args"] = (finder, _attach_prepared(prepared), idn_only)
 
 
 def _scan_worker(chunk: list[str]) -> tuple[list[HomographDetection], int, int, int, int]:
-    finder, prepared, idn_only, batch_kernel = _WORKER_STATE["args"]
-    return _process_chunk(finder, prepared, chunk, idn_only, batch_kernel)
+    finder, prepared, idn_only = _WORKER_STATE["args"]
+    return _process_chunk(finder, prepared, chunk, idn_only)
 
 
 def is_idn_candidate(domain: str) -> bool:
@@ -227,7 +226,6 @@ def _process_chunk(
     prepared: PreparedReferences,
     lines: Sequence[str],
     idn_only: bool,
-    batch_kernel: bool = True,
 ) -> tuple[list[HomographDetection], int, int, int, int]:
     """Steps II + III over one chunk of raw input lines."""
     domains = []
@@ -240,8 +238,7 @@ def _process_chunk(
         candidates = [d for d in domains if is_idn_candidate(d)]
     else:
         candidates = domains
-    detections, idn_count, skipped = finder.detect_prepared(
-        candidates, prepared, batch_kernel=batch_kernel)
+    detections, idn_count, skipped = finder.detect_prepared(candidates, prepared)
     return detections, len(lines), len(domains), idn_count, skipped
 
 
@@ -285,7 +282,6 @@ class StreamingScanner:
         jobs: int = 1,
         idn_only: bool = True,
         prepared: PreparedReferences | None = None,
-        batch_kernel: bool = True,
         start_method: str | None = None,
     ) -> None:
         if chunk_size < 1:
@@ -299,7 +295,6 @@ class StreamingScanner:
         self.chunk_size = chunk_size
         self.jobs = jobs
         self.idn_only = idn_only
-        self.batch_kernel = batch_kernel
         #: Multiprocessing start method for the worker pool: ``None``
         #: honours the host/platform choice (fork where available, spawn
         #: elsewhere — both parallel); an explicit value forces one.
@@ -447,8 +442,7 @@ class StreamingScanner:
         chunks = _chunked(lines, self.chunk_size)
         if self.jobs == 1:
             for chunk in chunks:
-                result = _process_chunk(self.finder, self.prepared, chunk,
-                                        self.idn_only, self.batch_kernel)
+                result = _process_chunk(self.finder, self.prepared, chunk, self.idn_only)
                 yield self._account(result, stats)
         else:
             context = pool_context(self.start_method)
@@ -456,7 +450,7 @@ class StreamingScanner:
                 processes=self.jobs,
                 initializer=_scan_worker_init,
                 initargs=(self.finder, self._worker_prepared(context.get_start_method()),
-                          self.idn_only, self.batch_kernel),
+                          self.idn_only),
             ) as pool:
                 # imap keeps results in submission order, which checkpoint
                 # consistency depends on.

@@ -115,3 +115,22 @@ def study(population, finder):
 def study_results(study):
     """The full study results (runs the whole pipeline once per session)."""
     return study.run()
+
+
+@pytest.fixture(scope="session")
+def detect_per_item():
+    """``detect_prepared`` run on each candidate alone, counts summed.
+
+    A batch of one never reaches the batch kernel, so this is the scalar
+    oracle the batch front-end is compared against
+    (``test_batchfold.py`` pins that small batches skip the kernel).
+    """
+    def run(finder, candidates, prepared):
+        detections, idn_count, skipped = [], 0, 0
+        for candidate in candidates:
+            found, count, dropped = finder.detect_prepared([candidate], prepared)
+            detections.extend(found)
+            idn_count += count
+            skipped += dropped
+        return detections, idn_count, skipped
+    return run

@@ -23,6 +23,7 @@ from repro.detection.algorithm import fold_label
 from repro.detection.batchfold import (
     FAST_DOMAIN_RE,
     MAX_FAST_DOMAIN,
+    MIN_KERNEL_BATCH,
     BatchFoldKernel,
     FoldTable,
     fold_table_for,
@@ -32,6 +33,7 @@ from repro.detection.service import OnlineDetector, QueryVerdict, _fast_miss_ver
 from repro.detection.shamfinder import ShamFinder
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.homoglyph.invisible import default_invisible_table
+from repro.idn.domain import DomainName
 from repro.idn.idna_codec import to_ascii_label
 
 REFERENCES = ["google.com", "amazon.com", "paypal.com", "secure-login.com"]
@@ -63,9 +65,7 @@ def prepared(small_finder):
 
 @pytest.fixture(scope="module")
 def kernel(small_finder, prepared):
-    kernel = kernel_for(small_finder.matcher, prepared)
-    assert kernel is not None
-    return kernel
+    return kernel_for(small_finder.matcher, prepared)
 
 
 # Alphabet biased towards the interesting cases: reference letters, their
@@ -166,6 +166,32 @@ def test_domain_certain_miss_matches_oracle(kernel, batch):
             assert certain == expected
 
 
+# Labels drawn so the hyphen rules (edges, positions 3-4) and underscores
+# come up often; the filter keeps exactly the oracle's domains.
+_FAST_ALPHABET = st.sampled_from(list("abnxz09_-"))
+fast_domains = st.lists(
+    st.text(alphabet=_FAST_ALPHABET, min_size=1, max_size=63), min_size=2, max_size=6,
+).map(".".join).filter(
+    lambda text: len(text) <= MAX_FAST_DOMAIN and FAST_DOMAIN_RE.fullmatch(text))
+
+
+@settings(max_examples=500, deadline=None)
+@given(fast_domains)
+@example("a.b")
+@example("_dmarc.mail.example.com")
+@example("ab-cd.x_-y.com")
+@example("x" * 63 + "." + "y" * 63 + "." + "z" * 63 + "." + "w" * 61)
+def test_fast_parse_contract(text):
+    """What a fast miss is taken to be without parsing: the front-end
+    counts it as a parsed, non-IDN name whose forms equal the input."""
+    name = DomainName(text)
+    labels = text.split(".")
+    assert name.ascii == name.unicode == text
+    assert name.registrable_unicode == labels[-2]
+    assert name.tld == labels[-1]
+    assert not name.is_idn and not name.has_idn_registrable_label
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(domains, min_size=0, max_size=10))
 @example(["goo​gle.com", "google.com"])
@@ -203,12 +229,10 @@ def _mixed_corpus(count: int = 40) -> list[str]:
     return corpus
 
 
-def test_detect_prepared_batch_equals_scalar(small_finder, prepared):
+def test_detect_prepared_batch_equals_scalar(small_finder, prepared, detect_per_item):
     corpus = _mixed_corpus()
-    batch, batch_count, batch_skipped = small_finder.detect_prepared(
-        corpus, prepared, batch_kernel=True)
-    scalar, scalar_count, scalar_skipped = small_finder.detect_prepared(
-        corpus, prepared, batch_kernel=False)
+    batch, batch_count, batch_skipped = small_finder.detect_prepared(corpus, prepared)
+    scalar, scalar_count, scalar_skipped = detect_per_item(small_finder, corpus, prepared)
     assert (batch_count, batch_skipped) == (scalar_count, scalar_skipped)
     assert [d.as_dict() for d in batch] == [d.as_dict() for d in scalar]
     assert batch      # the corpus must actually contain detections
@@ -225,11 +249,43 @@ def test_query_many_batch_equals_scalar_loop(small_finder):
     assert detector.stats()["queries"] == 2 * len(corpus)
 
 
-def test_query_many_small_batch_skips_kernel(small_finder):
+def test_query_many_small_batch_skips_kernel(small_finder, prepared, monkeypatch):
+    """Below MIN_KERNEL_BATCH the front-end is the plain scalar loop, which
+    is what makes per-item ``detect_prepared`` a real scalar oracle."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("kernel_for called for a small batch")
+
+    monkeypatch.setattr("repro.detection.shamfinder.kernel_for", refuse)
+    few = _mixed_corpus()[:MIN_KERNEL_BATCH - 1]
+    detections, idn_count, skipped = small_finder.detect_prepared(few, prepared)
+    assert detections and (idn_count, skipped) == (len(few), 0)
     detector = OnlineDetector.from_references(small_finder, REFERENCES)
-    few = ["benign.com", to_ascii_label("gооgle") + ".com"]
     assert [v.as_dict() for v in detector.query_many(few)] == [
         detector.query(d).as_dict() for d in few]
+    assert detector.query(few[0]).is_homograph
+
+
+def test_mixed_batch_outcomes_in_input_order(small_finder, prepared):
+    """One outcome per input: fast misses, junk and joined labels
+    interleave in input order, and the join runs only for labels neither
+    kernel pass rules out."""
+    hit = to_ascii_label("gооgle") + ".com"
+    batch = ["benign.com", "..", hit] + [f"SITE{i}.com" for i in range(MIN_KERNEL_BATCH)]
+    joined = []
+
+    def join(label):
+        joined.append(label)
+        return small_finder.join_label(label, prepared)
+
+    outcomes = small_finder.join_batch(batch, prepared, join)
+    assert len(outcomes) == len(batch)
+    assert outcomes[0] is None
+    name, label, matches, error = outcomes[1]
+    assert name is None and error is not None
+    name, label, matches, error = outcomes[2]
+    assert error is None and matches and joined == [label]
+    assert [(label, matches) for _, label, matches, _ in outcomes[3:]] == [
+        (f"site{i}", ()) for i in range(MIN_KERNEL_BATCH)]
 
 
 # -- the trivial-verdict constructor ------------------------------------------
@@ -300,12 +356,6 @@ def test_fold_table_sidecar_used_by_fold_table_for(tmp_path, small_finder):
     second = fold_table_for(classes, database_digest=digest, cache_dir=tmp_path)
     assert np.array_equal(first.keys, second.keys)
     assert np.array_equal(first.values, second.values)
-
-
-def test_kernel_for_duck_typed_index_returns_none(small_finder):
-    class Odd:
-        index = object()
-    assert kernel_for(small_finder.matcher, Odd()) is None
 
 
 def test_kernel_matches_manual_construction(small_finder, prepared, kernel):

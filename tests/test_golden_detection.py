@@ -101,17 +101,17 @@ def test_golden_corpus_exercises_the_interesting_cases():
     )
 
 
-def test_golden_detections_identical_through_batch_kernel():
-    """Satellite of the vectorized kernel: the golden corpus (9 candidates,
-    above ``_MIN_KERNEL_BATCH``) must produce byte-identical detections with
-    the batch kernel on and off, both matching the pinned fixture."""
+def test_golden_detections_identical_through_batch_front_end(detect_per_item):
+    """The golden corpus (9 candidates, at least ``MIN_KERNEL_BATCH``, so
+    both kernel passes run) must produce byte-identical detections as one
+    batch and one candidate at a time, both matching the pinned fixture."""
     payload = json.loads(FIXTURE.read_text(encoding="utf-8"))
     finder = _finder(payload)
     prepared = finder.prepare_references(payload["references"])
     batch, batch_count, batch_skipped = finder.detect_prepared(
-        payload["candidates"], prepared, batch_kernel=True)
-    scalar, scalar_count, scalar_skipped = finder.detect_prepared(
-        payload["candidates"], prepared, batch_kernel=False)
+        payload["candidates"], prepared)
+    scalar, scalar_count, scalar_skipped = detect_per_item(
+        finder, payload["candidates"], prepared)
     assert (batch_count, batch_skipped) == (scalar_count, scalar_skipped)
     assert [d.as_dict() for d in batch] == [d.as_dict() for d in scalar]
 

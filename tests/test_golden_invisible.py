@@ -123,17 +123,18 @@ def test_invisible_detections_disappear_without_the_source():
     assert sorted(dicts, key=_detection_key) == expected_classic
 
 
-def test_golden_invisible_identical_through_batch_kernel():
+def test_golden_invisible_identical_through_batch_front_end(detect_per_item):
     """The invisible corpus must survive the batch kernel unchanged: the
     kernel's invisible-risk mask routes every risky label to the scalar
-    path, so detections match the fixture with the kernel on and off."""
+    path, so detections match the fixture as one batch and one candidate
+    at a time."""
     payload = json.loads(FIXTURE.read_text(encoding="utf-8"))
     finder = _finder(payload)
     prepared = finder.prepare_references(payload["references"])
     batch, batch_count, batch_skipped = finder.detect_prepared(
-        payload["candidates"], prepared, batch_kernel=True)
-    scalar, scalar_count, scalar_skipped = finder.detect_prepared(
-        payload["candidates"], prepared, batch_kernel=False)
+        payload["candidates"], prepared)
+    scalar, scalar_count, scalar_skipped = detect_per_item(
+        finder, payload["candidates"], prepared)
     assert (batch_count, batch_skipped) == (scalar_count, scalar_skipped)
     assert [d.as_dict() for d in batch] == [d.as_dict() for d in scalar]
 

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.detection.algorithm import HomographMatcher, fold_label
+from repro.detection.batchfold import BatchFoldKernel
 from repro.detection.index import ReferenceIndexStore, build_reference_index
 from repro.detection.service import OnlineDetector
 from repro.detection.shamfinder import ShamFinder
@@ -242,3 +243,32 @@ def test_concurrent_reload_does_not_corrupt_results(small_finder):
     finally:
         stop.set()
         flipper.join()
+
+
+def test_drain_waits_for_a_batch_the_kernel_is_still_proving(detector, monkeypatch):
+    """A batch counts as in flight from entry to return, including while
+    the kernel proves fast misses that never reach the scalar join."""
+    entered, release = threading.Event(), threading.Event()
+    original = BatchFoldKernel.domain_certain_miss
+
+    def blocking(self, texts, **kwargs):
+        entered.set()
+        release.wait(timeout=10)
+        return original(self, texts, **kwargs)
+
+    monkeypatch.setattr(BatchFoldKernel, "domain_certain_miss", blocking)
+    domains = [f"site{i}.com" for i in range(20)]
+    results = []
+    worker = threading.Thread(target=lambda: results.append(detector.query_many(domains)))
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        assert detector.drain(timeout=0.05) is False
+        assert detector.stats()["inflight"] == len(domains)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert detector.drain(timeout=1) is True
+    assert detector.stats()["inflight"] == 0
+    assert [v.is_homograph for v in results[0]] == [False] * len(domains)
