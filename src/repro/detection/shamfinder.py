@@ -90,9 +90,9 @@ class DetectionTiming:
     reference_count: int
     idn_count: int
     total_seconds: float
-    #: Candidate IDNs dropped because they could not be parsed or their
-    #: registrable label failed to decode — junk tolerated in zone data, but
-    #: counted so a run over dirty input is auditable.
+    #: Candidate IDNs dropped because they are not domain names (bad labels,
+    #: undecodable Punycode) — junk tolerated in zone data, but counted so a
+    #: run over dirty input is auditable.
     skipped_count: int = 0
 
     @property
@@ -270,11 +270,7 @@ class ShamFinder:
 
         labels: dict[str, list[str]] = {}
         for ref in reference_names:
-            try:
-                label = fold_label(ref.registrable_unicode)
-            except IDNAError:
-                continue
-            labels.setdefault(label, []).append(ref.ascii)
+            labels.setdefault(fold_label(ref.registrable_unicode), []).append(ref.ascii)
         index = self.matcher.build_skeleton_index(labels)
         return PreparedReferences(
             labels={label: REFERENCE_SEPARATOR.join(refs) for label, refs in labels.items()},
@@ -292,7 +288,8 @@ class ShamFinder:
         Returns ``(detections, idn_count, skipped_count)`` — the unit of
         work one streaming-scan chunk performs (:mod:`.stream`).  The
         batch goes through :meth:`join_batch`; a fast miss counts in
-        ``idn_count`` exactly as parsing it would.
+        ``idn_count`` exactly as parsing it would, and ``skipped_count``
+        counts the inputs that are not domain names.
         """
         detections: list[HomographDetection] = []
         idn_count = 0
@@ -302,10 +299,10 @@ class ShamFinder:
                 idn_count += 1
                 continue
             name, _label, matches, error = outcome
-            idn_count += name is not None
             if error is not None:
                 skipped += 1
             else:
+                idn_count += 1
                 detections.extend(self.detections_for(name, matches))
         return detections, idn_count, skipped
 
@@ -324,9 +321,10 @@ class ShamFinder:
         reach the skeleton join only through here.  An outcome is
         ``None`` for a fast miss — its canonical forms equal ``str(item)``,
         it is never an IDN and it has no match — and otherwise
-        ``(name, label, matches, error)``: ``error`` is set when the input
-        is not a domain name (``name`` is then ``None``) or its
-        registrable ``label`` did not decode.
+        ``(name, label, matches, error)``: ``error`` is set, and ``name``
+        and ``label`` are ``None``, when the input is not a domain name.
+        A parsed name always has its ``label``: construction already
+        decoded it.
 
         From :data:`~.batchfold.MIN_KERNEL_BATCH` inputs up, the
         domain-level kernel pass finds the fast misses among the raw
@@ -356,12 +354,7 @@ class ShamFinder:
             except (IDNAError, ValueError) as exc:
                 outcomes[position] = (None, None, (), exc)
                 continue
-            try:
-                label = name.registrable_unicode
-            except IDNAError as exc:
-                outcomes[position] = (name, None, (), exc)
-                continue
-            parsed.append((position, name, label))
+            parsed.append((position, name, name.registrable_unicode))
 
         miss = None
         if kernel is not None and len(parsed) >= MIN_KERNEL_BATCH:

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..durable import Checkpoint, CheckpointedLog, SinkRecovery, json_record, recover_sink
+from ..idn.idna_codec import ACE_PREFIX, split_labels
 from ..parallel.pool import pool_context
 from .report import DetectionReport, HomographDetection
 from .shamfinder import PreparedReferences, ShamFinder
@@ -210,15 +211,20 @@ def is_idn_candidate(domain: str) -> bool:
     Matching happens on the registrable label (the paper's Figure 2), so
     this mirrors ``ShamFinder.extract_idns``/``has_idn_registrable_label``
     without paying a full parse — an ASCII name under an IDN TLD
-    (``example.xn--p1ai``) is *not* a candidate.
+    (``example.xn--p1ai``) is *not* a candidate.  The test reads the
+    registrable label as the input spells it, so it agrees with
+    ``DomainName`` whenever that label is given as an A-label (as zone
+    files and CT logs give it); a Unicode spelling is never a candidate.
     """
     # Cheap substring reject for the ~99% non-IDN zone bulk, sparing them
-    # the rstrip/split label dissection below.
-    if "xn--" not in domain.lower():
+    # the label dissection below.
+    lowered = domain.lower()
+    if ACE_PREFIX not in lowered:
         return False
-    labels = domain.lower().rstrip(".").split(".")
+    # Split (and strip the label) exactly as DomainName does.
+    labels = split_labels(lowered)
     registrable = labels[-2] if len(labels) >= 2 else labels[0]
-    return registrable.startswith("xn--")
+    return registrable.strip().startswith(ACE_PREFIX)
 
 
 def _process_chunk(

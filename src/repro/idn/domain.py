@@ -17,9 +17,8 @@ from .idna_codec import (
     ACE_PREFIX,
     IDNAError,
     decode_domain,
-    encode_domain,
+    domain_forms,
     is_ace_label,
-    to_unicode_label,
 )
 
 __all__ = ["DomainName", "IDNAError"]
@@ -27,13 +26,20 @@ __all__ = ["DomainName", "IDNAError"]
 
 @dataclass(frozen=True)
 class DomainName:
-    """A fully qualified domain name (stored in canonical ASCII form)."""
+    """A fully qualified domain name (stored in canonical ASCII form).
+
+    Construction validates every label and keeps both forms: the Unicode
+    form comes from the same single decode of each A-label that validation
+    needs, so reading :attr:`unicode` or :attr:`registrable_unicode` never
+    decodes again.
+    """
 
     ascii: str
 
     def __post_init__(self) -> None:
-        canonical = encode_domain(self.ascii)
+        canonical, unicode = domain_forms(self.ascii)
         object.__setattr__(self, "ascii", canonical)
+        self.__dict__["unicode"] = unicode
 
     # -- constructors -------------------------------------------------------
 
@@ -46,7 +52,7 @@ class DomainName:
 
     @cached_property
     def unicode(self) -> str:
-        """The Unicode (U-label) form of the whole name."""
+        """The Unicode (U-label) form of the whole name (filled at construction)."""
         return decode_domain(self.ascii)
 
     @property
@@ -75,7 +81,8 @@ class DomainName:
     @property
     def registrable_unicode(self) -> str:
         """Unicode form of :attr:`registrable_label`."""
-        return to_unicode_label(self.registrable_label)
+        labels = self.unicode.rsplit(".", 2)
+        return labels[-2] if len(labels) >= 2 else labels[0]
 
     @property
     def sld_and_tld(self) -> str:

@@ -29,6 +29,8 @@ __all__ = [
     "is_ace_label",
     "to_ascii_label",
     "to_unicode_label",
+    "domain_forms",
+    "split_labels",
     "encode_domain",
     "decode_domain",
     "validate_ulabel",
@@ -98,37 +100,46 @@ def validate_ulabel(label: str, *, allow_contextual: bool = True) -> str:
     return normalised
 
 
-def to_ascii_label(label: str, *, validate: bool = True) -> str:
-    """Convert a single label to its A-label (ASCII) form.
+def _label_forms(label: str) -> tuple[str, str]:
+    """Both forms of one label: ``(A-label, U-label)``.
 
-    Pure-ASCII labels are returned lower-cased and unchanged (no prefix);
-    labels already carrying the ACE prefix are round-trip checked.
+    An ACE label is LDH-checked and decoded exactly once, and that decode
+    is its U-label.  A plain ASCII label is its own U-label (lower-cased).
+    Only a Unicode label pays for an encode and then a decode.
     """
     label = label.strip()
     if not label:
         raise IDNAError("empty label")
     if is_ace_label(label):
-        # Verify it decodes, then return the canonical lowercase form.
-        to_unicode_label(label)
-        return label.lower()
-    if all(ord(ch) < 0x80 for ch in label):
+        alabel = label.lower()
+        return alabel, _decode_alabel(alabel)
+    if label.isascii():
         lowered = label.lower()
-        if validate and any(ch not in _LDH_CHARS for ch in lowered):
+        if not _LDH_CHARS.issuperset(lowered):
             raise IDNAError(f"label contains non-LDH ASCII characters: {label!r}")
         _check_hyphens(lowered, is_alabel=False)
         if len(lowered) > _MAX_LABEL_OCTETS:
             raise IDNAError(f"label exceeds 63 octets: {label!r}")
-        return lowered
-    ulabel = validate_ulabel(label) if validate else unicodedata.normalize("NFC", label.casefold())
-    if all(ord(ch) < 0x80 for ch in ulabel):
+        return lowered, lowered
+    ulabel = validate_ulabel(label)
+    if ulabel.isascii():
         # Normalisation (e.g. case folding of ß) can turn a label pure-ASCII;
         # such labels are not encoded as A-labels.
         _check_hyphens(ulabel, is_alabel=False)
-        return ulabel
+        return ulabel, ulabel
     alabel = ACE_PREFIX + punycode.encode(ulabel)
     if len(alabel) > _MAX_LABEL_OCTETS:
         raise IDNAError(f"A-label exceeds 63 octets: {alabel!r}")
-    return alabel
+    return alabel, _decode_alabel(alabel)
+
+
+def to_ascii_label(label: str) -> str:
+    """Convert a single label to its A-label (ASCII) form.
+
+    Pure-ASCII labels are returned lower-cased and unchanged (no prefix);
+    labels already carrying the ACE prefix are checked to decode.
+    """
+    return _label_forms(label)[0]
 
 
 def to_unicode_label(label: str) -> str:
@@ -144,11 +155,17 @@ def to_unicode_label(label: str) -> str:
         raise IDNAError("empty label")
     if not is_ace_label(label):
         return fold_label(label)
-    label = label.lower()      # an ACE label is pure ASCII, so this is length-safe
+    return _decode_alabel(label.lower())  # an ACE label is pure ASCII, so lower() is length-safe
+
+
+def _decode_alabel(label: str) -> str:
+    """The U-label of the lower-cased ACE *label*, checked like any A-label."""
     if len(label) > _MAX_LABEL_OCTETS:
         # A real A-label never exceeds 63 octets; crafted oversized payloads
         # would otherwise reach the (quadratic) Punycode decoder.
         raise IDNAError(f"A-label exceeds {_MAX_LABEL_OCTETS} octets: {label[:80]!r}...")
+    if not _LDH_CHARS.issuperset(label):
+        raise IDNAError(f"A-label contains non-LDH characters: {label!r}")
     encoded = label[len(ACE_PREFIX):]
     if not encoded:
         raise IDNAError("empty A-label payload")
@@ -156,32 +173,44 @@ def to_unicode_label(label: str) -> str:
         decoded = punycode.decode(encoded)
     except punycode.PunycodeError as exc:
         raise IDNAError(f"invalid Punycode in label {label!r}: {exc}") from exc
-    if all(ord(ch) < 0x80 for ch in decoded):
+    if decoded.isascii():
         raise IDNAError(f"A-label {label!r} decodes to pure ASCII")
     return decoded
 
 
+def domain_forms(domain: str) -> tuple[str, str]:
+    """Both forms of a full domain name: ``(ascii, unicode)``.
+
+    Each label goes through :func:`_label_forms`, so every A-label is
+    decoded exactly once and that decode is its Unicode form.
+    """
+    forms = [_label_forms(label) for label in split_labels(domain)]
+    ascii_form = ".".join(alabel for alabel, _ in forms)
+    if len(ascii_form) > _MAX_DOMAIN_OCTETS:
+        raise IDNAError(f"domain exceeds {_MAX_DOMAIN_OCTETS} octets: {domain!r}")
+    return ascii_form, ".".join(ulabel for _, ulabel in forms)
+
+
 def encode_domain(domain: str) -> str:
     """Convert a full domain name to its ASCII (A-label) form."""
-    labels = _split(domain)
-    encoded = [to_ascii_label(label) for label in labels]
-    result = ".".join(encoded)
-    if len(result) > _MAX_DOMAIN_OCTETS:
-        raise IDNAError(f"domain exceeds {_MAX_DOMAIN_OCTETS} octets: {domain!r}")
-    return result
+    return domain_forms(domain)[0]
 
 
 def decode_domain(domain: str) -> str:
     """Convert a full domain name to its Unicode (U-label) form."""
-    labels = _split(domain)
+    labels = split_labels(domain)
     return ".".join(to_unicode_label(label) for label in labels)
 
 
-def _split(domain: str) -> list[str]:
+def split_labels(domain: str) -> list[str]:
+    """The raw labels of *domain*, as every parse here splits them.
+
+    The trailing root dot is dropped, then the ideographic and fullwidth
+    dots users may type separate labels exactly like ``"."``.
+    """
     domain = domain.strip().rstrip(".")
     if not domain:
         raise IDNAError("empty domain name")
-    # Accept the ideographic and fullwidth dots users may type.
     for dot in ("。", "．", "｡"):
         domain = domain.replace(dot, ".")
     return domain.split(".")

@@ -22,6 +22,14 @@ _INITIAL_BIAS = 72
 _INITIAL_N = 0x80
 _DELIMITER = "-"
 _MAXINT = 0x7FFFFFFF
+#: Largest delta :func:`_adapt` leaves undivided, ``((base - tmin) * tmax) // 2``.
+_ADAPT_LIMIT = ((_BASE - _TMIN) * _TMAX) // 2
+#: Value of every digit code point; extended-part digits are case-insensitive.
+_DIGIT_VALUES = {
+    ch: value
+    for digits in ("abcdefghijklmnopqrstuvwxyz0123456789", "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    for value, ch in enumerate(digits)
+}
 
 #: Default input-length cap for :func:`decode`.  Decoding is quadratic in
 #: the number of deltas (every delta is an ``insert`` into the output), so a
@@ -44,24 +52,12 @@ def _encode_digit(digit: int) -> str:
     raise PunycodeError(f"digit out of range: {digit}")
 
 
-def _decode_digit(char: str) -> int:
-    """Inverse of :func:`_encode_digit` (case-insensitive)."""
-    cp = ord(char)
-    if 0x30 <= cp <= 0x39:  # 0-9
-        return cp - 0x30 + 26
-    if 0x41 <= cp <= 0x5A:  # A-Z
-        return cp - 0x41
-    if 0x61 <= cp <= 0x7A:  # a-z
-        return cp - 0x61
-    raise PunycodeError(f"invalid Punycode digit: {char!r}")
-
-
 def _adapt(delta: int, num_points: int, first_time: bool) -> int:
     """Bias adaptation function (RFC 3492 section 6.1)."""
     delta = delta // _DAMP if first_time else delta // 2
     delta += delta // num_points
     k = 0
-    while delta > ((_BASE - _TMIN) * _TMAX) // 2:
+    while delta > _ADAPT_LIMIT:
         delta //= _BASE - _TMIN
         k += _BASE
     return k + (((_BASE - _TMIN + 1) * delta) // (delta + _SKEW))
@@ -152,56 +148,59 @@ def decode(text: str, *, max_length: int | None = MAX_DECODE_LENGTH) -> str:
         raise PunycodeError(
             f"Punycode input of {len(text)} characters exceeds the {max_length}-character cap"
         )
-    for ch in text:
-        cp = ord(ch)
-        if cp >= 0x80:
-            raise PunycodeError(f"non-ASCII character in Punycode input: {ch!r}")
-        if cp < 0x20:
-            raise PunycodeError(f"control character in Punycode input: {ch!r}")
+    if not text.isascii() or (text and min(text) < " "):
+        bad = next(ch for ch in text if not " " <= ch < "\x80")
+        kind = "non-ASCII" if bad >= "\x80" else "control"
+        raise PunycodeError(f"{kind} character in Punycode input: {bad!r}")
 
-    delimiter_index = text.rfind(_DELIMITER)
-    if delimiter_index >= 0:
-        basic = text[:delimiter_index]
-        extended = text[delimiter_index + 1:]
-    else:
-        basic = ""
-        extended = text
-
+    basic, _, extended = text.rpartition(_DELIMITER)
     output = list(basic)
     n = _INITIAL_N
     index = 0
     bias = _INITIAL_BIAS
 
+    # Python ints do not wrap, so each RFC overflow test ("would x exceed
+    # maxint?") is made after the arithmetic instead of by division.
     position = 0
-    while position < len(extended):
+    end = len(extended)
+    while position < end:
         old_index = index
         weight = 1
         k = _BASE
         while True:
-            if position >= len(extended):
+            if position >= end:
                 raise PunycodeError("truncated Punycode input")
-            digit = _decode_digit(extended[position])
+            digit = _DIGIT_VALUES.get(extended[position])
+            if digit is None:
+                raise PunycodeError(f"invalid Punycode digit: {extended[position]!r}")
             position += 1
-            if digit > (_MAXINT - index) // weight:
-                raise PunycodeError("overflow during decoding")
             index += digit * weight
-            if k <= bias:
+            if index > _MAXINT:
+                raise PunycodeError("overflow during decoding")
+            threshold = k - bias
+            if threshold < _TMIN:
                 threshold = _TMIN
-            elif k >= bias + _TMAX:
+            elif threshold > _TMAX:
                 threshold = _TMAX
-            else:
-                threshold = k - bias
             if digit < threshold:
                 break
-            if weight > _MAXINT // (_BASE - threshold):
-                raise PunycodeError("overflow during decoding")
             weight *= _BASE - threshold
+            if weight > _MAXINT:
+                raise PunycodeError("overflow during decoding")
             k += _BASE
-        bias = _adapt(index - old_index, len(output) + 1, old_index == 0)
-        if index // (len(output) + 1) > _MAXINT - n:
+        # Bias adaptation (RFC 3492 section 6.1), inlined.
+        size = len(output) + 1
+        delta = (index - old_index) // _DAMP if old_index == 0 else (index - old_index) // 2
+        delta += delta // size
+        k = 0
+        while delta > _ADAPT_LIMIT:
+            delta //= _BASE - _TMIN
+            k += _BASE
+        bias = k + ((_BASE - _TMIN + 1) * delta) // (delta + _SKEW)
+        step, index = divmod(index, size)
+        n += step
+        if n > _MAXINT:
             raise PunycodeError("overflow during decoding")
-        n += index // (len(output) + 1)
-        index %= len(output) + 1
         if n > 0x10FFFF or 0xD800 <= n <= 0xDFFF:
             raise PunycodeError(f"decoded code point out of range: {n:#x}")
         output.insert(index, chr(n))

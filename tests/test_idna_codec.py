@@ -140,3 +140,17 @@ def test_fold_label_exported_from_idn_layer():
     assert fold_label("ẞ") == "ß"                # single-char lowercase is fine
     assert fold_label("ß") == "ß"                # and ß itself never expands
     assert len(fold_label("İX")) == 2
+
+
+@pytest.mark.parametrize("label", ["xn--a b-kva", "xn--bcher!-kva", "XN--BCHER!-KVA", "xn--bcher-kva*"])
+def test_ace_labels_get_the_ldh_check(label):
+    # Every other ASCII label is LDH-checked; an A-label used to skip the
+    # check and parse with a space or "!" carried into its Unicode form.
+    from repro.idn.domain import DomainName
+
+    with pytest.raises(IDNAError, match="non-LDH"):
+        DomainName(f"{label}.com")
+    with pytest.raises(IDNAError, match="non-LDH"):
+        to_ascii_label(label)
+    with pytest.raises(IDNAError, match="non-LDH"):
+        to_unicode_label(label)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.reference_punycode import decode as reference_decode
 from repro.idn import punycode
 
 # Sample strings from RFC 3492 section 7.1 and the paper.
@@ -181,3 +182,45 @@ def test_decode_arbitrary_bytes_never_raise_bare_exceptions(data):
         punycode.decode(text)
     except punycode.PunycodeError:
         pass
+
+
+# -- differential check against the reference decoder --------------------------
+
+def _decode_outcome(decoder, text):
+    try:
+        return decoder(text)
+    except punycode.PunycodeError:
+        return punycode.PunycodeError
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=40),
+    st.binary(max_size=40).map(lambda data: data.decode("latin-1")),
+    # Digit-heavy strings reach the delta loop, bias adaptation and the
+    # overflow and range checks instead of failing on the first character.
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789ABCXYZ-", max_size=40),
+))
+def test_decode_matches_reference_decoder(text):
+    # Same string out, or PunycodeError from both.
+    assert _decode_outcome(punycode.decode, text) == _decode_outcome(reference_decode, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(
+    alphabet=st.characters(min_codepoint=0x21, max_codepoint=0x2FFF, exclude_categories=("Cs",)),
+    min_size=1, max_size=24,
+), st.booleans())
+def test_decode_of_encoder_output_matches_reference_decoder(text, upper):
+    encoded = punycode.encode(text)
+    encoded = encoded.upper() if upper else encoded
+    assert punycode.decode(encoded) == reference_decode(encoded)
+
+
+@pytest.mark.parametrize("text", ["a" * 10, "abc-\x01", "\x00é", "é\x00", "zz-!", "-9c0c", "99999999"])
+def test_decode_errors_match_reference_decoder_messages(text):
+    with pytest.raises(punycode.PunycodeError) as ours:
+        punycode.decode(text, max_length=9)
+    with pytest.raises(punycode.PunycodeError) as reference:
+        reference_decode(text, max_length=9)
+    assert str(ours.value) == str(reference.value)

@@ -96,31 +96,27 @@ def test_invalid_references_are_skipped(finder):
 
 
 def test_skipped_idns_are_counted(finder):
-    # A candidate whose registrable label fails to decode (junk zone data
-    # can smuggle such names past construction-time checks) must be skipped
-    # AND surface in the timing's skipped_count.
-    undecodable = DomainName.__new__(DomainName)
-    object.__setattr__(undecodable, "ascii", "xn--0.com")
+    # A candidate whose registrable label fails to decode is not a domain
+    # name: construction (which decodes every A-label) rejects it, so it is
+    # skipped AND surfaces in the timing's skipped_count.
     with pytest.raises(IDNAError):
-        undecodable.registrable_unicode
+        DomainName("xn--0.com")
 
     report, timing = finder.detect_with_timing(
-        ["xn--ggle-55da.com", undecodable, "bad domain!"],
+        ["xn--ggle-55da.com", "xn--0.com", "bad domain!"],
         ["google.com"],
     )
     assert len(report) == 1
-    assert timing.idn_count == 2            # the unparseable string never made a DomainName
+    assert timing.idn_count == 1            # neither junk string made a DomainName
     assert timing.skipped_count == 2        # one bad string + one undecodable label
 
 
 def test_undecodable_reference_does_not_crash_detection(finder):
-    undecodable = DomainName.__new__(DomainName)
-    object.__setattr__(undecodable, "ascii", "xn--0.com")
     report, timing = finder.detect_with_timing(
-        ["xn--ggle-55da.com"], ["google.com", undecodable]
+        ["xn--ggle-55da.com"], ["google.com", "xn--0.com"]
     )
     assert len(report) == 1
-    assert timing.reference_count == 2
+    assert timing.reference_count == 1      # the undecodable reference is dropped
 
 
 def test_skipped_count_zero_on_clean_input(finder):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.shamfinder import ShamFinder
 from repro.detection.stream import (
@@ -20,11 +22,14 @@ from repro.detection.stream import (
     SinkError,
     StreamingScanner,
     file_fingerprint,
+    is_idn_candidate,
     read_sink,
     recover_sink,
 )
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
+from repro.idn import punycode
 from repro.idn.domain import DomainName
+from repro.idn.idna_codec import IDNAError
 
 REFERENCES = ["google.com", "amazon.com", "apple.com"]
 
@@ -349,6 +354,57 @@ def test_step_ii_filter_keys_on_the_registrable_label(stream_finder, tmp_path):
     assert stats.domains_seen == 2
     assert stats.idn_count == 1
     assert stats.detection_count == 1          # gоogle label still matches
+
+
+def test_step_ii_filter_splits_on_ideographic_and_fullwidth_dots(stream_finder, tmp_path):
+    # DomainName splits on U+3002, U+FF0E and U+FF61 as well as "."; the
+    # Step II filter used not to, and dropped IDNs that detect would match.
+    for text in ("foo.xn--ggle-0nda。com", "xn--ggle-0nda．com", "foo｡xn--ggle-0nda｡com"):
+        assert DomainName(text).has_idn_registrable_label
+        assert is_idn_candidate(text)
+    assert not is_idn_candidate("xn--ggle-0nda.foo。com")
+
+    inp = tmp_path / "d.txt"
+    inp.write_text("mail.xn--gogle-jye。com\n", encoding="utf-8")
+    scanner = StreamingScanner(stream_finder, REFERENCES, idn_only=True)
+    stats = scanner.scan_file(inp, tmp_path / "r.jsonl")
+    assert stats.idn_count == 1
+    assert stats.detection_count == 1
+
+
+_PAD = st.sampled_from(["", " ", "\t"])
+_ACE_LABELS = st.builds(
+    lambda text, upper: ("XN--" if upper else "xn--") + punycode.encode(text),
+    st.text(alphabet="abc019-äöéоаеοα阿里", min_size=1, max_size=6), st.booleans())
+_ASCII_LABELS = st.one_of(
+    st.text(alphabet="abcdefxyzABXN0129-_", min_size=1, max_size=8), _ACE_LABELS)
+_ANY_LABELS = st.one_of(_ASCII_LABELS, st.text(alphabet="abcäöоαx-n阿", min_size=1, max_size=6))
+
+
+def _padded(labels):
+    return st.builds(lambda before, label, after: before + label + after, _PAD, labels, _PAD)
+
+
+@st.composite
+def _zone_spelled_domains(draw):
+    """Domains whose registrable label is spelled in ASCII (LDH or A-label),
+    as zone files and CT logs spell it; other labels may be Unicode."""
+    labels = [draw(_padded(_ASCII_LABELS))]
+    if draw(st.booleans()):     # subdomains + registrable + TLD, else a single label
+        labels = draw(st.lists(_padded(_ANY_LABELS), max_size=2)) + labels + [draw(_padded(_ANY_LABELS))]
+    dots = draw(st.lists(st.sampled_from([".", "。", "．", "｡"]), min_size=len(labels), max_size=len(labels)))
+    text = "".join(label + dot for label, dot in zip(labels, dots))
+    return (text if draw(st.booleans()) else text[:-1]).strip()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_zone_spelled_domains())
+def test_step_ii_filter_agrees_with_domain_name(text):
+    try:
+        name = DomainName(text)
+    except (IDNAError, ValueError):
+        return
+    assert is_idn_candidate(text) == name.has_idn_registrable_label
 
 
 def test_all_domains_mode_matches_non_idn_candidates(stream_finder, tmp_path):
