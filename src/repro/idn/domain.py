@@ -9,14 +9,13 @@ IDN-ness, and the scripts used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..unicode.scripts import is_mixed_script, scripts_of_text
 from .idna_codec import (
     ACE_PREFIX,
     IDNAError,
-    decode_domain,
     domain_forms,
     is_ace_label,
 )
@@ -35,11 +34,13 @@ class DomainName:
     """
 
     ascii: str
+    #: The Unicode (U-label) form of the whole name, filled at construction.
+    unicode: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         canonical, unicode = domain_forms(self.ascii)
         object.__setattr__(self, "ascii", canonical)
-        self.__dict__["unicode"] = unicode
+        object.__setattr__(self, "unicode", unicode)
 
     # -- constructors -------------------------------------------------------
 
@@ -49,11 +50,6 @@ class DomainName:
         return cls(text)
 
     # -- representations ------------------------------------------------------
-
-    @cached_property
-    def unicode(self) -> str:
-        """The Unicode (U-label) form of the whole name (filled at construction)."""
-        return decode_domain(self.ascii)
 
     @property
     def labels(self) -> tuple[str, ...]:

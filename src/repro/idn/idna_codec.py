@@ -105,7 +105,8 @@ def _label_forms(label: str) -> tuple[str, str]:
 
     An ACE label is LDH-checked and decoded exactly once, and that decode
     is its U-label.  A plain ASCII label is its own U-label (lower-cased).
-    Only a Unicode label pays for an encode and then a decode.
+    A Unicode label is encoded once and is its own (validated) U-label:
+    Punycode decoding its encoding would only give it back.
     """
     label = label.strip()
     if not label:
@@ -130,7 +131,7 @@ def _label_forms(label: str) -> tuple[str, str]:
     alabel = ACE_PREFIX + punycode.encode(ulabel)
     if len(alabel) > _MAX_LABEL_OCTETS:
         raise IDNAError(f"A-label exceeds 63 octets: {alabel!r}")
-    return alabel, _decode_alabel(alabel)
+    return alabel, ulabel
 
 
 def to_ascii_label(label: str) -> str:
@@ -188,7 +189,9 @@ def domain_forms(domain: str) -> tuple[str, str]:
     ascii_form = ".".join(alabel for alabel, _ in forms)
     if len(ascii_form) > _MAX_DOMAIN_OCTETS:
         raise IDNAError(f"domain exceeds {_MAX_DOMAIN_OCTETS} octets: {domain!r}")
-    return ascii_form, ".".join(ulabel for _, ulabel in forms)
+    unicode_form = ".".join(ulabel for _, ulabel in forms)
+    # An all-ASCII name keeps one string for both forms, not two equal copies.
+    return ascii_form, ascii_form if unicode_form == ascii_form else unicode_form
 
 
 def encode_domain(domain: str) -> str:

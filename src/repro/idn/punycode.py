@@ -188,15 +188,8 @@ def decode(text: str, *, max_length: int | None = MAX_DECODE_LENGTH) -> str:
             if weight > _MAXINT:
                 raise PunycodeError("overflow during decoding")
             k += _BASE
-        # Bias adaptation (RFC 3492 section 6.1), inlined.
         size = len(output) + 1
-        delta = (index - old_index) // _DAMP if old_index == 0 else (index - old_index) // 2
-        delta += delta // size
-        k = 0
-        while delta > _ADAPT_LIMIT:
-            delta //= _BASE - _TMIN
-            k += _BASE
-        bias = k + ((_BASE - _TMIN + 1) * delta) // (delta + _SKEW)
+        bias = _adapt(index - old_index, size, old_index == 0)
         step, index = divmod(index, size)
         n += step
         if n > _MAXINT:

@@ -1,5 +1,9 @@
 """Tests for the DomainName model."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -144,7 +148,7 @@ def _count_decodes(monkeypatch):
 @pytest.mark.parametrize("text, payloads", [
     ("mail.XN--GGLE-0NDA.xn--p1ai", ["ggle-0nda", "p1ai"]),
     ("xn--80ak6aa92e.com", ["80ak6aa92e"]),
-    ("gööle.com", ["gle-snaa"]),                 # a U-label: one encode, one decode
+    ("gööle.com", []),                          # a U-label: encoded, never decoded
     ("google.com", []),                         # ASCII labels never decode
 ])
 def test_each_ace_label_is_decoded_exactly_once(monkeypatch, text, payloads):
@@ -154,3 +158,16 @@ def test_each_ace_label_is_decoded_exactly_once(monkeypatch, text, payloads):
               name.scripts, name.is_mixed_script, repr(name)) for _ in range(2)]
     assert reads[0] == reads[1]
     assert calls == payloads
+
+
+def test_ascii_name_shares_one_string_for_both_forms():
+    name = DomainName("Mail.Google.com")
+    assert name.unicode is name.ascii
+
+
+def test_stored_unicode_form_survives_copy_and_pickle():
+    name = DomainName("mail.xn--ggle-0nda.com")
+    for clone in (copy.copy(name), copy.deepcopy(name), pickle.loads(pickle.dumps(name)),
+                  dataclasses.replace(name)):
+        assert clone == name and hash(clone) == hash(name)
+        assert (clone.ascii, clone.unicode) == (name.ascii, name.unicode)
