@@ -13,7 +13,10 @@ one-vs-many strategies:
 The two paths must return the identical (candidate, reference) match list
 and the skeleton index must win by at least 5x.  A second section streams
 the same corpus through the chunked scan pipeline to report end-to-end
-throughput including IDN extraction and sink writes.
+throughput including IDN extraction and sink writes.  A third streams a
+CT-log-shaped zone (over 99% plain ASCII names, a few comments and blank
+lines, well under 1% ``xn--`` names), where the scan is bound by chunking,
+Step II and commits rather than by matching.
 """
 
 from __future__ import annotations
@@ -228,3 +231,65 @@ def test_streaming_scan_spawn_parallel(tmp_path):
         "distinct_worker_pids": len(set(pids)),
         "identical_to_serial": True,
     })
+
+
+CTLOG_LINES = 300_000
+#: One ``xn--`` name in this many lines (CT logs carry well under 1% IDNs).
+CTLOG_IDN_EVERY = 150
+
+
+def _ctlog_zone(path, seed: int = 20191017) -> int:
+    """Write a CT-log-shaped domain list; returns the count of ``xn--`` lines."""
+    rng = random.Random(seed)
+    candidates, _references = _corpus()
+    idns = [f"{to_ascii_label(label)}.com" for label in candidates if not label.isascii()]
+    idn_lines = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for number in range(CTLOG_LINES):
+            if number % CTLOG_IDN_EVERY == 0:
+                handle.write(rng.choice(idns) + "\n")
+                idn_lines += 1
+            elif number % 50_000 == 1:
+                handle.write("# ct-log batch boundary\n\n")
+            else:
+                host = f"h{rng.randrange(10**6)}." if rng.random() < 0.7 else ""
+                handle.write(f"{host}site{rng.randrange(10**7)}.com\n")
+    return idn_lines
+
+
+def test_ctlog_shaped_scan(tmp_path):
+    db = _database()
+    finder = ShamFinder(db)
+    _candidates, references = _corpus()
+    reference_domains = [f"{label}.com" for label in references]
+    input_path = tmp_path / "ctlog.txt"
+    idn_lines = _ctlog_zone(input_path)
+
+    runs = {}
+    for jobs in (1, 2):
+        scanner = StreamingScanner(finder, reference_domains, chunk_size=2000, jobs=jobs)
+        output_path = tmp_path / f"ctlog-{jobs}.jsonl"
+        start = time.perf_counter()
+        stats = scanner.scan_file(input_path, output_path)
+        seconds = time.perf_counter() - start
+        runs[jobs] = (stats, seconds, output_path.read_bytes())
+
+    serial, pooled = runs[1], runs[2]
+    assert pooled[2] == serial[2]
+    assert serial[0].idn_count == idn_lines
+    assert serial[0].detection_count > 0
+    plain_share = 1 - idn_lines / serial[0].lines_done
+    assert plain_share >= 0.99
+    rows, metrics = [], {"lines": serial[0].lines_done, "plain_ascii_share": round(plain_share, 4),
+                         "idn_lines": idn_lines, "identical_across_jobs": True}
+    for jobs, (stats, seconds, _sink) in runs.items():
+        rate = stats.domains_seen / seconds if seconds else 0.0
+        rows.append((f"jobs={jobs}", f"{rate:,.0f} domains/s", f"{stats.chunks_done}",
+                     f"{stats.commits}"))
+        metrics[f"jobs{jobs}_domains_per_second"] = round(rate, 1)
+        metrics[f"jobs{jobs}_chunks"] = stats.chunks_done
+        metrics[f"jobs{jobs}_commits"] = stats.commits
+    print_table(f"CT-log-shaped scan: {serial[0].lines_done:,} lines, "
+                f"{plain_share:.1%} plain ASCII, {idn_lines:,} xn-- names",
+                rows, headers=("workers", "throughput", "chunks", "commits"))
+    record_bench("scan_ctlog", metrics)

@@ -35,7 +35,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .countermeasure.warning import WarningGenerator
 from .detection.index import (
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--jobs", "-j", type=positive_int, default=1,
                       help="worker processes for the chunk shards")
     scan.add_argument("--chunk-size", type=positive_int, default=2000,
-                      help="input lines per chunk (the checkpoint granularity)")
+                      help="input lines per chunk (a checkpoint covers whole chunks)")
     scan.add_argument("--checkpoint", type=Path, default=None,
                       help="checkpoint file (default: <output>.checkpoint)")
     scan.add_argument("--resume", action="store_true",
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--all-domains", action="store_true",
                       help="match every input name, not only the xn-- IDNs")
     scan.add_argument("--progress-every", type=positive_int, default=None,
-                      help="print a progress line every N chunks")
+                      help="print a progress line each time the chunk count "
+                           "passes a multiple of N")
     scan.add_argument("--index-dir", type=Path, default=None,
                       help="reuse/persist the prepared reference index in this artifact store")
     scan.add_argument("--build-index", action="store_true",
@@ -681,6 +682,31 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scan_progress(every: int) -> Callable[[ScanStats], None]:
+    """A scan progress callback printing a line to stderr whenever
+    ``chunks_done`` crosses a multiple of *every*.
+
+    One commit may cover several chunks, so a multiple can be passed over
+    rather than hit; each commit prints at most one line.  The count of
+    crossed multiples starts at zero, so a resumed scan prints at its
+    first commit past chunk *every*.
+    """
+    printed = 0
+
+    def progress(stats: ScanStats) -> None:
+        nonlocal printed
+        if stats.chunks_done // every > printed:
+            printed = stats.chunks_done // every
+            print(
+                f"chunk {stats.chunks_done}: {stats.domains_seen:,} domains, "
+                f"{stats.detection_count:,} detections, "
+                f"{stats.skipped_count:,} skipped",
+                file=sys.stderr,
+            )
+
+    return progress
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     reference = _resolve_reference(args)
     finder = _default_finder(args.database, args.cache_dir, None, args.databases)
@@ -694,24 +720,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         prepared=index.prepared if index is not None else None,
     )
 
-    progress = None
-    if args.progress_every:
-        def progress(stats: ScanStats) -> None:
-            if stats.chunks_done % args.progress_every == 0:
-                print(
-                    f"chunk {stats.chunks_done}: {stats.domains_seen:,} domains, "
-                    f"{stats.detection_count:,} detections, "
-                    f"{stats.skipped_count:,} skipped",
-                    file=sys.stderr,
-                )
-
     try:
         stats = scanner.scan_file(
             args.input,
             args.output,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
-            progress=progress,
+            progress=_scan_progress(args.progress_every) if args.progress_every else None,
         )
     except ScanResumeError as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)

@@ -9,7 +9,10 @@ module streams it instead:
 
 * **chunked iteration** — the input (a zone-file domain dump, one name per
   line) is consumed in fixed-size chunks, so memory stays bounded no matter
-  how large the zone is;
+  how large the zone is.  A chunk travels as one ``(text, raw_lines)``
+  pair: its lines joined by ``"\n"`` and the number of input lines it
+  covers.  A file is read in large blocks and cut with one regex match per
+  chunk, so no per-line object is made before the worker;
 * **sharded matching** — chunks are fanned out over worker processes that
   share one :class:`~.shamfinder.PreparedReferences` (case-folded labels +
   skeleton hash-join index).  Pools come from :mod:`repro.parallel.pool`:
@@ -17,30 +20,41 @@ module streams it instead:
   rebuild it from a picklable spec (an mmap-backed index re-attaches from
   its artifact path), so every start method runs parallel;
 * **JSONL result sink** — each detection is appended as one JSON object
-  per line (:meth:`HomographDetection.as_dict`), flushed chunk by chunk;
-* **checkpoint/resume** — after every chunk a small checkpoint file records
-  how much input was consumed and how many result lines are durable.  A
-  killed scan restarts with ``resume=True``: the sink is validated
-  (truncated or corrupt trailing lines are dropped and reported), the
-  consumed input is skipped, and counters continue where they left off.
+  per line (:meth:`HomographDetection.as_dict`), flushed commit by commit;
+* **checkpoint/resume** — every commit appends the results of one or more
+  whole chunks and then atomically rewrites a small checkpoint recording
+  how much input was consumed and how many result lines are durable.  One
+  worker commits every chunk; a pool commits every result that is ready
+  when the parent gets to it.  A killed scan restarts with
+  ``resume=True``: the sink is validated (truncated or corrupt trailing
+  lines are dropped and reported), the consumed input is skipped, and
+  counters continue where they left off.
 
 Steps II and III happen inside the workers: each chunk is filtered to the
-``xn--`` names (Step II) and matched against the prepared references
-(Step III), with unparsable junk counted in ``skipped_count`` exactly as
-the in-memory path does.
+IDN names (Step II, C-level string scans over the whole chunk text) and
+matched against the prepared references (Step III), with unparsable junk
+counted in ``skipped_count`` exactly as the in-memory path does.  An
+in-memory element that holds a line break is scanned as the lines it
+holds, but counts as one consumed input line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import re
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import islice, repeat
+from multiprocessing import TimeoutError as PoolTimeout
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..durable import Checkpoint, CheckpointedLog, SinkRecovery, json_record, recover_sink
+from ..idn.domain import DomainName
 from ..idn.idna_codec import ACE_PREFIX, split_labels
 from ..parallel.pool import pool_context
 from .report import DetectionReport, HomographDetection
@@ -82,6 +96,7 @@ class ScanStats:
     skipped_count: int = 0         # candidates dropped as unparsable junk
     detection_count: int = 0       # result lines written (or collected)
     chunks_done: int = 0
+    commits: int = 0               # sink commits (batches of whole chunks) this run
     lines_done: int = 0            # raw input lines consumed
     resumed_lines: int = 0         # raw input lines skipped by resume
     recovered_drop: int = 0        # sink lines dropped during recovery
@@ -94,7 +109,7 @@ class ScanStats:
 
 @dataclass(frozen=True)
 class ScanCheckpoint(Checkpoint):
-    """Durable progress marker written after every completed chunk."""
+    """Durable progress marker written after every commit of whole chunks."""
 
     lines_done: int
     chunks_done: int
@@ -200,63 +215,142 @@ def _scan_worker_init(
     _WORKER_STATE["args"] = (finder, _attach_prepared(prepared), idn_only)
 
 
-def _scan_worker(chunk: list[str]) -> tuple[list[HomographDetection], int, int, int, int]:
+def _scan_worker(chunk: tuple[str, int]) -> tuple[list[HomographDetection], int, int, int, int]:
     finder, prepared, idn_only = _WORKER_STATE["args"]
     return _process_chunk(finder, prepared, chunk, idn_only)
 
 
 def is_idn_candidate(domain: str) -> bool:
-    """Cheap Step II test: is the *registrable* label an A-label?
+    """Cheap Step II test: is the *registrable* label an IDN label?
 
     Matching happens on the registrable label (the paper's Figure 2), so
-    this mirrors ``ShamFinder.extract_idns``/``has_idn_registrable_label``
-    without paying a full parse — an ASCII name under an IDN TLD
-    (``example.xn--p1ai``) is *not* a candidate.  The test reads the
-    registrable label as the input spells it, so it agrees with
-    ``DomainName`` whenever that label is given as an A-label (as zone
-    files and CT logs give it); a Unicode spelling is never a candidate.
+    this agrees with ``DomainName(domain).has_idn_registrable_label`` for
+    every name that parses: an ASCII name under an IDN TLD
+    (``example.xn--p1ai``) is *not* a candidate, a Unicode-spelled
+    registrable label (``bücher.de``) is.  An all-ASCII name is judged by
+    its spelling alone, without a parse; a name with any non-ASCII
+    character is parsed.  A name that does not parse is a candidate when
+    its registrable label is spelled as an A-label, so the matcher counts
+    it in ``skipped_count``.
     """
-    # Cheap substring reject for the ~99% non-IDN zone bulk, sparing them
-    # the label dissection below.
-    lowered = domain.lower()
-    if ACE_PREFIX not in lowered:
-        return False
+    if domain.isascii():
+        # Cheap substring reject for the ~99% non-IDN zone bulk, sparing
+        # them the label dissection below.
+        lowered = domain.lower()
+        return ACE_PREFIX in lowered and _registrable_is_ace(lowered)
+    try:
+        return DomainName(domain).has_idn_registrable_label
+    except ValueError:
+        return _registrable_is_ace(domain.lower())
+
+
+def _registrable_is_ace(lowered: str) -> bool:
     # Split (and strip the label) exactly as DomainName does.
     labels = split_labels(lowered)
     registrable = labels[-2] if len(labels) >= 2 else labels[0]
     return registrable.strip().startswith(ACE_PREFIX)
 
 
+def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
+    """Step II over one chunk's text: ``(candidates, domains_seen)``.
+
+    Blank lines and ``#`` comment lines are dropped; the rest are the
+    chunk's domains.  For an all-ASCII chunk (every zone file and CT log)
+    only the lines holding ``xn--`` reach :func:`is_idn_candidate`; a chunk
+    with any non-ASCII character tests every domain, since a
+    Unicode-spelled IDN carries no ``xn--``.
+    """
+    names = list(map(str.strip, text.split("\n")))
+    seen = len(names) - names.count("")
+    if "#" in text:
+        seen -= sum(map(str.startswith, names, repeat("#")))
+    if not idn_only:
+        return [name for name in names if name and not name.startswith("#")], seen
+    if not text.isascii():
+        return [name for name in names
+                if name and not name.startswith("#") and is_idn_candidate(name)], seen
+    # ASCII text lower-cases without changing length or line breaks, so
+    # offsets and lines of ``lowered`` are those of ``text``.
+    lowered = text.lower()
+    hit_names = []
+    hit = lowered.find(ACE_PREFIX)
+    while hit >= 0:
+        end = lowered.find("\n", hit)
+        if end < 0:
+            end = len(text)
+        hit_names.append(text[lowered.rfind("\n", 0, hit) + 1:end].strip())
+        hit = lowered.find(ACE_PREFIX, end)
+    return [name for name in hit_names
+            if not name.startswith("#") and is_idn_candidate(name)], seen
+
+
 def _process_chunk(
     finder: ShamFinder,
     prepared: PreparedReferences,
-    lines: Sequence[str],
+    chunk: tuple[str, int],
     idn_only: bool,
 ) -> tuple[list[HomographDetection], int, int, int, int]:
-    """Steps II + III over one chunk of raw input lines."""
-    domains = []
-    for raw in lines:
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        domains.append(text)
-    if idn_only:
-        candidates = [d for d in domains if is_idn_candidate(d)]
-    else:
-        candidates = domains
+    """Steps II + III over one ``(text, raw_lines)`` chunk."""
+    text, raw_lines = chunk
+    candidates, seen = _step_ii(text, idn_only)
     detections, idn_count, skipped = finder.detect_prepared(candidates, prepared)
-    return detections, len(lines), len(domains), idn_count, skipped
+    return detections, raw_lines, seen, idn_count, skipped
 
 
-def _chunked(lines: Iterable[str], chunk_size: int) -> Iterator[list[str]]:
-    chunk: list[str] = []
-    for line in lines:
-        chunk.append(line)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+#: A chunk slicer: ``take(n)`` returns the next *n* input lines as one
+#: ``(text, raw_lines)`` chunk (fewer at the end, ``("", 0)`` past it).
+_Take = Callable[[int], tuple[str, int]]
+
+#: Characters read from an input file at a time.
+_READ_CHARS = 1 << 18
+
+
+class _FileLines:
+    """Cuts a text-mode file into chunks of whole lines.
+
+    The file is read in large blocks (so universal newlines and decode
+    errors behave as in line iteration) and each chunk is cut with one
+    regex match; no Python object is made per line.
+    """
+
+    def __init__(self, handle) -> None:
+        self._read = handle.read
+        self._buffer = ""
+        self._pos = 0
+        self._newlines = 0          # newlines in ``_buffer[_pos:]``
+        self._eof = False
+
+    def take(self, count: int) -> tuple[str, int]:
+        if self._newlines < count and not self._eof:
+            blocks = [self._buffer[self._pos:]]
+            while self._newlines < count:
+                block = self._read(_READ_CHARS)
+                if not block:
+                    self._eof = True
+                    break
+                blocks.append(block)
+                self._newlines += block.count("\n")
+            self._buffer, self._pos = "".join(blocks), 0
+        buffer, pos = self._buffer, self._pos
+        if self._newlines >= count:
+            # Exactly ``count`` lines; ``re`` caches the compiled pattern.
+            end = re.compile("(?:[^\n]*\n){%d}" % count).match(buffer, pos).end()
+            self._pos, self._newlines = end, self._newlines - count
+            return buffer[pos:end - 1], count
+        # End of input: the rest, whose last line may lack its newline.
+        rest = buffer[pos:]
+        self._buffer, self._pos, self._newlines = "", 0, 0
+        if rest and not rest.endswith("\n"):
+            rest += "\n"
+        return rest[:-1], rest.count("\n")
+
+
+def _element_take(elements: Iterator[str]) -> _Take:
+    """A slicer over in-memory elements, one input line each."""
+    def take(count: int) -> tuple[str, int]:
+        chunk = list(islice(elements, count))
+        return "\n".join(chunk), len(chunk)
+    return take
 
 
 class StreamingScanner:
@@ -317,15 +411,15 @@ class StreamingScanner:
         """Stream *domains* and collect every detection in memory.
 
         Same chunking and sharding as :meth:`scan`, without the sink and
-        checkpoint — the study-scale entry point.
+        checkpoint — the study-scale entry point.  *progress* is called
+        once per batch of chunk results, as :meth:`scan` calls it once per
+        commit.
         """
         report = DetectionReport()
         stats = ScanStats()
         started = time.perf_counter()
-        for detections, raw_lines in self._chunk_results(iter(domains), stats):
-            report.extend(detections)
-            stats.detection_count += len(detections)
-            stats.lines_done += raw_lines
+        for batch in self._batches(_element_take(iter(domains))):
+            report.extend(self._fold(batch, stats))
             stats.elapsed_seconds = time.perf_counter() - started
             if progress is not None:
                 progress(stats)
@@ -365,13 +459,20 @@ class StreamingScanner:
         input_fingerprint: str | None = None,
         progress: Callable[[ScanStats], None] | None = None,
     ) -> ScanStats:
-        """Stream *domains* into the JSONL sink at *output_path*.
+        """Stream *domains* (one input line each) into the JSONL sink at *output_path*.
 
-        With ``resume=True`` and a usable checkpoint, already-consumed
-        input is skipped and the sink is validated and extended; otherwise
-        the sink is started fresh.  The checkpoint lives next to the sink
-        (``<output>.checkpoint``) unless *checkpoint_path* says otherwise.
+        A text-mode file is cut in blocks rather than iterated line by
+        line.  With ``resume=True`` and a usable checkpoint,
+        already-consumed input is skipped and the sink is validated and
+        extended; otherwise the sink is started fresh.  The checkpoint
+        lives next to the sink (``<output>.checkpoint``) unless
+        *checkpoint_path* says otherwise.  *progress* is called once per
+        commit.
         """
+        if isinstance(domains, io.TextIOBase):
+            take = _FileLines(domains).take
+        else:
+            take = _element_take(iter(domains))
         output_path = Path(output_path)
         if checkpoint_path is None:
             checkpoint_path = output_path.with_name(output_path.name + ".checkpoint")
@@ -379,7 +480,6 @@ class StreamingScanner:
 
         stats = ScanStats()
         started = time.perf_counter()
-        lines = iter(domains)
 
         with CheckpointedLog(
             output_path, checkpoint_path, ScanCheckpoint,
@@ -405,14 +505,15 @@ class StreamingScanner:
                 stats.domains_seen = checkpoint.domains_seen
                 stats.idn_count = checkpoint.idn_count
                 stats.skipped_count = checkpoint.skipped_count
-                for _ in range(checkpoint.lines_done):
-                    if next(lines, None) is None:
+                while stats.resumed_lines < checkpoint.lines_done:
+                    taken = take(min(self.chunk_size,
+                                     checkpoint.lines_done - stats.resumed_lines))[1]
+                    if not taken:
                         break
-                    stats.resumed_lines += 1
+                    stats.resumed_lines += taken
 
-            for detections, raw_lines in self._chunk_results(lines, stats):
-                stats.detection_count += len(detections)
-                stats.lines_done += raw_lines
+            for batch in self._batches(take):
+                detections = self._fold(batch, stats)
                 sink.commit(
                     [json.dumps(d.as_dict(), ensure_ascii=False) + "\n" for d in detections],
                     ScanCheckpoint(
@@ -433,35 +534,37 @@ class StreamingScanner:
 
     # -- shared chunk pipeline -------------------------------------------------
 
-    def _chunk_results(
-        self,
-        lines: Iterator[str],
-        stats: ScanStats,
-    ) -> Iterator[tuple[list[HomographDetection], int]]:
-        """Yield ``(detections, raw_line_count)`` per chunk, in input order.
+    def _batches(self, take: _Take) -> Iterator[list[tuple]]:
+        """Yield chunk results in input order, one commit's batch at a time.
 
-        Updates the seen/idn/skipped/chunk counters on *stats* as results
-        arrive; callers account for lines and detections themselves (the
-        sink path must only count a chunk's lines once its results are
-        durable).
+        One worker yields every chunk on its own.  A pool waits for the
+        next result, then adds every later result that is already ready,
+        so a parent that falls behind its workers commits many chunks at
+        once instead of one checkpoint per chunk.
         """
-        chunks = _chunked(lines, self.chunk_size)
+        chunks = iter(partial(take, self.chunk_size), ("", 0))
         if self.jobs == 1:
             for chunk in chunks:
-                result = _process_chunk(self.finder, self.prepared, chunk, self.idn_only)
-                yield self._account(result, stats)
-        else:
-            context = pool_context(self.start_method)
-            with context.Pool(
-                processes=self.jobs,
-                initializer=_scan_worker_init,
-                initargs=(self.finder, self._worker_prepared(context.get_start_method()),
-                          self.idn_only),
-            ) as pool:
-                # imap keeps results in submission order, which checkpoint
-                # consistency depends on.
-                for result in pool.imap(_scan_worker, chunks):
-                    yield self._account(result, stats)
+                yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only)]
+            return
+        context = pool_context(self.start_method)
+        with context.Pool(
+            processes=self.jobs,
+            initializer=_scan_worker_init,
+            initargs=(self.finder, self._worker_prepared(context.get_start_method()),
+                      self.idn_only),
+        ) as pool:
+            # imap keeps results in submission order, which checkpoint
+            # consistency depends on.
+            results = pool.imap(_scan_worker, chunks)
+            for first in results:
+                batch = [first]
+                while True:
+                    try:
+                        batch.append(results.next(timeout=0))
+                    except (StopIteration, PoolTimeout):
+                        break
+                yield batch
 
     def _worker_prepared(self, method: str):
         """What the pool initializer ships as the prepared references.
@@ -480,13 +583,16 @@ class StreamingScanner:
         return self.prepared
 
     @staticmethod
-    def _account(
-        result: tuple[list[HomographDetection], int, int, int, int],
-        stats: ScanStats,
-    ) -> tuple[list[HomographDetection], int]:
-        detections, raw_lines, domains_seen, idn_count, skipped = result
-        stats.domains_seen += domains_seen
-        stats.idn_count += idn_count
-        stats.skipped_count += skipped
-        stats.chunks_done += 1
-        return detections, raw_lines
+    def _fold(batch: list[tuple], stats: ScanStats) -> list[HomographDetection]:
+        """Count one batch of chunk results into *stats*; returns its detections."""
+        detections: list[HomographDetection] = []
+        for found, raw_lines, domains_seen, idn_count, skipped in batch:
+            detections.extend(found)
+            stats.lines_done += raw_lines
+            stats.domains_seen += domains_seen
+            stats.idn_count += idn_count
+            stats.skipped_count += skipped
+        stats.chunks_done += len(batch)
+        stats.detection_count += len(detections)
+        stats.commits += 1
+        return detections

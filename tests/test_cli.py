@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _scan_progress, build_parser, main
+from repro.detection.stream import ScanStats
 
 
 def test_parser_has_all_subcommands():
@@ -148,6 +149,37 @@ def test_scan_subcommand_end_to_end(tmp_path, capsys, union_db):
     lines = [json.loads(line) for line in output_path.read_text("utf-8").splitlines()]
     assert {entry["reference"] for entry in lines} == {"google.com", "facebook.com"}
     assert (tmp_path / "results.jsonl.checkpoint").exists()
+
+
+def test_scan_progress_prints_when_the_chunk_count_crosses_a_multiple(capsys):
+    # One commit can cover several chunks, so a multiple of N may be passed
+    # over rather than hit; it still prints, once per commit.
+    progress = _scan_progress(5)
+    for chunks in (3, 7, 9, 10, 12, 25, 26):
+        progress(ScanStats(chunks_done=chunks, domains_seen=chunks * 10))
+    printed = capsys.readouterr().err.splitlines()
+    assert printed == [
+        "chunk 7: 70 domains, 0 detections, 0 skipped",
+        "chunk 10: 100 domains, 0 detections, 0 skipped",
+        "chunk 25: 250 domains, 0 detections, 0 skipped",
+    ]
+
+
+def test_scan_progress_every_reaches_stderr(tmp_path, capsys, union_db):
+    db_path = tmp_path / "db.json"
+    union_db.save(db_path)
+    input_path = tmp_path / "zone.txt"
+    input_path.write_text("".join(f"plain{i}.com\n" for i in range(7)), encoding="utf-8")
+    rc = main([
+        "scan", "-i", str(input_path), "-o", str(tmp_path / "results.jsonl"),
+        "--reference", "google.com", "--database", str(db_path),
+        "--chunk-size", "1", "--progress-every", "3",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["chunk 3", "chunk 6"]
+    stats = json.loads(captured.out)
+    assert stats["chunks_done"] == stats["commits"] == 7
 
 
 def test_parser_accepts_track_options():

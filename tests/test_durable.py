@@ -16,6 +16,10 @@ the pre-``durable`` code wrote, pinning the on-disk formats.
 from __future__ import annotations
 
 import os
+from collections import deque
+from multiprocessing import TimeoutError as PoolTimeout
+from multiprocessing.pool import Pool
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +211,86 @@ def test_scan_sink_cut_at_every_offset(finder, tmp_path):
         stats = scanner.scan_file(corpus, out, resume=True)
         assert stats.detection_count == full_stats.detection_count
         assert stats.lines_done == full_stats.lines_done
+
+    _assert_every_cut_resumes_or_refuses(out, checkpoint_path, checkpoints, resume,
+                                         ScanResumeError)
+
+
+class _FallBehind:
+    """A pool's ``imap`` results, held back until :meth:`catch_up`.
+
+    Before ``catch_up`` only a blocking ``next()`` returns a result; a
+    ``next(timeout=0)`` finds nothing ready.  ``catch_up`` waits for every
+    remaining result, so from then on all of them are ready at once: the
+    parent has fallen behind its workers, whatever the host's timing.
+    """
+
+    def __init__(self, results):
+        self._results = results
+        self._ready: deque = deque()
+        self._caught_up = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.next()
+
+    def next(self, timeout=None):
+        if self._ready:
+            return self._ready.popleft()
+        if self._caught_up:
+            raise StopIteration
+        if timeout is not None:
+            raise PoolTimeout
+        return self._results.next()
+
+    def catch_up(self) -> None:
+        self._ready.extend(self._results)
+        self._caught_up = True
+
+
+def test_coalesced_scan_commits_are_crash_safe(finder, tmp_path):
+    # A pool scan whose parent falls behind its workers (its first progress
+    # call waits for every chunk result) commits every ready chunk at once:
+    # fewer commits than chunks, the same final sink and checkpoint as one
+    # worker, and every checkpoint it left resumes or refuses cleanly.
+    lines = [GOOGLE, "plain0.com", AMAZON, "xn--zzzz-!!!.com", "plain1.com",
+             GOOGLE, "plain2.com", AMAZON, "# comment", "", GOOGLE]
+    corpus = tmp_path / "domains.txt"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    serial_out = tmp_path / "serial.jsonl"
+    serial = StreamingScanner(finder, REFERENCES, chunk_size=2)
+    serial_stats = serial.scan_file(corpus, serial_out)
+    out = tmp_path / "out.jsonl"
+    checkpoint_path = tmp_path / "out.jsonl.checkpoint"
+    pooled = StreamingScanner(finder, REFERENCES, chunk_size=2, jobs=2)
+    held: list[_FallBehind] = []
+    imap = Pool.imap
+
+    def held_imap(pool, *args, **kwargs):
+        held.append(_FallBehind(imap(pool, *args, **kwargs)))
+        return held[-1]
+
+    def run(capture):
+        def fall_behind(stats):
+            if stats.commits == 1:
+                held[-1].catch_up()
+            capture()
+        with mock.patch.object(Pool, "imap", held_imap):
+            return pooled.scan_file(corpus, out, progress=fall_behind)
+
+    stats, checkpoints = _crash_points(run, checkpoint_path)
+    assert stats.chunks_done == serial_stats.chunks_done == 6
+    # One commit for the first chunk, one for the five that were ready.
+    assert stats.commits == 2
+    assert serial_stats.commits == serial_stats.chunks_done
+    assert out.read_bytes() == serial_out.read_bytes()
+    assert checkpoint_path.read_bytes() == (tmp_path / "serial.jsonl.checkpoint").read_bytes()
+    assert len(checkpoints) == stats.commits + 1
+
+    def resume():
+        assert serial.scan_file(corpus, out, resume=True).lines_done == len(lines)
 
     _assert_every_cut_resumes_or_refuses(out, checkpoint_path, checkpoints, resume,
                                          ScanResumeError)

@@ -1,0 +1,188 @@
+"""Differential tests: text-slice scan chunks against the list-of-lines oracle.
+
+``repro.detection.stream`` ships each chunk as one ``(text, raw_lines)``
+pair and runs Step II over the whole text; ``oracles.stream_chunks`` is
+the list-of-lines pipeline it replaced.  Both must yield the same
+candidates and counts per chunk and the same sink bytes and stats per
+scan, for every line shape a zone dump or CT log can hold.
+"""
+
+from __future__ import annotations
+
+import json
+from functools import partial
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles.stream_chunks import chunked, process_chunk, step_ii
+
+from repro.detection.report import DetectionReport
+from repro.detection.shamfinder import ShamFinder
+from repro.detection.stream import (
+    ScanCheckpoint,
+    StreamingScanner,
+    _FileLines,
+    _step_ii,
+)
+from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
+from repro.idn.domain import DomainName
+
+REFERENCES = ["google.com", "amazon.com", "apple.com"]
+GOOGLE = DomainName("gоogle.com").ascii
+AMAZON = DomainName("аmаzon.com").ascii
+
+#: Line bodies: A-labels in every casing, Unicode-spelled IDNs, plain
+#: names, junk, and characters whose ``lower()`` changes the length (İ)
+#: or not (ẞ).
+_NAMES = [
+    GOOGLE, GOOGLE.upper(), "Xn--" + GOOGLE[4:], "mail." + AMAZON, "XN--" + AMAZON[4:],
+    "plain.com", "example.xn--p1ai", "xn--zzzz-!!!.com", "gоogle.com", "www.bücher.de",
+    "bücher.xn--p1ai", "İ.xn--gogle-jye.com", "xn--gogle-jye.İ", "ẞ.com", "İxn--.com",
+    GOOGLE.replace("xn--", "xn-", 1), "#" + GOOGLE, "# comment", GOOGLE[:6] + "#" + GOOGLE[6:],
+    "plain#.com", "",
+]
+#: Whitespace that ``str.strip`` removes but that never ends a text-mode line.
+_SPACE = st.text(alphabet="\x0b\x0c\x1c\x85\xa0 　 \t", max_size=2)
+_LINES = st.lists(
+    st.builds(lambda before, name, after: before + name + after,
+              _SPACE, st.sampled_from(_NAMES), _SPACE),
+    max_size=12,
+)
+#: Line ends of a file: LF, CRLF or a lone CR (universal newlines).
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@pytest.fixture(scope="module")
+def finder():
+    db = HomoglyphDatabase()
+    db.add_pair("o", "о", source=SOURCE_UC)
+    db.add_pair("a", "а", source=SOURCE_UC)
+    return ShamFinder(db)
+
+
+@pytest.fixture(scope="module")
+def prepared(finder):
+    return finder.prepare_references(REFERENCES)
+
+
+@st.composite
+def _files(draw):
+    """``(lines, file text)``: the lines with drawn line ends, the final
+    one optional."""
+    lines = draw(_LINES)
+    ends = draw(st.lists(_ENDS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return lines, text
+
+
+def _file_chunks(path, chunk_size):
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        return list(iter(partial(_FileLines(handle).take, chunk_size), ("", 0)))
+
+
+def _oracle_scan(finder, prepared, lines, chunk_size, idn_only=True):
+    """Sink lines and stats counters of the list-of-lines pipeline."""
+    report = DetectionReport()
+    counts = dict(chunks_done=0, lines_done=0, domains_seen=0, idn_count=0,
+                  skipped_count=0, detection_count=0)
+    for chunk in chunked(lines, chunk_size):
+        detections, raw_lines, seen, idn_count, skipped = process_chunk(
+            finder, prepared, chunk, idn_only)
+        report.extend(detections)
+        counts["chunks_done"] += 1
+        counts["lines_done"] += raw_lines
+        counts["domains_seen"] += seen
+        counts["idn_count"] += idn_count
+        counts["skipped_count"] += skipped
+        counts["detection_count"] += len(detections)
+    return report, counts
+
+
+def _counts(stats):
+    return {key: getattr(stats, key) for key in (
+        "chunks_done", "lines_done", "domains_seen", "idn_count", "skipped_count",
+        "detection_count")}
+
+
+@pytest.mark.parametrize("chunk_size", [1, 3, 2000])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_files(), idn_only=st.booleans(), read_chars=st.sampled_from([1, 2, 5, 1 << 18]))
+def test_file_chunks_match_the_oracle(tmp_path_factory, chunk_size, data, idn_only,
+                                      read_chars):
+    # read_chars cuts blocks mid-line and mid-CRLF.
+    lines, text = data
+    path = tmp_path_factory.mktemp("chunks") / "in.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        expected = [step_ii(chunk, idn_only) for chunk in chunked(handle, chunk_size)]
+    with mock.patch("repro.detection.stream._READ_CHARS", read_chars):
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+            chunks = iter(partial(_FileLines(handle).take, chunk_size), ("", 0))
+            actual = [(*_step_ii(chunk_text, idn_only), raw_lines)
+                      for chunk_text, raw_lines in chunks]
+    assert actual == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("chunk_size", [1, 3, 2000])
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_files())
+def test_scan_sink_and_stats_match_the_oracle(finder, prepared, tmp_path_factory, jobs,
+                                              chunk_size, data):
+    _lines, text = data
+    work = tmp_path_factory.mktemp("scan")
+    path = work / "in.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        file_lines = list(handle)
+    report, counts = _oracle_scan(finder, prepared, file_lines, chunk_size)
+    expected_sink = "".join(
+        json.dumps(d.as_dict(), ensure_ascii=False) + "\n" for d in report)
+
+    scanner = StreamingScanner(finder, REFERENCES, chunk_size=chunk_size, jobs=jobs,
+                               prepared=prepared)
+    out = work / "out.jsonl"
+    stats = scanner.scan_file(path, out)
+    assert out.read_bytes() == expected_sink.encode("utf-8")
+    assert _counts(stats) == counts
+    if counts["chunks_done"]:
+        checkpoint = ScanCheckpoint.load(str(out) + ".checkpoint")
+        assert (checkpoint.lines_done, checkpoint.chunks_done) == (
+            counts["lines_done"], counts["chunks_done"])
+
+    # The in-memory path over the same lines, each element keeping its line end.
+    memory_report, memory_stats = scanner.scan_to_report(file_lines)
+    assert memory_report.as_dicts() == report.as_dicts()
+    assert _counts(memory_stats) == counts
+
+
+def test_interior_line_break_scans_as_separate_lines_of_one_input_line(finder):
+    # The documented rule: an in-memory element holding a line break is
+    # scanned as the lines it holds but consumes one input line.
+    scanner = StreamingScanner(finder, REFERENCES, chunk_size=2)
+    report, stats = scanner.scan_to_report([f"{GOOGLE}\n{AMAZON}", "plain.com\n", ""])
+    assert [d.idn for d in report] == [GOOGLE, AMAZON]
+    assert stats.lines_done == 3
+    assert stats.chunks_done == 2
+    assert stats.domains_seen == 3
+    assert stats.idn_count == 2
+
+
+def test_file_lines_cut_exact_chunks_across_blocks(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"a\r\nb\rc\n\nd")
+    with mock.patch("repro.detection.stream._READ_CHARS", 2):
+        assert _file_chunks(path, 2) == [("a\nb", 2), ("c\n", 2), ("d", 1)]
+    path.write_bytes(b"a\nb\n")
+    assert _file_chunks(path, 2) == [("a\nb", 2)]
+    path.write_bytes(b"a\n\n")
+    assert _file_chunks(path, 3) == [("a\n", 2)]
+    path.write_bytes(b"\n")
+    assert _file_chunks(path, 3) == [("", 1)]
+    path.write_bytes(b"")
+    assert _file_chunks(path, 2) == []
+

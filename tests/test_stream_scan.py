@@ -99,9 +99,13 @@ def test_parallel_scan_is_byte_identical(stream_finder, corpus_file, tmp_path):
     _, serial_stats = _scan(stream_finder, corpus_file, serial_out, jobs=1)
     _, parallel_stats = _scan(stream_finder, corpus_file, parallel_out, jobs=3)
     assert serial_out.read_bytes() == parallel_out.read_bytes()
-    serial_counts = {k: v for k, v in serial_stats.as_dict().items() if k != "elapsed_seconds"}
-    parallel_counts = {k: v for k, v in parallel_stats.as_dict().items() if k != "elapsed_seconds"}
+    # A pool may commit several chunks at once, so only the commit count differs.
+    varying = {"elapsed_seconds", "commits"}
+    serial_counts = {k: v for k, v in serial_stats.as_dict().items() if k not in varying}
+    parallel_counts = {k: v for k, v in parallel_stats.as_dict().items() if k not in varying}
     assert serial_counts == parallel_counts
+    assert serial_stats.commits == serial_stats.chunks_done
+    assert 1 <= parallel_stats.commits <= parallel_stats.chunks_done
 
 
 def test_scan_to_report_matches_sink(stream_finder, corpus, corpus_file, tmp_path):
@@ -372,13 +376,31 @@ def test_step_ii_filter_splits_on_ideographic_and_fullwidth_dots(stream_finder, 
     assert stats.detection_count == 1
 
 
+def test_step_ii_filter_takes_unicode_spelled_idns(stream_finder, tmp_path):
+    # A Unicode-spelled registrable label is an IDN to DomainName, so Step II
+    # keeps it; a name that does not parse is a candidate exactly when its
+    # registrable label is spelled as an A-label (the matcher skips it).
+    for text in ("bücher.de", "www.bücher.de", "bücher.xn--p1ai", "gоogle.com"):
+        assert DomainName(text).has_idn_registrable_label
+        assert is_idn_candidate(text)
+    assert is_idn_candidate("ü.xn--zzzz-!!!.com")
+    assert not is_idn_candidate("bü cher!.de")
+
+    inp = tmp_path / "d.txt"
+    inp.write_text("gоogle.com\nbü cher!.de\nü.xn--zzzz-!!!.com\n", encoding="utf-8")
+    scanner = StreamingScanner(stream_finder, REFERENCES, idn_only=True)
+    stats = scanner.scan_file(inp, tmp_path / "r.jsonl")
+    assert (stats.idn_count, stats.skipped_count, stats.detection_count) == (1, 1, 1)
+
+
 _PAD = st.sampled_from(["", " ", "\t"])
 _ACE_LABELS = st.builds(
     lambda text, upper: ("XN--" if upper else "xn--") + punycode.encode(text),
     st.text(alphabet="abc019-äöéоаеοα阿里", min_size=1, max_size=6), st.booleans())
 _ASCII_LABELS = st.one_of(
     st.text(alphabet="abcdefxyzABXN0129-_", min_size=1, max_size=8), _ACE_LABELS)
-_ANY_LABELS = st.one_of(_ASCII_LABELS, st.text(alphabet="abcäöоαx-n阿", min_size=1, max_size=6))
+_ANY_LABELS = st.one_of(_ASCII_LABELS,
+                        st.text(alphabet="abcäöоαx-n阿ａßẞİ", min_size=1, max_size=6))
 
 
 def _padded(labels):
@@ -386,10 +408,10 @@ def _padded(labels):
 
 
 @st.composite
-def _zone_spelled_domains(draw):
-    """Domains whose registrable label is spelled in ASCII (LDH or A-label),
-    as zone files and CT logs spell it; other labels may be Unicode."""
-    labels = [draw(_padded(_ASCII_LABELS))]
+def _domains(draw):
+    """Domains whose labels are spelled in ASCII (LDH or A-label), as zone
+    files and CT logs spell them, or in Unicode, as users type them."""
+    labels = [draw(_padded(_ANY_LABELS))]
     if draw(st.booleans()):     # subdomains + registrable + TLD, else a single label
         labels = draw(st.lists(_padded(_ANY_LABELS), max_size=2)) + labels + [draw(_padded(_ANY_LABELS))]
     dots = draw(st.lists(st.sampled_from([".", "。", "．", "｡"]), min_size=len(labels), max_size=len(labels)))
@@ -398,7 +420,7 @@ def _zone_spelled_domains(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_zone_spelled_domains())
+@given(_domains())
 def test_step_ii_filter_agrees_with_domain_name(text):
     try:
         name = DomainName(text)
