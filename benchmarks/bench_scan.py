@@ -16,7 +16,10 @@ the same corpus through the chunked scan pipeline to report end-to-end
 throughput including IDN extraction and sink writes.  A third streams a
 CT-log-shaped zone (over 99% plain ASCII names, a few comments and blank
 lines, well under 1% ``xn--`` names), where the scan is bound by chunking,
-Step II and commits rather than by matching.
+Step II and commits rather than by matching.  A fourth streams an
+IDN-dense zone (half ``xn--`` names), where Step III dominates and the
+batch kernel decodes and proves most A-labels matchless without parsing
+them one at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import time
 from bench_util import print_table, record_bench
 
 from repro.detection.algorithm import HomographMatcher
+from repro.detection.batchfold import kernel_for
 from repro.detection.shamfinder import ShamFinder
-from repro.detection.stream import StreamingScanner, read_sink
+from repro.detection.stream import StreamingScanner, is_idn_candidate, read_sink
 from repro.homoglyph.database import SOURCE_SIMCHAR, SOURCE_UC, HomoglyphDatabase
 from repro.idn.idna_codec import to_ascii_label
 from repro.parallel.pool import pool_context, worker_pids
@@ -293,3 +297,88 @@ def test_ctlog_shaped_scan(tmp_path):
                 f"{plain_share:.1%} plain ASCII, {idn_lines:,} xn-- names",
                 rows, headers=("workers", "throughput", "chunks", "commits"))
     record_bench("scan_ctlog", metrics)
+
+
+IDN_DENSE_LINES = 200_000
+#: Letters of the synthetic population IDNs: Latin plus accented Latin,
+#: Cyrillic and CJK, so labels are non-ASCII and mostly match nothing.
+_IDN_LETTERS = "abcdeklmnorstuüéñßабвгджкл日本語中文"
+
+
+def _idn_dense_zone(path, seed: int = 20191017) -> tuple[int, int]:
+    """Write an IDN-dense domain list: every other line an ``xn--`` name
+    (mostly population IDNs, one in ten a homoglyph twin of a reference,
+    a few undecodable), the rest plain ASCII.  Returns the counts of
+    ``xn--`` lines and of undecodable ones."""
+    rng = random.Random(seed)
+    candidates, _references = _corpus()
+    twins = [to_ascii_label(label) for label in candidates if not label.isascii()]
+    idn_lines = junk = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for number in range(IDN_DENSE_LINES):
+            if number % 2:
+                host = "www." if rng.random() < 0.2 else ""
+                handle.write(f"{host}site{rng.randrange(10**7)}.com\n")
+                continue
+            idn_lines += 1
+            roll = rng.random()
+            if roll < 0.1:
+                label = rng.choice(twins)
+            elif roll < 0.102:
+                label, junk = "xn--" + rng.choice(("abc-", "w", "99999999")), junk + 1
+            else:
+                label = ""
+                while not label.startswith("xn--"):     # an all-ASCII draw is no IDN
+                    label = to_ascii_label("".join(
+                        rng.choice(_IDN_LETTERS) for _ in range(rng.randint(3, 12))))
+            handle.write(f"{label}.{rng.choice(('com', 'net'))}\n")
+    return idn_lines, junk
+
+
+def test_idn_dense_scan(tmp_path):
+    db = _database()
+    finder = ShamFinder(db)
+    _candidates, references = _corpus()
+    reference_domains = [f"{label}.com" for label in references]
+    input_path = tmp_path / "idn-dense.txt"
+    idn_lines, junk = _idn_dense_zone(input_path)
+
+    runs = {}
+    for jobs in (1, 2):
+        scanner = StreamingScanner(finder, reference_domains, chunk_size=2000, jobs=jobs)
+        output_path = tmp_path / f"idn-dense-{jobs}.jsonl"
+        start = time.perf_counter()
+        stats = scanner.scan_file(input_path, output_path)
+        seconds = time.perf_counter() - start
+        runs[jobs] = (stats, seconds, output_path.read_bytes())
+
+    serial, pooled = runs[1], runs[2]
+    assert pooled[2] == serial[2]
+    assert (serial[0].idn_count, serial[0].skipped_count) == (idn_lines - junk, junk)
+    assert serial[0].detection_count > 0
+
+    # The share of candidates the domain-level kernel pass proves
+    # matchless, chunk by chunk as the scan sees them.
+    prepared = finder.prepare_references(reference_domains)
+    kernel = kernel_for(finder.matcher, prepared)
+    with open(input_path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    proved = 0
+    for start in range(0, len(lines), 2000):
+        chunk = [line for line in lines[start:start + 2000] if is_idn_candidate(line)]
+        proved += int(kernel.domain_certain_miss(chunk).sum())
+    proved_share = proved / idn_lines
+
+    rows, metrics = [], {"lines": serial[0].lines_done, "idn_lines": idn_lines,
+                         "kernel_proved_share": round(proved_share, 4),
+                         "identical_across_jobs": True}
+    for jobs, (stats, seconds, _sink) in runs.items():
+        rate = stats.domains_seen / seconds if seconds else 0.0
+        rows.append((f"jobs={jobs}", f"{rate:,.0f} domains/s", f"{stats.chunks_done}",
+                     f"{proved_share:.1%}"))
+        metrics[f"jobs{jobs}_domains_per_second"] = round(rate, 1)
+        metrics[f"jobs{jobs}_chunks"] = stats.chunks_done
+    print_table(f"IDN-dense scan: {serial[0].lines_done:,} lines, "
+                f"{idn_lines:,} xn-- names ({junk} undecodable)",
+                rows, headers=("workers", "throughput", "chunks", "kernel-proved"))
+    record_bench("scan_idn", metrics)

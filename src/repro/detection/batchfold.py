@@ -67,6 +67,7 @@ import numpy as np
 
 from ..durable import atomic_write
 from ..homoglyph.invisible import _MARK_CATEGORIES, InvisibleTable
+from ..idn.punycode import decode_batch
 from .skeleton import CharacterClasses
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
@@ -78,6 +79,7 @@ __all__ = [
     "FAST_DOMAIN_RE",
     "MAX_FAST_DOMAIN",
     "MIN_KERNEL_BATCH",
+    "MIN_IDN_DECODE_BATCH",
     "FoldTable",
     "BatchFoldKernel",
     "fold_table_for",
@@ -104,22 +106,33 @@ _UNSAFE_CODES = (0x03A3, *range(0xD800, 0xE000))
 
 #: Domains the batch path can parse without :class:`~repro.idn.domain
 #: .DomainName`: at least two lowercase LDH labels, each obeying the
-#: hyphen rules (no leading/trailing hyphen, no ``--`` in positions 3-4 —
-#: which also excludes every ``xn--`` label, so a fast-parsed domain is
-#: never an IDN) and the 63-octet cap; anything else takes the scalar
-#: parse.  Matches exactly the inputs for which ``DomainName(text).ascii
-#: == text`` with ``registrable_unicode == labels[-2]``.  This regex is
-#: the executable *oracle*; :meth:`BatchFoldKernel.domain_certain_miss`
-#: implements the same predicate with numpy passes and the property suite
-#: asserts they agree.
+#: hyphen rules (no leading/trailing hyphen, no ``--`` in positions 3-4)
+#: and the 63-octet cap — except that the registrable (second-to-last)
+#: label may be a lowercase ``xn--`` A-label, whose payload the batch
+#: decoder then decodes.  An ``xn--`` TLD or subdomain label, or an
+#: uppercase ``XN--``, takes the scalar parse.  A match that is not an
+#: IDN has ``DomainName(text).ascii == text`` with ``registrable_unicode
+#: == labels[-2]``; an IDN match has the same ``ascii`` whenever its
+#: payload decodes, and ``registrable_unicode`` is that decode.  This
+#: regex is the executable *oracle*; :meth:`BatchFoldKernel.domain_misses`
+#: implements the same predicate with numpy passes and the property
+#: suite asserts they agree.
 _FAST_LABEL = r"(?!-)(?![a-z0-9_-]{2}--)[a-z0-9_-]{1,63}(?<!-)"
-FAST_DOMAIN_RE = re.compile(rf"{_FAST_LABEL}(?:\.{_FAST_LABEL})+")
+_FAST_ALABEL = r"xn--[a-z0-9_-]{1,59}(?<!-)"
+FAST_DOMAIN_RE = re.compile(
+    rf"(?:{_FAST_LABEL}\.)*(?:{_FAST_LABEL}|{_FAST_ALABEL})\.{_FAST_LABEL}")
 
 MAX_FAST_DOMAIN = 253
 
 #: Below this many inputs the kernel's fixed costs beat its savings, so
 #: :meth:`~.shamfinder.ShamFinder.join_batch` runs the scalar loop.
 MIN_KERNEL_BATCH = 8
+
+#: Fewest eligible IDN rows for which :meth:`BatchFoldKernel.domain_misses`
+#: runs the batch Punycode decoder; smaller batches parse their IDNs one
+#: :class:`~repro.idn.domain.DomainName` at a time, which is cheaper there
+#: (the decoder's cost is mostly per lockstep digit, not per row).
+MIN_IDN_DECODE_BATCH = 256
 
 #: Per-ASCII-code lookup of the fast-parse label alphabet ``[a-z0-9_-]``.
 _LDH_LOOKUP = np.zeros(128, dtype=bool)
@@ -580,25 +593,43 @@ class BatchFoldKernel:
         *,
         invisible_table: InvisibleTable | None = None,
     ) -> np.ndarray:
-        """Certain-miss mask over whole domain strings, fully vectorized.
+        """The mask of :meth:`domain_misses`."""
+        return self.domain_misses(texts, invisible_table=invisible_table)[0]
 
-        True at position *i* exactly when ``texts[i]`` is fast-parseable
-        (:data:`FAST_DOMAIN_RE`: lowercase LDH labels, never an IDN) *and*
-        its registrable label is a certain miss — i.e. the scalar
-        ``query`` is guaranteed to return an empty, error-free verdict
-        whose canonical forms equal the input.  Everything else (IDNs,
-        uppercase, junk, bucket hits) gets False and must run scalar.
+    def domain_misses(
+        self,
+        texts: Sequence[str],
+        *,
+        invisible_table: InvisibleTable | None = None,
+    ) -> tuple[np.ndarray, dict[int, str]]:
+        """Certain misses among whole domain strings, fully vectorized.
+
+        Returns ``(mask, idn_labels)``.  ``mask[i]`` is True exactly when
+        ``texts[i]`` is fast-parseable (:data:`FAST_DOMAIN_RE`) *and* its
+        registrable label is a certain miss — i.e. the scalar ``query`` is
+        guaranteed to return an empty, error-free verdict whose ASCII form
+        equals the input.  For a non-IDN that verdict's Unicode form is
+        the input too; for an IDN ``idn_labels[i]`` holds the decoded
+        registrable U-label, the one piece of the verdict the input does
+        not spell.  Everything else (bad A-labels, uppercase, junk, bucket
+        hits) gets False and must run scalar.
 
         One concatenated code point pass replaces 20k regex matches and
         string slices: domain/label boundaries come from separator
         positions, per-label shape checks and the per-domain aggregation
         are ``reduceat`` calls, and the registrable labels are gathered
-        into a packed segment array fed straight to the hash join.
+        into a packed segment array fed straight to the hash join.  IDN
+        payloads are decoded together by
+        :func:`~repro.idn.punycode.decode_batch` — only when at least
+        :data:`MIN_IDN_DECODE_BATCH` rows have one, otherwise those rows
+        get False — and their labels go to the hash join in a call of
+        their own, so an ASCII batch keeps the dense ASCII lookups.
         """
         count = len(texts)
         out = np.zeros(count, dtype=bool)
+        idn_labels: dict[int, str] = {}
         if count == 0:
-            return out
+            return out, idn_labels
         blob = "\n".join(texts) + "\n"     # sentinel: every domain ends in \n
         codes = np.frombuffer(blob.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         is_newline = codes == 0x0A
@@ -639,35 +670,71 @@ class BatchFoldKernel:
         label_ok &= codes[label_starts] != hyphen
         label_ok &= codes[np.maximum(separator_pos - 1, 0)] != hyphen
         long_enough = label_lengths >= 4
-        label_ok &= ~(
-            long_enough
-            & (codes[np.where(long_enough, label_starts + 2, 0)] == hyphen)
-            & (codes[np.where(long_enough, label_starts + 3, 0)] == hyphen)
-        )
+        dashes = (long_enough
+                  & (codes[np.where(long_enough, label_starts + 2, 0)] == hyphen)
+                  & (codes[np.where(long_enough, label_starts + 3, 0)] == hyphen))
 
         first_label = np.searchsorted(label_starts, domain_starts)
         label_counts = np.diff(np.append(first_label, label_starts.size))
+        # "--" in positions 3-4 passes only on an "xn--" registrable label
+        # (never a TLD: that is the last label), and only in a batch with
+        # enough of them to be worth decoding.
+        ace = None
+        if dashes.any():
+            ace = (dashes & (codes[np.where(dashes, label_starts, 0)] == ord("x"))
+                   & (codes[np.where(dashes, label_starts + 1, 0)] == ord("n")))
+            several = label_counts >= 2
+            registrable = (first_label + label_counts - 2)[several]
+            registrable = registrable[ace[registrable]]
+            if registrable.size >= MIN_IDN_DECODE_BATCH:
+                dashes[registrable] = False
+            else:
+                ace = None
+        label_ok &= ~dashes
         all_labels_ok = np.logical_and.reduceat(label_ok, first_label)
 
         eligible = (all_labels_ok & ~domain_char_bad & (label_counts >= 2)
                     & (domain_lengths <= MAX_FAST_DOMAIN))
         chosen = np.flatnonzero(eligible)
         if chosen.size == 0:
-            return out
+            return out, idn_labels
+        registrable = first_label[chosen] + label_counts[chosen] - 2
+        if ace is not None:
+            is_idn = ace[registrable]
+            rows, labels = chosen[is_idn], registrable[is_idn]
+            chosen, registrable = chosen[~is_idn], registrable[~is_idn]
+            if rows.size >= MIN_IDN_DECODE_BATCH:
+                decoded, decoded_starts, decoded_lengths, decodable = decode_batch(
+                    *_gather(codes, label_starts[labels] + 4, label_lengths[labels] - 4))
+                miss = decodable & self._codes_certain_miss(
+                    decoded, decoded_starts, decoded_lengths, invisible_table)
+                out[rows] = miss
+                text = decoded.astype("<u4").tobytes().decode("utf-32-le")
+                for row, start, length in zip(rows[miss].tolist(),
+                                              decoded_starts[miss].tolist(),
+                                              decoded_lengths[miss].tolist()):
+                    idn_labels[row] = text[start:start + length]
 
         # Gather the registrable (second-to-last) labels into one packed
         # segment array and reuse the label-level kernel on it.
-        registrable = first_label[chosen] + label_counts[chosen] - 2
-        source_starts = label_starts[registrable]
-        packed_lengths = label_lengths[registrable]
-        packed_starts = np.zeros(chosen.size, dtype=np.int64)
-        if chosen.size > 1:
-            np.cumsum(packed_lengths[:-1], out=packed_starts[1:])
-        gather = np.arange(int(packed_lengths.sum()), dtype=np.int64)
-        gather += np.repeat(source_starts - packed_starts, packed_lengths)
-        out[chosen] = self._codes_certain_miss(
-            codes[gather], packed_starts, packed_lengths, invisible_table)
-        return out
+        if chosen.size:
+            packed, packed_starts, packed_lengths = _gather(
+                codes, label_starts[registrable], label_lengths[registrable])
+            out[chosen] = self._codes_certain_miss(
+                packed, packed_starts, packed_lengths, invisible_table)
+        return out, idn_labels
+
+
+def _gather(codes: np.ndarray, starts: np.ndarray,
+            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``codes[starts[i]:starts[i] + lengths[i]]`` spans packed end to
+    end: ``(packed, packed_starts, lengths)``."""
+    packed_starts = np.zeros(lengths.size, dtype=np.int64)
+    if lengths.size > 1:
+        np.cumsum(lengths[:-1], out=packed_starts[1:])
+    gather = np.arange(int(lengths.sum()), dtype=np.int64)
+    gather += np.repeat(starts - packed_starts, lengths)
+    return codes[gather], packed_starts, lengths
 
 
 #: Kernel registry keyed by ``id(prepared)`` with a weakref guard: the

@@ -84,9 +84,8 @@ class QueryVerdict:
 
 
 def _fast_miss_verdict(text: str) -> QueryVerdict:
-    """Exactly what :meth:`OnlineDetector.query` returns for a fast-parse
-    domain with no matches: canonical forms equal the input, no detections,
-    no revert.
+    """Exactly what :meth:`OnlineDetector.query` returns for a non-IDN
+    fast miss: canonical forms equal the input, no detections, no revert.
 
     Built by writing the three non-default fields straight into the
     instance dict — the dataclass machinery (seven ``object.__setattr__``
@@ -250,21 +249,19 @@ class OnlineDetector:
                 if outcome is None:
                     verdicts.append(_fast_miss_verdict(text))
                     continue
+                if isinstance(outcome, str):
+                    verdicts.append(self._idn_miss_verdict(text, outcome))
+                    continue
                 name, label, matches, error = outcome
                 if error is not None:
                     errors += 1
                     verdicts.append(QueryVerdict(domain=text, error=str(error)))
                     continue
                 is_idn = name.has_idn_registrable_label
-                revert = None
-                if self.include_revert and is_idn:
-                    original = self.finder.reverter.best_original(label)
-                    if original is not None and original != label:
-                        revert = f"{original}.{name.tld}"
                 verdicts.append(QueryVerdict(
                     domain=text, ascii=name.ascii, unicode=name.unicode, is_idn=is_idn,
                     detections=tuple(self.finder.detections_for(name, matches)),
-                    revert=revert,
+                    revert=self._revert(label, name.tld) if is_idn else None,
                 ))
             with self._stats.lock:
                 self._stats.queries += len(items)
@@ -275,6 +272,27 @@ class OnlineDetector:
                 self._inflight -= len(items)
                 if self._inflight == 0:
                     self._idle.notify_all()
+
+    def _revert(self, label: str, tld: str) -> str | None:
+        """The Section 6.4 revert target of an IDN's registrable *label*,
+        when the detector inlines one."""
+        if not self.include_revert:
+            return None
+        original = self.finder.reverter.best_original(label)
+        if original is None or original == label:
+            return None
+        return f"{original}.{tld}"
+
+    def _idn_miss_verdict(self, text: str, label: str) -> QueryVerdict:
+        """The verdict of an IDN fast miss: *text* is its ASCII form and
+        *label* its decoded registrable U-label, which replaces the
+        registrable A-label in the Unicode form."""
+        head, _, tld = text.rpartition(".")
+        subdomains, dot, _alabel = head.rpartition(".")
+        return QueryVerdict(
+            domain=text, ascii=text, unicode=f"{subdomains}{dot}{label}.{tld}",
+            is_idn=True, revert=self._revert(label, tld),
+        )
 
     # -- the per-label join cache -------------------------------------------
 

@@ -295,7 +295,7 @@ class ShamFinder:
         idn_count = 0
         skipped = 0
         for outcome in self.join_batch(idns, prepared, lambda label: self.join_label(label, prepared)):
-            if outcome is None:
+            if not isinstance(outcome, tuple):
                 idn_count += 1
                 continue
             name, _label, matches, error = outcome
@@ -313,18 +313,19 @@ class ShamFinder:
         join: Callable[[str], LabelMatches],
         *,
         cache_dir=None,
-    ) -> list[tuple | None]:
+    ) -> list[tuple | str | None]:
         """Step III's batch front-end: one outcome per input, in order.
 
         Both :meth:`detect_prepared` (``scan``, ``track``, the Section 5
         study) and ``OnlineDetector.query_many`` (``query``, ``serve``)
-        reach the skeleton join only through here.  An outcome is
-        ``None`` for a fast miss — its canonical forms equal ``str(item)``,
-        it is never an IDN and it has no match — and otherwise
-        ``(name, label, matches, error)``: ``error`` is set, and ``name``
-        and ``label`` are ``None``, when the input is not a domain name.
-        A parsed name always has its ``label``: construction already
-        decoded it.
+        reach the skeleton join only through here.  A *fast miss* has no
+        match and an ASCII form equal to ``str(item)``; its outcome is
+        ``None`` when it is not an IDN (its Unicode form is ``str(item)``
+        too) and its decoded registrable U-label when it is one.  Any
+        other outcome is ``(name, label, matches, error)``: ``error`` is
+        set, and ``name`` and ``label`` are ``None``, when the input is
+        not a domain name.  A parsed name always has its ``label``:
+        construction already decoded it.
 
         From :data:`~.batchfold.MIN_KERNEL_BATCH` inputs up, the
         domain-level kernel pass finds the fast misses among the raw
@@ -337,14 +338,16 @@ class ShamFinder:
         the kernel's fold-table sidecar lives.
         """
         items = items if isinstance(items, list) else list(items)
-        outcomes: list[tuple | None] = [None] * len(items)
+        outcomes: list[tuple | str | None] = [None] * len(items)
         kernel = None
         pending = range(len(items))
         if len(items) >= MIN_KERNEL_BATCH:
             kernel = kernel_for(self.matcher, prepared, cache_dir=cache_dir)
-            fast = kernel.domain_certain_miss(
+            fast, idn_labels = kernel.domain_misses(
                 list(map(str, items)), invisible_table=self.invisible_table)
             pending = np.flatnonzero(~fast).tolist()
+            for position, label in idn_labels.items():
+                outcomes[position] = label
 
         parsed: list[tuple[int, DomainName, str]] = []
         for position in pending:

@@ -22,6 +22,7 @@ checkpoint; the recovery matrix is tabulated in ``docs/OPERATIONS.md``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -69,24 +70,56 @@ def atomic_write(path: str | os.PathLike, data: bytes | Iterable[bytes]) -> None
 # -- versioned JSON checkpoints ------------------------------------------------
 
 
-def _conforms(value: Any, hint: Any) -> bool:
-    """True when a JSON-decoded *value* matches the type annotation *hint*."""
+#: The types ``json.loads`` gives a scalar; conformance to one of them is an
+#: exact type test, which also keeps ``True`` from passing as an ``int``.
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+@functools.cache
+def _checker(hint: Any) -> Callable[[Any], bool]:
+    """Predicate: does a JSON-decoded value match the type annotation *hint*?
+
+    Resolved once per hint, so a walk over a large field never inspects
+    the annotation per element.
+    """
     origin = typing.get_origin(hint)
     if origin in (types.UnionType, typing.Union):
-        return any(_conforms(value, arm) for arm in typing.get_args(hint))
+        arms = tuple(_checker(arm) for arm in typing.get_args(hint))
+        return lambda value: any(arm(value) for arm in arms)
     if origin is dict:
         key_hint, value_hint = typing.get_args(hint)
-        return isinstance(value, dict) and all(
-            _conforms(k, key_hint) and _conforms(v, value_hint) for k, v in value.items()
-        )
+        keys_ok, values_ok = _all_checker(key_hint), _all_checker(value_hint)
+        return lambda value: (isinstance(value, dict) and keys_ok(value.keys())
+                              and values_ok(value.values()))
     if origin is list:
         (item_hint,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_conforms(item, item_hint) for item in value)
-    if hint is type(None):
-        return value is None
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
+        items_ok = _all_checker(item_hint)
+        return lambda value: isinstance(value, list) and items_ok(value)
+    if hint in _JSON_SCALARS:
+        return lambda value: type(value) is hint
+    return lambda value: isinstance(value, hint)
+
+
+@functools.cache
+def _all_checker(hint: Any) -> Callable[[Iterable[Any]], bool]:
+    """Predicate: does every value of an iterable match *hint*?
+
+    Scalars, and lists of them, are checked with C-level
+    ``set(map(type, ...))`` passes rather than one call per element.
+    """
+    if hint in _JSON_SCALARS:
+        return lambda values: set(map(type, values)) <= {hint}
+    if typing.get_origin(hint) is list:
+        (item_hint,) = typing.get_args(hint)
+        items_ok = _all_checker(item_hint)
+
+        def lists_ok(values: Iterable[Any]) -> bool:
+            values = list(values)
+            return (set(map(type, values)) <= {list}
+                    and items_ok(itertools.chain.from_iterable(values)))
+        return lists_ok
+    check = _checker(hint)
+    return lambda values: all(map(check, values))
 
 
 @functools.cache
@@ -135,7 +168,7 @@ class Checkpoint:
             return None
         hints = _field_hints(cls)
         for name, value in payload.items():
-            if name not in hints or not _conforms(value, hints[name]):
+            if name not in hints or not _checker(hints[name])(value):
                 return None
         try:
             return cls(**payload)

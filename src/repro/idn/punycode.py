@@ -10,7 +10,10 @@ uses as a cross-check.
 
 from __future__ import annotations
 
-__all__ = ["encode", "decode", "PunycodeError", "MAX_DECODE_LENGTH"]
+import numpy as np
+
+__all__ = ["encode", "decode", "decode_batch", "PunycodeError", "MAX_DECODE_LENGTH",
+           "MAX_BATCH_PAYLOAD"]
 
 # Bootstring parameters for Punycode (RFC 3492 section 5).
 _BASE = 36
@@ -30,6 +33,21 @@ _DIGIT_VALUES = {
     for digits in ("abcdefghijklmnopqrstuvwxyz0123456789", "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
     for value, ch in enumerate(digits)
 }
+
+#: Digit value of every ASCII code point for :func:`decode_batch` (-1: not a digit).
+_DIGIT_TABLE = np.full(0x80, -1, dtype=np.int64)
+_DIGIT_TABLE[list(map(ord, _DIGIT_VALUES))] = list(_DIGIT_VALUES.values())
+
+#: ``_adapt``'s loop as a table: a delta below ``_ADAPT_STEPS[j]`` but not
+#: below ``_ADAPT_STEPS[j - 1]`` is divided by ``_ADAPT_DIVISORS[j]``, and
+#: ``j`` base steps are added to the bias.  The last entry exceeds any
+#: delta a 59-digit payload can reach.
+_ADAPT_DIVISORS = (_BASE - _TMIN) ** np.arange(10, dtype=np.int64)
+_ADAPT_STEPS = (_ADAPT_LIMIT + 1) * _ADAPT_DIVISORS
+
+#: Longest payload :func:`decode_batch` decodes: a 63-octet A-label less
+#: its ``xn--`` prefix.  Longer rows are flagged.
+MAX_BATCH_PAYLOAD = 59
 
 #: Default input-length cap for :func:`decode`.  Decoding is quadratic in
 #: the number of deltas (every delta is an ``insert`` into the output), so a
@@ -200,3 +218,132 @@ def decode(text: str, *, max_length: int | None = MAX_DECODE_LENGTH) -> str:
         index += 1
 
     return "".join(output)
+
+
+def decode_batch(
+    codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode many Punycode strings at once: the vectorized :func:`decode`.
+
+    The inputs are packed code points: row *r* is
+    ``codes[starts[r]:starts[r] + lengths[r]]``.  Returns ``(codes,
+    starts, lengths, ok)`` of the decoded rows, packed the same way.
+    Where ``ok[r]`` is True, row *r* is exactly what :func:`decode`
+    returns for it.  Where it is False the row is empty and *flagged*:
+    :func:`decode` raises for it, its decode is pure ASCII (the extended
+    part is empty, which no A-label allows), or it is longer than
+    :data:`MAX_BATCH_PAYLOAD`.
+
+    Bootstring is sequential within a string, so the rows advance in
+    lockstep instead: step *t* reads the *t*-th extended digit of every
+    row that has one, with the rows sorted longest-first so that the live
+    rows are always a prefix of the state arrays.  Each finished delta is
+    recorded as an ``(index, code point)`` insertion, and the insertions
+    are replayed afterwards into one fixed-width buffer per row.
+    """
+    rows = len(lengths)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    row_of = np.repeat(np.arange(rows), lengths)
+    offset = np.arange(codes.size, dtype=np.int64) - np.repeat(starts, lengths)
+
+    # The delimiter is the last "-": the basic part precedes it, the
+    # extended part follows it (all of the row when there is none).
+    last_hyphen = np.full(rows, -1, dtype=np.int64)
+    nonempty = lengths > 0
+    if codes.size:
+        last_hyphen[nonempty] = np.maximum.reduceat(
+            np.where(codes == 0x2D, offset, -1), starts[nonempty])
+    basic_len = np.maximum(last_hyphen, 0)
+    extended_from = last_hyphen + 1
+    extended_len = lengths - extended_from
+    digit = _DIGIT_TABLE[np.minimum(codes, 0x7F)]
+    in_extended = offset >= extended_from[row_of]
+    junk = (codes < 0x20) | (codes >= 0x80) | (in_extended & (digit < 0))
+    ok = ((extended_len > 0) & (lengths <= MAX_BATCH_PAYLOAD)
+          & (np.bincount(row_of[junk], minlength=rows) == 0))
+
+    live = np.flatnonzero(ok)
+    live = live[np.argsort(-extended_len[live], kind="stable")]
+    count = live.size
+    rank = np.zeros(rows, dtype=np.int64)
+    rank[live] = np.arange(count)
+    steps = int(extended_len[live[0]]) if count else 0
+    digits = np.zeros((steps, count), dtype=np.int64)
+    take = in_extended & ok[row_of]
+    digits[(offset - extended_from[row_of])[take], rank[row_of[take]]] = digit[take]
+
+    # Decoder state per live row (RFC 3492 section 6.2), with k - bias
+    # kept as one number.  Only the weight is saturated, which keeps the
+    # index far inside int64 even on a flagged row.  The RFC's overflow
+    # tests need no pass of their own here: a delta whose index passes
+    # maxint inserts a code point past 0x10FFFF (the output holds at most
+    # 59 code points), and so does one whose weight passes maxint, which
+    # takes six digits after which the index exceeds maxint / 35 — unless
+    # 55 code points precede it, more than 59 characters can hold with
+    # those digits.  Code points past 0x10FFFF, and surrogates, are found
+    # in one pass at the end; a truncated row ends with a weight above 1.
+    index = np.zeros(count, dtype=np.int64)
+    old_index = np.zeros(count, dtype=np.int64)
+    weight = np.ones(count, dtype=np.int64)
+    k_less_bias = np.full(count, _BASE - _INITIAL_BIAS, dtype=np.int64)
+    n = np.full(count, _INITIAL_N, dtype=np.int64)
+    size = basic_len[live].copy()
+    inserted_at = np.zeros((count, steps), dtype=np.int64)
+    inserted = np.zeros((count, steps), dtype=np.int64)
+    insertions = np.zeros(count, dtype=np.int64)
+    descending = -extended_len[live]
+    for step in range(steps):
+        a = int(np.searchsorted(descending, -step, side="left"))
+        d = digits[step, :a]
+        w = weight[:a]
+        i = index[:a] + d * w
+        threshold = np.minimum(np.maximum(k_less_bias[:a], _TMIN), _TMAX)
+        done = d < threshold
+        new_size = size[:a] + 1
+        step_n, position = np.divmod(i, new_size)
+        old = old_index[:a]
+        # _adapt(i - old, new_size, old == 0), table-driven.
+        delta = (i - old) // np.where(old == 0, _DAMP, 2)
+        delta += delta // new_size
+        divisions = np.searchsorted(_ADAPT_STEPS, delta, side="right")
+        delta //= _ADAPT_DIVISORS[divisions]
+        new_bias = _BASE * divisions + ((_BASE - _TMIN + 1) * delta) // (delta + _SKEW)
+        new_n = n[:a] + step_n
+        finished = np.flatnonzero(done)
+        slot = insertions[finished]
+        inserted_at[finished, slot] = position[finished]
+        inserted[finished, slot] = new_n[finished]
+        insertions[finished] = slot + 1
+        position += 1
+        index[:a] = np.where(done, position, i)
+        old_index[:a] = np.where(done, position, old)
+        weight[:a] = np.where(done, 1, np.minimum(w * (_BASE - threshold), _MAXINT + 1))
+        k_less_bias[:a] = np.where(done, _BASE - new_bias, k_less_bias[:a] + _BASE)
+        n[:a] = np.where(done, new_n, n[:a])
+        size[:a] += done
+    bad = (weight != 1) | (      # weight != 1: the input ended inside a delta
+        (inserted > 0x10FFFF) | ((inserted >= 0xD800) & (inserted <= 0xDFFF))).any(axis=1)
+    # Replay: basic code points first, then every insertion in order.
+    width = int(size.max()) if count else 0
+    buffer = np.zeros((count, width), dtype=np.uint32)
+    basic = ok[row_of] & (offset < basic_len[row_of])
+    buffer[rank[row_of[basic]], offset[basic]] = codes[basic]
+    columns = np.arange(width)
+    for event in range(int(insertions.max()) if count else 0):
+        has = np.flatnonzero(insertions > event)
+        at = inserted_at[has, event]
+        rows_buffer = buffer[has]
+        shift = columns[1:] > at[:, None]
+        rows_buffer[:, 1:] = np.where(shift, rows_buffer[:, :-1], rows_buffer[:, 1:])
+        rows_buffer[np.arange(has.size), at] = inserted[has, event]
+        buffer[has] = rows_buffer
+
+    ok[live[bad]] = False
+    out_lengths = np.zeros(rows, dtype=np.int64)
+    out_lengths[live] = np.where(bad, 0, size)
+    ordered = rank[np.flatnonzero(out_lengths)]
+    out_codes = buffer[ordered][columns < out_lengths[out_lengths > 0][:, None]]
+    out_starts = np.zeros(rows, dtype=np.int64)
+    np.cumsum(out_lengths[:-1], out=out_starts[1:])
+    return out_codes, out_starts, out_lengths, ok

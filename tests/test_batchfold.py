@@ -13,16 +13,20 @@ the domain-level fast-parse is pinned against its executable regex oracle
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.detection import batchfold
 from repro.detection.algorithm import fold_label
 from repro.detection.batchfold import (
     FAST_DOMAIN_RE,
     MAX_FAST_DOMAIN,
+    MIN_IDN_DECODE_BATCH,
     MIN_KERNEL_BATCH,
     BatchFoldKernel,
     FoldTable,
@@ -34,7 +38,8 @@ from repro.detection.shamfinder import ShamFinder
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.homoglyph.invisible import default_invisible_table
 from repro.idn.domain import DomainName
-from repro.idn.idna_codec import to_ascii_label
+from repro.idn.idna_codec import IDNAError, to_ascii_label
+from repro.idn.punycode import encode
 
 REFERENCES = ["google.com", "amazon.com", "paypal.com", "secure-login.com"]
 
@@ -141,33 +146,119 @@ def test_invisible_risk_suppresses_certain_miss(invisible_finder, batch):
 
 # -- domain-level fast parse vs. the regex oracle -----------------------------
 
+
+@contextmanager
+def _decoding_every_idn():
+    """Run the batch Punycode decoder however few IDN rows a batch has."""
+    with mock.patch.object(batchfold, "MIN_IDN_DECODE_BATCH", 1):
+        yield
+
+
+def _expected_domain_miss(kernel, text, invisible_table=None):
+    """The oracle: ``(certain miss?, decoded label of an IDN miss)``.
+
+    Eligibility is FAST_DOMAIN_RE plus the length cap; an eligible IDN
+    must also parse, and an eligible name is a miss exactly when its
+    registrable U-label is a certain miss at label level.
+    """
+    if len(text) > MAX_FAST_DOMAIN or FAST_DOMAIN_RE.fullmatch(text) is None:
+        return False, None
+    registrable = text.rsplit(".", 2)[-2]
+    label = None
+    if registrable.startswith("xn--"):
+        try:
+            registrable = label = DomainName(text).registrable_unicode
+        except IDNAError:
+            return False, None
+    miss = bool(kernel.certain_miss_mask([registrable], invisible_table=invisible_table)[0])
+    return miss, label if miss else None
+
+
+def _assert_domain_pass_matches_oracle(kernel, matcher, prepared, batch, invisible_table=None):
+    with _decoding_every_idn():
+        got, idn_labels = kernel.domain_misses(batch, invisible_table=invisible_table)
+    assert got.shape == (len(batch),)
+    expected_labels = {}
+    for position, text in enumerate(batch):
+        miss, label = _expected_domain_miss(kernel, text, invisible_table)
+        assert got[position] == miss, text
+        if label is not None:
+            expected_labels[position] = label
+    assert idn_labels == expected_labels
+    for position, label in idn_labels.items():
+        # What an IDN fast miss is taken to be without parsing it.
+        name = DomainName(batch[position])
+        assert name.ascii == batch[position] and name.has_idn_registrable_label
+        assert name.registrable_unicode == label
+        assert list(matcher.match_with_skeleton_index(label, prepared.index)) == []
+
+
 _DOMAIN_ALPHABET = st.sampled_from(list("gole.amzn-_оа​ΣAZ%/\n09x"))
 domains = st.text(alphabet=_DOMAIN_ALPHABET, min_size=0, max_size=40)
 
+#: Names whose registrable label is an A-label or looks like one: valid
+#: encodings (homoglyph twins of the references, which bucket-hit, and
+#: other labels, which miss), arbitrary payloads (bad digits, truncated
+#: or overflowing deltas, empty extended parts), under subdomains, plain
+#: and ``xn--`` TLDs, some upper-cased.
+_ALABELS = st.one_of(
+    st.text(alphabet=st.sampled_from(list("gogleamazonоаеіüß日​-")), min_size=1, max_size=20)
+    .filter(lambda label: not label.isascii()).map(lambda label: "xn--" + encode(label)),
+    st.text(alphabet="abcz09_-", min_size=0, max_size=61).map(lambda payload: "xn--" + payload),
+)
+idn_domains = st.builds(
+    lambda subdomain, alabel, tld, upper: (
+        (subdomain + alabel + "." + tld).upper() if upper else subdomain + alabel + "." + tld),
+    st.sampled_from(["", "www.", "a.b.", "xn--p1ai.", "-x."]),
+    _ALABELS,
+    st.sampled_from(["com", "net", "xn--p1ai", "a--b", "C"]),
+    st.booleans(),
+)
+_IDN_EXAMPLES = [
+    "xn--bcher-kva.de", "www.xn--bcher-kva.de", "xn--bcher-kva.xn--p1ai", "XN--BCHER-KVA.de",
+    "xn--Bcher-kva.de", "xn--bcher-kva.com.", "xn--abc-.com", "xn--.com", "xn--w.com",
+    "xn--jv09t.com", "xn--2u0c.com", "xn--99999999.com", "xn--bcher-kva_.com",
+    "xn--" + "a" * 55 + "-8yf.com", "xn--" + "a" * 56 + "-t2f.com",
+    "xn--bcher-kva.xn--bcher-kva.com", to_ascii_label("gооgle") + ".com",
+]
+
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(domains, min_size=0, max_size=12))
+@given(st.lists(domains | idn_domains, min_size=0, max_size=12))
 @example(["google.com", "gооgle.com", "xn--ggle-55da.com", "UPPER.com"])
 @example(["", ".", "..", "a.", ".a", "a..b", "-a.com", "a-.com", "ab--cd.com"])
 @example(["a\nb.com", "\n", "x" * 64 + ".com", ("a" * 49 + ".") * 5 + "com"])
 @example(["www.go_gle.com", "sub.dom.google.com", "a.b"])
-def test_domain_certain_miss_matches_oracle(kernel, batch):
-    """Eligibility == FAST_DOMAIN_RE fullmatch + length cap; eligible
-    domains get exactly the registrable label's certain-miss verdict."""
-    got = kernel.domain_certain_miss(batch)
-    for text, certain in zip(batch, got):
-        eligible = (len(text) <= MAX_FAST_DOMAIN
-                    and FAST_DOMAIN_RE.fullmatch(text) is not None)
-        if not eligible:
-            assert not certain
-        else:
-            registrable = text.rsplit(".", 2)[-2]
-            expected = kernel.certain_miss_mask([registrable])[0]
-            assert certain == expected
+@example(_IDN_EXAMPLES)
+def test_domain_certain_miss_matches_oracle(kernel, small_finder, prepared, batch):
+    """Eligibility == FAST_DOMAIN_RE fullmatch + length cap (and, for an
+    IDN, a payload that decodes); eligible domains get exactly the
+    registrable U-label's certain-miss verdict, and an IDN miss carries
+    the label the scalar parse decodes."""
+    _assert_domain_pass_matches_oracle(kernel, small_finder.matcher, prepared, batch)
 
 
-# Labels drawn so the hyphen rules (edges, positions 3-4) and underscores
-# come up often; the filter keeps exactly the oracle's domains.
+def test_idn_decode_waits_for_a_full_batch(kernel):
+    """Below MIN_IDN_DECODE_BATCH eligible IDN rows, IDNs are left to the
+    scalar parse; from there on they are decoded.  ``domain_certain_miss``
+    is the mask of ``domain_misses`` either way."""
+    plain = [f"benign{i}.com" for i in range(4)]
+    idns = ["xn--" + encode(f"bénin{i}") + ".com" for i in range(MIN_IDN_DECODE_BATCH)]
+    # The last name has an A-label in the registrable position but is not
+    # eligible (uppercase TLD), so only MIN_IDN_DECODE_BATCH - 1 rows are.
+    few = plain + idns[:-1] + [idns[-1].replace(".com", ".COM")]
+    mask, labels = kernel.domain_misses(few)
+    assert mask[:4].all() and not mask[4:].any() and labels == {}
+    assert np.array_equal(kernel.domain_certain_miss(few), mask)
+    full = plain + idns
+    mask, labels = kernel.domain_misses(full)
+    assert mask.all()
+    assert labels == {4 + i: f"bénin{i}" for i in range(MIN_IDN_DECODE_BATCH)}
+    assert np.array_equal(kernel.domain_certain_miss(full), mask)
+
+
+# Labels drawn so the hyphen rules (edges, positions 3-4), underscores and
+# "xn--" prefixes come up often; the filter keeps exactly the oracle's domains.
 _FAST_ALPHABET = st.sampled_from(list("abnxz09_-"))
 fast_domains = st.lists(
     st.text(alphabet=_FAST_ALPHABET, min_size=1, max_size=63), min_size=2, max_size=6,
@@ -176,16 +267,29 @@ fast_domains = st.lists(
 
 
 @settings(max_examples=500, deadline=None)
-@given(fast_domains)
+@given(fast_domains | st.builds("{}.{}".format, _ALABELS, st.sampled_from(["com", "de"])))
 @example("a.b")
 @example("_dmarc.mail.example.com")
 @example("ab-cd.x_-y.com")
 @example("x" * 63 + "." + "y" * 63 + "." + "z" * 63 + "." + "w" * 61)
+@example("www.xn--bcher-kva.de")
 def test_fast_parse_contract(text):
     """What a fast miss is taken to be without parsing: the front-end
-    counts it as a parsed, non-IDN name whose forms equal the input."""
-    name = DomainName(text)
+    counts it as a parsed name whose ASCII form is the input — a non-IDN
+    whose Unicode form is the input too, or an IDN (when its payload
+    decodes) whose Unicode form swaps in the decoded registrable label."""
+    assume(FAST_DOMAIN_RE.fullmatch(text))
     labels = text.split(".")
+    if labels[-2].startswith("xn--"):
+        try:
+            name = DomainName(text)
+        except IDNAError:
+            return
+        assert name.ascii == text and name.is_idn and name.has_idn_registrable_label
+        assert name.unicode == ".".join([*labels[:-2], name.registrable_unicode, labels[-1]])
+        assert name.tld == labels[-1]
+        return
+    name = DomainName(text)
     assert name.ascii == name.unicode == text
     assert name.registrable_unicode == labels[-2]
     assert name.tld == labels[-1]
@@ -193,23 +297,14 @@ def test_fast_parse_contract(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(domains, min_size=0, max_size=10))
+@given(st.lists(domains | idn_domains, min_size=0, max_size=10))
 @example(["goo​gle.com", "google.com"])
+@example(["xn--" + encode("goo​gle") + ".com", "xn--" + encode("gógle") + ".com"])
 def test_domain_certain_miss_with_invisible_table(invisible_finder, batch):
     prepared = invisible_finder.prepare_references(REFERENCES)
     kernel = kernel_for(invisible_finder.matcher, prepared)
-    table = invisible_finder.invisible_table
-    got = kernel.domain_certain_miss(batch, invisible_table=table)
-    for text, certain in zip(batch, got):
-        eligible = (len(text) <= MAX_FAST_DOMAIN
-                    and FAST_DOMAIN_RE.fullmatch(text) is not None)
-        if eligible:
-            registrable = text.rsplit(".", 2)[-2]
-            expected = kernel.certain_miss_mask(
-                [registrable], invisible_table=table)[0]
-            assert certain == expected
-        else:
-            assert not certain
+    _assert_domain_pass_matches_oracle(kernel, invisible_finder.matcher, prepared, batch,
+                                       invisible_finder.invisible_table)
 
 
 # -- end-to-end equivalence ---------------------------------------------------
@@ -247,6 +342,58 @@ def test_query_many_batch_equals_scalar_loop(small_finder):
     assert any(v.detections for v in batch)
     # The stats counter must advance once per query on both paths.
     assert detector.stats()["queries"] == 2 * len(corpus)
+
+
+def _idn_corpus() -> list[str]:
+    """Enough eligible IDNs for the batch decoder, among the names that
+    must still go scalar: invalid payloads, uppercase, ``xn--`` TLDs and
+    subdomains, homograph twins (bucket hits) and plain ASCII."""
+    corpus = []
+    for i in range(2 * MIN_IDN_DECODE_BATCH):
+        label = [f"bénin{i}", f"ü{i}mazon", f"bоx{i}"][i % 3]   # "bоx" reverts to "box"
+        kind = i % 11
+        if kind == 0:
+            corpus.append(to_ascii_label(["gооgle", "аmazon", "pаypаl"][i % 3]) + ".com")
+        elif kind == 1:
+            corpus.append(f"www.xn--{encode(label)}.com")     # subdomained IDN
+        elif kind == 2:
+            corpus.append(f"xn--{encode(label)}.xn--p1ai")    # xn-- TLD
+        elif kind == 3:
+            corpus.append(f"XN--{encode(label).upper()}.com")  # uppercase
+        elif kind == 4:
+            corpus.append(["xn--abc-.com", "xn--jv09t.com", "xn--w.net", "xn--ab_c.com"][i % 4])
+        elif kind == 5:
+            corpus.append(f"site{i}.com")
+        else:
+            corpus.append(f"xn--{encode(label)}.{'com' if i % 2 else 'net'}")
+    return corpus
+
+
+def test_idn_batch_equals_scalar(small_finder, prepared, detect_per_item):
+    """Above the decode threshold, IDN fast misses keep every verdict and
+    count identical to the per-item scalar path, with and without the
+    inlined revert target."""
+    corpus = _idn_corpus()
+    eligible = [d for d in corpus
+                if FAST_DOMAIN_RE.fullmatch(d) and d.rsplit(".", 2)[-2].startswith("xn--")]
+    assert len(eligible) >= MIN_IDN_DECODE_BATCH
+    outcomes = small_finder.join_batch(
+        corpus, prepared, lambda label: small_finder.join_label(label, prepared))
+    assert sum(isinstance(outcome, str) for outcome in outcomes) >= MIN_IDN_DECODE_BATCH // 2
+
+    batch, batch_count, batch_skipped = small_finder.detect_prepared(corpus, prepared)
+    scalar, scalar_count, scalar_skipped = detect_per_item(small_finder, corpus, prepared)
+    assert (batch_count, batch_skipped) == (scalar_count, scalar_skipped)
+    assert [d.as_dict() for d in batch] == [d.as_dict() for d in scalar]
+    assert batch and batch_skipped
+
+    for include_revert in (False, True):
+        detector = OnlineDetector.from_references(
+            small_finder, REFERENCES, include_revert=include_revert)
+        verdicts = detector.query_many(corpus)
+        assert [v.as_dict() for v in verdicts] == [detector.query(d).as_dict() for d in corpus]
+        assert verdicts == [detector.query(d) for d in corpus]
+    assert any(v.revert for v in verdicts if v.is_idn and not v.detections)
 
 
 def test_query_many_small_batch_skips_kernel(small_finder, prepared, monkeypatch):

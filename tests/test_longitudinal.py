@@ -272,8 +272,11 @@ def test_checkpoint_with_a_wrong_typed_field_reads_as_missing(tmp_path):
                     idn_delegations={GOOGLE: ["ns1.a.net"]}).save(path)
     assert TrackCheckpoint.load(path) is not None
     for field, value in (("events_written", "3"),
+                         ("events_written", True),
                          ("idn_delegations", [[GOOGLE, ["ns1.a.net"]]]),
                          ("idn_delegations", {GOOGLE: "ns1.a.net"}),
+                         ("idn_delegations", {GOOGLE: ["ns1.a.net", 3]}),
+                         ("idn_delegations", {GOOGLE: [["ns1.a.net"]]}),
                          ("last_date", 20190501)):
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload[field] = value

@@ -1,11 +1,13 @@
 """Tests for the RFC 3492 Punycode implementation (cross-checked against the stdlib codec)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles.reference_punycode import decode as reference_decode
 from repro.idn import punycode
+from repro.idn.idna_codec import IDNAError, _decode_alabel
 
 # Sample strings from RFC 3492 section 7.1 and the paper.
 _KNOWN_CASES = [
@@ -224,3 +226,78 @@ def test_decode_errors_match_reference_decoder_messages(text):
     with pytest.raises(punycode.PunycodeError) as reference:
         reference_decode(text, max_length=9)
     assert str(ours.value) == str(reference.value)
+
+
+# -- the batch decoder against the scalar ones ---------------------------------
+
+def _decode_rows(payloads):
+    """``decode_batch`` over *payloads*: each row's decode, or ``None`` when
+    the batch decoder flags it."""
+    lengths = np.array([len(p) for p in payloads], dtype=np.int64)
+    starts = np.zeros(len(payloads), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    codes = np.frombuffer("".join(payloads).encode("utf-32-le"), dtype="<u4")
+    out, out_starts, out_lengths, ok = punycode.decode_batch(codes, starts, lengths)
+    assert out.size == int(out_lengths.sum())
+    text = out.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    return [text[start:start + length] if good else None
+            for start, length, good in zip(out_starts, out_lengths, ok)]
+
+
+_NON_ASCII_LABELS = st.text(
+    alphabet=st.sampled_from(list("abcxyz09-оаеіüßж日本ア́\U0001F600\U0010FFFD")),
+    min_size=1, max_size=30,
+).filter(lambda label: not label.isascii())
+#: Valid payloads: the encodings of non-ASCII labels (some past 59 chars).
+_VALID_PAYLOADS = _NON_ASCII_LABELS.map(punycode.encode)
+_PAYLOADS = st.one_of(
+    _VALID_PAYLOADS,
+    # Truncated deltas: a valid payload with its tail cut.
+    st.tuples(_VALID_PAYLOADS, st.integers(1, 4)).map(lambda pair: pair[0][:-pair[1]]),
+    # A bad digit ("_" is LDH but no digit) spliced into the extended part.
+    st.tuples(_VALID_PAYLOADS, st.integers(0, 60)).map(
+        lambda pair: pair[0] + "_" if pair[1] % 2 else pair[0][:pair[1]] + "_" + pair[0][pair[1]:]),
+    # Digit soup: overflow past 0x7FFFFFFF, code points past 0x10FFFF or
+    # in the surrogate range, truncation.
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_", max_size=62),
+    st.text(alphabet="9z-", max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PAYLOADS, min_size=1, max_size=40))
+@example(["bcher-kva", "abc-", "", "-", "a-", "w", "jv09t", "2u0c", "-9c0c", "99999999",
+          "9" * 59, "a" * 55 + "-8yf", "a" * 56 + "-t2f", "ggle-55da"])
+def test_decode_batch_matches_scalar_decoders(payloads):
+    """Every row is flagged or equals both scalar decodes; a payload the
+    A-label check accepts is never flagged."""
+    for payload, got in zip(payloads, _decode_rows(payloads)):
+        expected = _decode_outcome(punycode.decode, payload)
+        assert expected == _decode_outcome(reference_decode, payload)
+        if got is not None:
+            assert got == expected and not got.isascii(), payload
+        lowered = payload.lower()
+        if lowered == payload and len(payload) <= punycode.MAX_BATCH_PAYLOAD:
+            try:
+                _decode_alabel("xn--" + payload)
+            except IDNAError:
+                continue
+            assert got is not None, payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_NON_ASCII_LABELS, min_size=1, max_size=20), st.booleans())
+def test_decode_batch_round_trips_encoder_output(labels, upper):
+    payloads = [punycode.encode(label) for label in labels]
+    payloads = [p.upper() if upper else p for p in payloads]
+    for label, payload, got in zip(labels, payloads, _decode_rows(payloads)):
+        if len(payload) <= punycode.MAX_BATCH_PAYLOAD:
+            assert got == punycode.decode(payload)
+            assert upper or got == label
+        else:
+            assert got is None
+
+
+def test_decode_batch_of_nothing():
+    assert _decode_rows([]) == []
+    assert _decode_rows([""]) == [None]

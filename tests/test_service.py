@@ -249,14 +249,14 @@ def test_drain_waits_for_a_batch_the_kernel_is_still_proving(detector, monkeypat
     """A batch counts as in flight from entry to return, including while
     the kernel proves fast misses that never reach the scalar join."""
     entered, release = threading.Event(), threading.Event()
-    original = BatchFoldKernel.domain_certain_miss
+    original = BatchFoldKernel.domain_misses
 
     def blocking(self, texts, **kwargs):
         entered.set()
         release.wait(timeout=10)
         return original(self, texts, **kwargs)
 
-    monkeypatch.setattr(BatchFoldKernel, "domain_certain_miss", blocking)
+    monkeypatch.setattr(BatchFoldKernel, "domain_misses", blocking)
     domains = [f"site{i}.com" for i in range(20)]
     results = []
     worker = threading.Thread(target=lambda: results.append(detector.query_many(domains)))
