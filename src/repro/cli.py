@@ -46,7 +46,7 @@ from .detection.index import (
 )
 from .detection.service import OnlineDetector
 from .detection.shamfinder import ShamFinder
-from .detection.stream import ScanResumeError, ScanStats, StreamingScanner
+from .detection.stream import ScanResumeError, ScanStats, ScanWorkerError, StreamingScanner
 from .fonts.hexfont import HexFont
 from .homoglyph.cache import cached_build, resolve_cache
 from .homoglyph.confusables import load_confusables
@@ -814,6 +814,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ScanWorkerError as exc:
+        print(f"error: {exc}; rerun with --resume to continue from the last commit",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,20 +11,23 @@ module streams it instead:
   line) is consumed in fixed-size chunks, so memory stays bounded no matter
   how large the zone is.  A chunk travels as one ``(text, raw_lines)``
   pair: its lines joined by ``"\n"`` and the number of input lines it
-  covers.  A file is read in large blocks and cut with one regex match per
-  chunk, so no per-line object is made before the worker;
+  covers.  A file is read in large blocks and each chunk is cut with a
+  C-level newline count from a guess at its length, so no per-line object
+  is made before the worker;
 * **sharded matching** — chunks are fanned out over worker processes that
   share one :class:`~.shamfinder.PreparedReferences` (case-folded labels +
-  skeleton hash-join index).  Pools come from :mod:`repro.parallel.pool`:
-  fork/forkserver children inherit the prepared state, spawn children
-  rebuild it from a picklable spec (an mmap-backed index re-attaches from
-  its artifact path), so every start method runs parallel;
+  skeleton hash-join index).  The calling thread drives the workers, one
+  pipe each, with a bounded number of chunks in flight.  Fork children
+  inherit the prepared state; spawn and forkserver children rebuild it
+  from a picklable spec (an mmap-backed index re-attaches from its
+  artifact path), so every start method runs parallel.  A worker's
+  exception, failed start-up or death raises in the caller;
 * **JSONL result sink** — each detection is appended as one JSON object
   per line (:meth:`HomographDetection.as_dict`), flushed commit by commit;
 * **checkpoint/resume** — every commit appends the results of one or more
   whole chunks and then atomically rewrites a small checkpoint recording
   how much input was consumed and how many result lines are durable.  One
-  worker commits every chunk; a pool commits every result that is ready
+  worker commits every chunk; several commit every result that is ready
   when the parent gets to it.  A killed scan restarts with
   ``resume=True``: the sink is validated (truncated or corrupt trailing
   lines are dropped and reported), the consumed input is skipped, and
@@ -40,18 +43,27 @@ holds, but counts as one consumed input line.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import os
-import re
+import pickle
+import queue
+import signal
+import threading
 import time
+import traceback
+from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice, repeat
-from multiprocessing import TimeoutError as PoolTimeout
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+
+import numpy as np
 
 from ..durable import Checkpoint, CheckpointedLog, SinkRecovery, json_record, recover_sink
 from ..idn.domain import DomainName
@@ -66,6 +78,7 @@ __all__ = [
     "ScanCheckpoint",
     "SinkRecovery",
     "ScanResumeError",
+    "ScanWorkerError",
     "SinkError",
     "StreamingScanner",
     "recover_sink",
@@ -181,9 +194,9 @@ def file_fingerprint(path: str | os.PathLike) -> str:
     return hasher.hexdigest()[:16]
 
 
-# Worker-side state: the finder and prepared references are shipped once per
-# worker through the pool initializer, not once per chunk.
-_WORKER_STATE: dict = {}
+class ScanWorkerError(RuntimeError):
+    """A scan worker process ended before returning its chunks' results."""
+
 
 #: Spec tag marking a prepared-references value that must be re-attached
 #: from the artifact path instead of arriving ready-made: an mmap-backed
@@ -191,14 +204,25 @@ _WORKER_STATE: dict = {}
 #: be re-opened there (one O(header) open against the shared page cache).
 _MMAP_SPEC = "__mmap_index__"
 
+#: Chunks in flight per worker: one being matched, the rest queued in the
+#: worker.  When the workers fill every CPU, the parent waits to be
+#: scheduled before it can commit and hand out more; a deep queue keeps the
+#: workers busy meanwhile (4 left them idle about half the time on two
+#: vCPUs).  Results that wait for an earlier chunk count as in flight,
+#: which bounds the parent's reorder buffer too.
+_IN_FLIGHT_PER_WORKER = 16
 
-def _attach_prepared(prepared):
+#: Seconds a worker whose pipe closed gets to finish exiting, so its exit
+#: status can be reported.
+_EXIT_WAIT_S = 5.0
+
+
+def _attach_prepared(finder: ShamFinder, prepared):
     """Resolve a worker's prepared-references value (spec or ready state)."""
     if isinstance(prepared, tuple) and len(prepared) == 2 and prepared[0] == _MMAP_SPEC:
         from .index import ReferenceIndexStore
 
         path = Path(prepared[1])
-        finder = _WORKER_STATE["finder"]
         index = ReferenceIndexStore(path.parent).load_path(path, finder)
         if index is None:
             raise RuntimeError(f"scan worker could not attach reference index {path}")
@@ -206,18 +230,63 @@ def _attach_prepared(prepared):
     return prepared
 
 
-def _scan_worker_init(
-    finder: ShamFinder,
-    prepared,
-    idn_only: bool,
-) -> None:
-    _WORKER_STATE["finder"] = finder
-    _WORKER_STATE["args"] = (finder, _attach_prepared(prepared), idn_only)
+class _Failure:
+    """An exception raised in a scan worker, with its traceback as text."""
+
+    def __init__(self, exc: BaseException) -> None:
+        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        try:
+            pickle.loads(pickle.dumps(exc))
+        # lint: allow-broad-except(an exception that does not pickle travels as its traceback text)
+        except Exception:
+            exc = RuntimeError(self.text)
+        self.exc = exc
+
+    def reraise(self) -> NoReturn:
+        raise self.exc from _RemoteTraceback(self.text)
 
 
-def _scan_worker(chunk: tuple[str, int]) -> tuple[list[HomographDetection], int, int, int, int]:
-    finder, prepared, idn_only = _WORKER_STATE["args"]
-    return _process_chunk(finder, prepared, chunk, idn_only)
+class _RemoteTraceback(Exception):
+    def __str__(self) -> str:
+        return "\n\n" + self.args[0]
+
+
+def _receive_chunks(conn, chunks: queue.SimpleQueue) -> None:
+    # ``None`` ends the worker: the parent closed its end or died.
+    try:
+        while True:
+            chunks.put(conn.recv())
+    except (EOFError, OSError):
+        chunks.put(None)
+
+
+def _scan_worker(conn, inherited, finder: ShamFinder, prepared, idn_only: bool) -> None:
+    """A scan worker: match each chunk that arrives on *conn*, reply in order.
+
+    Chunks are received on a thread of their own, so the parent is never
+    blocked sending a chunk while this process is blocked sending a result.
+    *inherited* holds the parent's ends of the pipes a fork child inherits;
+    closing them leaves the parent the only holder, so every worker reads
+    end-of-file when the parent dies.
+    """
+    for end in inherited:
+        end.close()
+    # Ctrl-C reaches the whole process group; the parent stops the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        prepared = _attach_prepared(finder, prepared)
+        chunks: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=_receive_chunks, args=(conn, chunks), daemon=True).start()
+        for chunk in iter(chunks.get, None):
+            reply = _process_chunk(finder, prepared, chunk, idn_only)
+            try:
+                conn.send(reply)
+            except OSError:         # the parent is gone
+                return
+    # lint: allow-broad-except(sent to the parent, which re-raises it)
+    except Exception as exc:
+        with contextlib.suppress(OSError):
+            conn.send(_Failure(exc))
 
 
 def is_idn_candidate(domain: str) -> bool:
@@ -251,24 +320,49 @@ def _registrable_is_ace(lowered: str) -> bool:
     return registrable.strip().startswith(ACE_PREFIX)
 
 
+#: What ``str.strip`` removes from an ASCII line, besides the line break,
+#: and the comment mark: a chunk holding none of these has no padded or
+#: comment line.
+_PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f#"
+
+
+def _plain_line_count(text: str) -> int | None:
+    """The number of lines of ASCII *text* if every one is a domain as it
+    stands (none blank, whitespace-padded or a ``#`` comment), else ``None``.
+
+    C-level scans only: one ``memchr`` per padding character, then the line
+    breaks as a numpy mask.
+    """
+    if any(char in text for char in _PADDING):
+        return None
+    breaks = np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n")
+    if not len(breaks) or breaks[0] or breaks[-1] or (breaks[1:] & breaks[:-1]).any():
+        return None
+    return int(np.count_nonzero(breaks)) + 1
+
+
 def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
     """Step II over one chunk's text: ``(candidates, domains_seen)``.
 
     Blank lines and ``#`` comment lines are dropped; the rest are the
     chunk's domains.  For an all-ASCII chunk (every zone file and CT log)
-    only the lines holding ``xn--`` reach :func:`is_idn_candidate`; a chunk
-    with any non-ASCII character tests every domain, since a
-    Unicode-spelled IDN carries no ``xn--``.
+    only the lines holding ``xn--`` reach :func:`is_idn_candidate`, and
+    when every line is a bare domain the domains are counted without
+    splitting the text; a chunk with any non-ASCII character tests every
+    domain, since a Unicode-spelled IDN carries no ``xn--``.
     """
-    names = list(map(str.strip, text.split("\n")))
-    seen = len(names) - names.count("")
-    if "#" in text:
-        seen -= sum(map(str.startswith, names, repeat("#")))
-    if not idn_only:
-        return [name for name in names if name and not name.startswith("#")], seen
-    if not text.isascii():
-        return [name for name in names
-                if name and not name.startswith("#") and is_idn_candidate(name)], seen
+    ascii_text = text.isascii()
+    seen = _plain_line_count(text) if idn_only and ascii_text else None
+    if seen is None:
+        names = list(map(str.strip, text.split("\n")))
+        seen = len(names) - names.count("")
+        if "#" in text:
+            seen -= sum(map(str.startswith, names, repeat("#")))
+        if not idn_only:
+            return [name for name in names if name and not name.startswith("#")], seen
+        if not ascii_text:
+            return [name for name in names
+                    if name and not name.startswith("#") and is_idn_candidate(name)], seen
     # ASCII text lower-cases without changing length or line breaks, so
     # offsets and lines of ``lowered`` are those of ``text``.
     lowered = text.lower()
@@ -304,42 +398,88 @@ _Take = Callable[[int], tuple[str, int]]
 #: Characters read from an input file at a time.
 _READ_CHARS = 1 << 18
 
+#: Cutting a chunk: rescaled guesses at most, and the distance in lines
+#: from which the cut steps line by line instead of guessing again.
+_CUT_GUESSES = 8
+_CUT_SLACK = 32
+
 
 class _FileLines:
     """Cuts a text-mode file into chunks of whole lines.
 
     The file is read in large blocks (so universal newlines and decode
-    errors behave as in line iteration) and each chunk is cut with one
-    regex match; no Python object is made per line.
+    errors behave as in line iteration).  A chunk's end is guessed from
+    the previous chunk's mean line length; the newlines up to the guess are
+    counted with ``str.count``, the guess is rescaled by the density just
+    counted until it is a few lines off, and those lines are stepped with
+    ``find``/``rfind``.  No Python object is made per line.
     """
 
     def __init__(self, handle) -> None:
         self._read = handle.read
         self._buffer = ""
         self._pos = 0
-        self._newlines = 0          # newlines in ``_buffer[_pos:]``
         self._eof = False
+        self._width = 32.0          # mean line length, newline included
 
-    def take(self, count: int) -> tuple[str, int]:
-        if self._newlines < count and not self._eof:
+    def _fill(self, size: int) -> str:
+        """The buffer, read on until ``_buffer[_pos:]`` holds *size*
+        characters or the input ends."""
+        have = len(self._buffer) - self._pos
+        if have < size and not self._eof:
             blocks = [self._buffer[self._pos:]]
-            while self._newlines < count:
+            while have < size:
                 block = self._read(_READ_CHARS)
                 if not block:
                     self._eof = True
                     break
                 blocks.append(block)
-                self._newlines += block.count("\n")
+                have += len(block)
             self._buffer, self._pos = "".join(blocks), 0
+        return self._buffer
+
+    def take(self, count: int) -> tuple[str, int]:
+        # ``seen`` counts the newlines in ``buffer[pos:pos + end]``.
+        end = seen = 0
+        span = int(count * self._width) + 1
+        for _ in range(_CUT_GUESSES):
+            buffer = self._fill(span)
+            pos = self._pos
+            span = min(span, len(buffer) - pos)
+            if span > end:
+                seen += buffer.count("\n", pos + end, pos + span)
+            else:
+                seen -= buffer.count("\n", pos + span, pos + end)
+            end = span
+            if abs(seen - count) <= _CUT_SLACK:
+                break
+            # Rescale by the density counted so far; grow at most by the
+            # span so far (plus a block), so one long line cannot make the
+            # next guess read far past the chunk.
+            span = min(end * count // seen if seen else 2 * end, 2 * end + _READ_CHARS)
+            if span == end:
+                break
         buffer, pos = self._buffer, self._pos
-        if self._newlines >= count:
-            # Exactly ``count`` lines; ``re`` caches the compiled pattern.
-            end = re.compile("(?:[^\n]*\n){%d}" % count).match(buffer, pos).end()
-            self._pos, self._newlines = end, self._newlines - count
-            return buffer[pos:end - 1], count
+        while seen < count:
+            hit = buffer.find("\n", pos + end)
+            if hit >= 0:
+                end, seen = hit - pos + 1, seen + 1
+            elif self._eof:
+                break
+            else:
+                end = len(buffer) - pos
+                buffer = self._fill(end + _READ_CHARS)
+                pos = self._pos
+        if seen >= count:
+            while seen > count:
+                end, seen = buffer.rfind("\n", pos, pos + end) - pos, seen - 1
+            cut = buffer.rfind("\n", pos, pos + end)
+            self._pos = cut + 1
+            self._width = (cut + 1 - pos) / count
+            return buffer[pos:cut], count
         # End of input: the rest, whose last line may lack its newline.
         rest = buffer[pos:]
-        self._buffer, self._pos, self._newlines = "", 0, 0
+        self._buffer, self._pos = "", 0
         if rest and not rest.endswith("\n"):
             rest += "\n"
         return rest[:-1], rest.count("\n")
@@ -351,6 +491,138 @@ def _element_take(elements: Iterator[str]) -> _Take:
         chunk = list(islice(elements, count))
         return "\n".join(chunk), len(chunk)
     return take
+
+
+@dataclass
+class _Worker:
+    process: BaseProcess
+    conn: Connection                # the parent's end of the worker's pipe
+    pending: deque                  # sequence numbers of its chunks in flight
+
+
+class _ScanWorkers:
+    """``jobs`` scan worker processes, driven from the calling thread.
+
+    Each worker has one pipe; the parent waits on the pipes together with
+    the process sentinels.  Chunks go to the worker with the fewest in
+    flight, at most ``jobs *`` :data:`_IN_FLIGHT_PER_WORKER` in all,
+    counted from the oldest result not yet returned.  Iterating returns
+    results in input order; :meth:`drain` returns the following ones that
+    are ready.  A worker's exception is re-raised with its own type; a
+    worker that dies raises :class:`ScanWorkerError`.
+    """
+
+    def __init__(self, context, jobs: int, chunks: Iterator[tuple[str, int]], args: tuple):
+        self._chunks: Iterator[tuple[str, int]] | None = chunks
+        self._window = jobs * _IN_FLIGHT_PER_WORKER
+        self._sent = self._done = 0     # sequence numbers: next to send, next to return
+        self._results: dict[int, tuple] = {}
+        self._workers: list[_Worker] = []
+        self._owner: dict = {}
+        fork = context.get_start_method() == "fork"
+        try:
+            for _ in range(jobs):
+                ours, theirs = context.Pipe()
+                inherited = [w.conn for w in self._workers] + [ours] if fork else []
+                process = context.Process(target=_scan_worker, daemon=True,
+                                          args=(theirs, inherited, *args))
+                process.start()
+                theirs.close()
+                self._workers.append(_Worker(process, ours, deque()))
+                self._owner[ours] = self._owner[process.sentinel] = self._workers[-1]
+        except BaseException:
+            self.close()
+            raise
+        self._waitables = list(self._owner)
+
+    def __iter__(self) -> "_ScanWorkers":
+        return self
+
+    def __next__(self) -> tuple:
+        while self._done not in self._results:
+            self._send()
+            if self._done == self._sent:
+                raise StopIteration
+            self._receive(None)
+        return self._pop()
+
+    def drain(self) -> list[tuple]:
+        """Read every result that is ready, return those that follow the
+        last one returned, and hand out chunks in their place, so the
+        workers stay busy while the caller commits them."""
+        while self._receive(0):
+            pass
+        batch = []
+        while self._done in self._results:
+            batch.append(self._pop())
+        self._send()
+        return batch
+
+    def _pop(self) -> tuple:
+        self._done += 1
+        return self._results.pop(self._done - 1)
+
+    def _send(self) -> None:
+        while self._chunks is not None and self._sent - self._done < self._window:
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                self._chunks = None
+                return
+            worker = min(self._workers, key=lambda w: len(w.pending))
+            try:
+                worker.conn.send(chunk)
+            except OSError:
+                self._fail(worker)
+            worker.pending.append(self._sent)
+            self._sent += 1
+
+    def _receive(self, timeout: float | None) -> bool:
+        """Read one message from each pipe ready within *timeout*."""
+        ready = wait(self._waitables, timeout)
+        for handle in ready:
+            worker = self._owner[handle]
+            if handle is not worker.conn:
+                self._fail(worker)
+            try:
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                self._fail(worker)
+            if isinstance(message, _Failure):
+                message.reraise()
+            self._results[worker.pending.popleft()] = message
+        return bool(ready)
+
+    def _fail(self, worker: _Worker) -> NoReturn:
+        """Raise why *worker* stopped: the exception it sent, else its end."""
+        failure = None
+        try:
+            while failure is None and worker.conn.poll():
+                message = worker.conn.recv()
+                if isinstance(message, _Failure):
+                    failure = message
+        except (EOFError, OSError):
+            pass
+        if failure is not None:
+            failure.reraise()
+        process = worker.process
+        process.join(_EXIT_WAIT_S)
+        code = process.exitcode
+        if code is None:
+            ending = "closed its pipe"
+        elif code < 0:
+            ending = f"was killed by {signal.Signals(-code).name}"
+        else:
+            ending = f"exited with status {code}"
+        raise ScanWorkerError(f"scan worker {process.pid} {ending} before returning its chunks")
+
+    def close(self) -> None:
+        """Stop the workers: idle ones read end-of-file, busy ones are terminated."""
+        for worker in self._workers:
+            if worker.pending and worker.process.is_alive():
+                worker.process.terminate()
+            worker.conn.close()
+        for worker in self._workers:
+            worker.process.join()
 
 
 class StreamingScanner:
@@ -537,8 +809,8 @@ class StreamingScanner:
     def _batches(self, take: _Take) -> Iterator[list[tuple]]:
         """Yield chunk results in input order, one commit's batch at a time.
 
-        One worker yields every chunk on its own.  A pool waits for the
-        next result, then adds every later result that is already ready,
+        One worker yields every chunk on its own.  Several wait for the
+        next result, then add every later result that is already ready,
         so a parent that falls behind its workers commits many chunks at
         once instead of one checkpoint per chunk.
         """
@@ -548,39 +820,27 @@ class StreamingScanner:
                 yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only)]
             return
         context = pool_context(self.start_method)
-        with context.Pool(
-            processes=self.jobs,
-            initializer=_scan_worker_init,
-            initargs=(self.finder, self._worker_prepared(context.get_start_method()),
-                      self.idn_only),
-        ) as pool:
-            # imap keeps results in submission order, which checkpoint
-            # consistency depends on.
-            results = pool.imap(_scan_worker, chunks)
-            for first in results:
-                batch = [first]
-                while True:
-                    try:
-                        batch.append(results.next(timeout=0))
-                    except (StopIteration, PoolTimeout):
-                        break
-                yield batch
+        workers = _ScanWorkers(context, self.jobs, chunks, (
+            self.finder, self._worker_prepared(context.get_start_method()), self.idn_only))
+        try:
+            for first in workers:
+                yield [first, *workers.drain()]
+        finally:
+            workers.close()
 
     def _worker_prepared(self, method: str):
-        """What the pool initializer ships as the prepared references.
+        """What the workers are sent as the prepared references.
 
-        Under fork/forkserver the initializer arguments are inherited, not
-        pickled, so the in-process object (mmap-backed or not) goes as-is.
-        Under spawn they are pickled: an mmap-backed index is replaced by a
-        re-attach spec (its artifact path) and each worker re-opens the
-        same inode; dict-backed state pickles directly.
+        A fork child inherits the in-process object (mmap-backed or not).
+        Spawn and forkserver children get their arguments pickled: an
+        mmap-backed index is replaced by a re-attach spec (its artifact
+        path) and each worker re-opens the same inode; dict-backed state
+        pickles directly.
         """
-        if method in ("fork", "forkserver"):
-            return self.prepared
         path = getattr(self.prepared, "path", None)
-        if path is not None:
-            return (_MMAP_SPEC, str(path))
-        return self.prepared
+        if method == "fork" or path is None:
+            return self.prepared
+        return (_MMAP_SPEC, str(path))
 
     @staticmethod
     def _fold(batch: list[tuple], stats: ScanStats) -> list[HomographDetection]:

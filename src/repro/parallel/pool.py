@@ -7,12 +7,13 @@ process pool through this module instead of deciding per call site.
 
 Policy:
 
-* ``fork``/``forkserver`` are the fast path — children inherit the parent's
-  prepared state by page sharing, and initializer arguments are not pickled;
-* ``spawn`` is *correct*, not serial — every initializer in the repo takes
-  *picklable specs* (the artifact path for an mmap re-attach, plain dicts and
-  numpy arrays otherwise), so workers rebuild their state from the pickled
-  spec and macOS/Windows (or an explicit ``set_start_method("spawn")``) get
+* ``fork`` is the fast path — children inherit the parent's prepared state
+  by page sharing, and worker arguments are not pickled;
+* ``spawn`` and ``forkserver`` are *correct*, not serial — their worker
+  arguments are pickled, and every worker in the repo takes *picklable
+  specs* (the artifact path for an mmap re-attach, plain dicts and numpy
+  arrays otherwise), so workers rebuild their state from the pickled spec
+  and macOS/Windows (or an explicit ``set_start_method("spawn")``) get
   real parallelism.  CPython's spawn bootstrap turns an unguarded host
   script (no ``if __name__ == "__main__"``) into a clear ``RuntimeError``.
 """

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from multiprocessing import TimeoutError as PoolTimeout
-from multiprocessing.pool import Pool
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.detection import stream
 from repro.detection.batchfold import FoldTable
 from repro.detection.index import (
     ReferenceIndexStore,
@@ -217,16 +216,17 @@ def test_scan_sink_cut_at_every_offset(finder, tmp_path):
 
 
 class _FallBehind:
-    """A pool's ``imap`` results, held back until :meth:`catch_up`.
+    """A scan's worker results, held back until :meth:`catch_up`.
 
-    Before ``catch_up`` only a blocking ``next()`` returns a result; a
-    ``next(timeout=0)`` finds nothing ready.  ``catch_up`` waits for every
-    remaining result, so from then on all of them are ready at once: the
-    parent has fallen behind its workers, whatever the host's timing.
+    Before ``catch_up`` only iteration (a blocking wait for the next
+    result) returns a result; ``drain()`` finds nothing ready.
+    ``catch_up`` waits for every remaining result, so from then on all of
+    them are ready at once: the parent has fallen behind its workers,
+    whatever the host's timing.
     """
 
-    def __init__(self, results):
-        self._results = results
+    def __init__(self, workers):
+        self._workers = workers
         self._ready: deque = deque()
         self._caught_up = False
 
@@ -234,20 +234,21 @@ class _FallBehind:
         return self
 
     def __next__(self):
-        return self.next()
-
-    def next(self, timeout=None):
         if self._ready:
             return self._ready.popleft()
         if self._caught_up:
             raise StopIteration
-        if timeout is not None:
-            raise PoolTimeout
-        return self._results.next()
+        return next(self._workers)
+
+    def drain(self):
+        ready, self._ready = list(self._ready), deque()
+        return ready
+
+    def close(self):
+        self._workers.close()
 
     def catch_up(self) -> None:
-        self._ready.extend(self._results)
-        self._caught_up = True
+        self._ready.extend(self._workers)
 
 
 def test_coalesced_scan_commits_are_crash_safe(finder, tmp_path):
@@ -266,10 +267,10 @@ def test_coalesced_scan_commits_are_crash_safe(finder, tmp_path):
     checkpoint_path = tmp_path / "out.jsonl.checkpoint"
     pooled = StreamingScanner(finder, REFERENCES, chunk_size=2, jobs=2)
     held: list[_FallBehind] = []
-    imap = Pool.imap
+    start_workers = stream._ScanWorkers
 
-    def held_imap(pool, *args, **kwargs):
-        held.append(_FallBehind(imap(pool, *args, **kwargs)))
+    def held_workers(*args, **kwargs):
+        held.append(_FallBehind(start_workers(*args, **kwargs)))
         return held[-1]
 
     def run(capture):
@@ -277,7 +278,7 @@ def test_coalesced_scan_commits_are_crash_safe(finder, tmp_path):
             if stats.commits == 1:
                 held[-1].catch_up()
             capture()
-        with mock.patch.object(Pool, "imap", held_imap):
+        with mock.patch.object(stream, "_ScanWorkers", held_workers):
             return pooled.scan_file(corpus, out, progress=fall_behind)
 
     stats, checkpoints = _crash_points(run, checkpoint_path)

@@ -24,6 +24,7 @@ from repro.detection.stream import (
     ScanCheckpoint,
     StreamingScanner,
     _FileLines,
+    _plain_line_count,
     _step_ii,
 )
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
@@ -186,3 +187,92 @@ def test_file_lines_cut_exact_chunks_across_blocks(tmp_path):
     path.write_bytes(b"")
     assert _file_chunks(path, 2) == []
 
+
+
+# -- Step II: the counted branch ----------------------------------------------
+
+#: Line bodies a chunk of bare domains is made of: no padding, no ``#``.
+_PLAIN_NAMES = [name for name in _NAMES
+                if name and name.isascii() and "#" not in name and name.strip() == name]
+_PLAIN_LINES = st.lists(st.sampled_from(_PLAIN_NAMES), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.one_of(_PLAIN_LINES, _LINES), idn_only=st.booleans())
+def test_step_ii_matches_the_oracle(lines, idn_only):
+    # About half the draws are bare ASCII domains, which the counted branch
+    # takes; the rest hold blank, padded, comment or non-ASCII lines.
+    text = "\n".join(lines)
+    if lines and all(line in _PLAIN_NAMES for line in lines):
+        assert _plain_line_count(text) == len(lines)
+    assert _step_ii(text, idn_only) == step_ii(text.split("\n"), idn_only)[:2]
+
+
+@pytest.mark.parametrize("text", [
+    f"\n{GOOGLE}\nplain.com",            # leading blank line
+    f"{GOOGLE}\nplain.com\n",            # trailing blank line
+    f"{GOOGLE}\n\nplain.com",            # blank line inside
+    "\n",
+    "",
+    f"{GOOGLE}\n\x1c\n{AMAZON}",         # a line of one ASCII separator
+    f"{GOOGLE}\n\x85\n{AMAZON}",         # a line of NEL (non-ASCII whitespace)
+    f"{GOOGLE}\n\r\n{AMAZON}",           # a line of one carriage return
+    f"{GOOGLE}\r\nplain.com",            # a CR left at a line end
+    f"\x1f{GOOGLE}\nplain.com",          # a padded first line
+    f"{GOOGLE}\nplain.com\x0b",          # a padded last line
+    f"plain.com\n#{GOOGLE}",             # a comment line
+    f"{GOOGLE}\nplain.com",              # bare domains: the counted branch
+])
+def test_step_ii_counts_only_bare_domains(text):
+    lines = text.split("\n")
+    assert _step_ii(text, True) == step_ii(lines, True)[:2]
+    if text.isascii():
+        plain = all(line and line == line.strip() and not line.startswith("#")
+                    for line in lines)
+        assert (_plain_line_count(text) is not None) == plain
+
+
+# -- chunk cut: the guessed end ------------------------------------------------
+
+def _expected_chunks(path, chunk_size):
+    """``(text, raw_lines)`` chunks of the file's lines, as line iteration sees them."""
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        chunks = []
+        for chunk in chunked(handle, chunk_size):
+            text = "".join(chunk)
+            chunks.append((text[:-1] if text.endswith("\n") else text, len(chunk)))
+        return chunks
+
+
+#: Runs of lines whose length changes up to 40x (1 to 200 characters)
+#: from one run to the next.
+_RUNS = st.lists(st.tuples(st.sampled_from([1, 5, 40, 200]), st.integers(0, 60)),
+                 min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs=_RUNS, chunk_size=st.sampled_from([1, 3, 7, 50]),
+       read_chars=st.sampled_from([7, 64, 1 << 18]), final_newline=st.booleans())
+def test_file_cut_follows_changing_line_lengths(tmp_path_factory, runs, chunk_size,
+                                                read_chars, final_newline):
+    # read_chars 7 and 64 put lines longer than a block in the input.
+    lines = [str(number % 10) * width
+             for number, (width, count) in enumerate(runs) for _ in range(count)]
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    path = tmp_path_factory.mktemp("cut") / "in.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch("repro.detection.stream._READ_CHARS", read_chars):
+        assert _file_chunks(path, chunk_size) == _expected_chunks(path, chunk_size)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2000])
+def test_file_cut_across_a_40x_change_of_line_length(tmp_path, chunk_size):
+    # Chunks of short lines, then chunks of lines 40x longer, then short
+    # again: every guess from the previous chunk is 40x off.
+    short, long = "a.com", "b" * 196 + ".com"
+    lines = [short] * 5000 + [long] * 5000 + [short] * 5000
+    path = tmp_path / "in.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")   # no final newline
+    chunks = _file_chunks(path, chunk_size)
+    assert chunks == _expected_chunks(path, chunk_size)
+    assert sum(raw_lines for _text, raw_lines in chunks) == len(lines)
