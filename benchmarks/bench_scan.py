@@ -27,13 +27,15 @@ from __future__ import annotations
 import os
 import random
 import time
+from unittest import mock
 
 from bench_util import print_table, record_bench
 
+from repro.detection import batchfold
 from repro.detection.algorithm import HomographMatcher
 from repro.detection.batchfold import kernel_for
 from repro.detection.shamfinder import ShamFinder
-from repro.detection.stream import StreamingScanner, is_idn_candidate, read_sink
+from repro.detection.stream import StreamingScanner, _step_ii, is_idn_candidate, read_sink
 from repro.homoglyph.database import SOURCE_SIMCHAR, SOURCE_UC, HomoglyphDatabase
 from repro.idn.idna_codec import to_ascii_label
 from repro.parallel.pool import pool_context, worker_pids
@@ -358,20 +360,41 @@ def test_idn_dense_scan(tmp_path):
     assert serial[0].detection_count > 0
 
     # The share of candidates the domain-level kernel pass proves
-    # matchless, chunk by chunk as the scan sees them.
+    # matchless, chunk by chunk as the scan sees them, with the two layers
+    # an IDN-dense chunk spends most on timed on their own: Step II per
+    # chunk and the batch A-label decode per batch it runs on.
     prepared = finder.prepare_references(reference_domains)
     kernel = kernel_for(finder.matcher, prepared)
     with open(input_path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    proved = 0
-    for start in range(0, len(lines), 2000):
-        chunk = [line for line in lines[start:start + 2000] if is_idn_candidate(line)]
-        proved += int(kernel.domain_certain_miss(chunk).sum())
+    decode_seconds = []
+
+    def timed_decode(*args):
+        start = time.perf_counter()
+        decoded = decode_batch(*args)
+        decode_seconds.append(time.perf_counter() - start)
+        return decoded
+
+    decode_batch = batchfold.decode_batch
+    proved, step_ii_seconds = 0, []
+    with mock.patch.object(batchfold, "decode_batch", timed_decode):
+        for start in range(0, len(lines), 2000):
+            chunk = lines[start:start + 2000]
+            begin = time.perf_counter()
+            candidates, _seen = _step_ii("\n".join(chunk), True)
+            step_ii_seconds.append(time.perf_counter() - begin)
+            assert candidates == [line for line in chunk if is_idn_candidate(line)]
+            proved += int(kernel.domain_certain_miss(candidates).sum())
     proved_share = proved / idn_lines
+    step_ii_us = 1e6 * sum(step_ii_seconds) / len(step_ii_seconds)
+    decode_ms = 1e3 * sum(decode_seconds) / len(decode_seconds) if decode_seconds else 0.0
 
     rows, metrics = [], {"lines": serial[0].lines_done, "idn_lines": idn_lines,
                          "kernel_proved_share": round(proved_share, 4),
-                         "identical_across_jobs": True}
+                         "identical_across_jobs": True,
+                         "step_ii_us_per_chunk": round(step_ii_us, 1),
+                         "decode_batch_ms_per_idn_batch": round(decode_ms, 3),
+                         "idn_decode_batches": len(decode_seconds)}
     for jobs, (stats, seconds, _sink) in runs.items():
         rate = stats.domains_seen / seconds if seconds else 0.0
         rows.append((f"jobs={jobs}", f"{rate:,.0f} domains/s", f"{stats.chunks_done}",
@@ -379,6 +402,8 @@ def test_idn_dense_scan(tmp_path):
         metrics[f"jobs{jobs}_domains_per_second"] = round(rate, 1)
         metrics[f"jobs{jobs}_chunks"] = stats.chunks_done
     print_table(f"IDN-dense scan: {serial[0].lines_done:,} lines, "
-                f"{idn_lines:,} xn-- names ({junk} undecodable)",
+                f"{idn_lines:,} xn-- names ({junk} undecodable); Step II "
+                f"{step_ii_us:,.0f} us/chunk, decode_batch {decode_ms:.2f} ms/batch "
+                f"over {len(decode_seconds)} batches",
                 rows, headers=("workers", "throughput", "chunks", "kernel-proved"))
     record_bench("scan_idn", metrics)

@@ -57,7 +57,7 @@ import traceback
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -341,6 +341,43 @@ def _plain_line_count(text: str) -> int | None:
     return int(np.count_nonzero(breaks)) + 1
 
 
+#: A chunk of bare domains with at least one ``xn--`` line per this many
+#: lines is picked in one numpy pass (:func:`_dense_pick`); a sparser one
+#: (a CT log is under 1% IDNs) costs less hit by hit.
+_DENSE_LINES_PER_HIT = 8
+#: ``xn--`` read as one little-endian 32-bit word.
+_ACE_WORD = int.from_bytes(ACE_PREFIX.encode("ascii"), "little")
+
+
+def _dense_pick(text: str, lowered: str) -> list[str] | None:
+    """The lines of *text* whose registrable label starts with ``xn--``,
+    or ``None`` when a line ends in ``.``.
+
+    *text* holds bare ASCII domains and *lowered* is its lower-case copy.
+    The registrable label of a line starts one past its second-to-last
+    dot, or at the line start when it has fewer dots, as
+    :func:`_registrable_is_ace` splits it (a trailing root dot would move
+    it).  One pass finds the dots and line breaks; each line's
+    second-to-last separator is then an index into them.
+    """
+    raw = lowered.encode("ascii") + b"\0\0\0"
+    data = np.frombuffer(raw, np.uint8)
+    separators = np.flatnonzero((data == ord(".")) | (data == ord("\n")))
+    # The index among the separators of every line's end, the last line's
+    # being one past them all.
+    line_ends = np.append(np.flatnonzero(data[separators] == ord("\n")), separators.size)
+    padded = np.concatenate(([-1, -1], separators, [len(text)]))
+    if (data[padded[line_ends + 2] - 1] == ord(".")).any():
+        return None
+    starts = padded[line_ends[:-1] + 2] + 1
+    label = np.maximum(padded[line_ends] + 1, np.concatenate(([0], starts)))
+    # Every position read as four little-endian bytes; "xn--" holds no
+    # separator, so a match never runs past the label.
+    words = np.ndarray((len(raw) - 3,), "<u4", raw, 0, (1,))
+    ace = words[label] == _ACE_WORD
+    return list(compress(text.split("\n"), ace.tolist()))
+
+
 def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
     """Step II over one chunk's text: ``(candidates, domains_seen)``.
 
@@ -348,11 +385,14 @@ def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
     chunk's domains.  For an all-ASCII chunk (every zone file and CT log)
     only the lines holding ``xn--`` reach :func:`is_idn_candidate`, and
     when every line is a bare domain the domains are counted without
-    splitting the text; a chunk with any non-ASCII character tests every
+    splitting the text; once such a chunk proves dense in ``xn--`` lines,
+    and unless a line ends in ``.``, its candidates are picked in one
+    numpy pass instead.  A chunk with any non-ASCII character tests every
     domain, since a Unicode-spelled IDN carries no ``xn--``.
     """
     ascii_text = text.isascii()
-    seen = _plain_line_count(text) if idn_only and ascii_text else None
+    plain = _plain_line_count(text) if idn_only and ascii_text else None
+    seen = plain
     if seen is None:
         names = list(map(str.strip, text.split("\n")))
         seen = len(names) - names.count("")
@@ -366,6 +406,9 @@ def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
     # ASCII text lower-cases without changing length or line breaks, so
     # offsets and lines of ``lowered`` are those of ``text``.
     lowered = text.lower()
+    # A counted chunk turns to the dense pick once the loop has found this
+    # many lines; a sparse chunk pays nothing for the test.
+    dense_at = -(-plain // _DENSE_LINES_PER_HIT) if plain is not None else 0
     hit_names = []
     hit = lowered.find(ACE_PREFIX)
     while hit >= 0:
@@ -373,6 +416,10 @@ def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
         if end < 0:
             end = len(text)
         hit_names.append(text[lowered.rfind("\n", 0, hit) + 1:end].strip())
+        if len(hit_names) == dense_at:
+            picked = _dense_pick(text, lowered)
+            if picked is not None:
+                return picked, seen
         hit = lowered.find(ACE_PREFIX, end)
     return [name for name in hit_names
             if not name.startswith("#") and is_idn_candidate(name)], seen

@@ -237,9 +237,11 @@ def decode_batch(
     Bootstring is sequential within a string, so the rows advance in
     lockstep instead: step *t* reads the *t*-th extended digit of every
     row that has one, with the rows sorted longest-first so that the live
-    rows are always a prefix of the state arrays.  Each finished delta is
-    recorded as an ``(index, code point)`` insertion, and the insertions
-    are replayed afterwards into one fixed-width buffer per row.
+    rows are always a prefix of the state arrays.  Only the rows whose
+    delta a step finishes divide, adapt the bias and record an ``(index,
+    code point)`` insertion.  Afterwards every insertion's final column
+    follows from the insertions made after it, and each row is laid out
+    once in a fixed-width buffer.
     """
     rows = len(lengths)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -288,56 +290,63 @@ def decode_batch(
     weight = np.ones(count, dtype=np.int64)
     k_less_bias = np.full(count, _BASE - _INITIAL_BIAS, dtype=np.int64)
     n = np.full(count, _INITIAL_N, dtype=np.int64)
-    size = basic_len[live].copy()
-    inserted_at = np.zeros((count, steps), dtype=np.int64)
-    inserted = np.zeros((count, steps), dtype=np.int64)
+    basic = basic_len[live]
+    # Unused slots hold a column past every row (a row decodes to at most
+    # 59 code points), so no insertion is counted before them.
+    inserted_at = np.full((steps, count), MAX_BATCH_PAYLOAD, dtype=np.int64)
+    inserted = np.zeros((steps, count), dtype=np.int64)
     insertions = np.zeros(count, dtype=np.int64)
-    descending = -extended_len[live]
-    for step in range(steps):
-        a = int(np.searchsorted(descending, -step, side="left"))
+    alive = np.searchsorted(-extended_len[live], -np.arange(steps), side="left")
+    for step, a in enumerate(alive.tolist()):
         d = digits[step, :a]
-        w = weight[:a]
-        i = index[:a] + d * w
+        index[:a] += d * weight[:a]
         threshold = np.minimum(np.maximum(k_less_bias[:a], _TMIN), _TMAX)
-        done = d < threshold
-        new_size = size[:a] + 1
+        weight[:a] = np.minimum(weight[:a] * (_BASE - threshold), _MAXINT + 1)
+        k_less_bias[:a] += _BASE
+        finished = np.flatnonzero(d < threshold)
+        i = index[finished]
+        slot = insertions[finished]
+        new_size = basic[finished] + slot + 1
         step_n, position = np.divmod(i, new_size)
-        old = old_index[:a]
-        # _adapt(i - old, new_size, old == 0), table-driven.
-        delta = (i - old) // np.where(old == 0, _DAMP, 2)
+        # _adapt(i - old index, new_size, first insertion), table-driven.
+        delta = (i - old_index[finished]) // np.where(slot, 2, _DAMP)
         delta += delta // new_size
         divisions = np.searchsorted(_ADAPT_STEPS, delta, side="right")
         delta //= _ADAPT_DIVISORS[divisions]
-        new_bias = _BASE * divisions + ((_BASE - _TMIN + 1) * delta) // (delta + _SKEW)
-        new_n = n[:a] + step_n
-        finished = np.flatnonzero(done)
-        slot = insertions[finished]
-        inserted_at[finished, slot] = position[finished]
-        inserted[finished, slot] = new_n[finished]
+        k_less_bias[finished] = _BASE - _BASE * divisions - (
+            (_BASE - _TMIN + 1) * delta) // (delta + _SKEW)
+        new_n = n[finished] + step_n
+        inserted_at[slot, finished] = position
+        inserted[slot, finished] = new_n
         insertions[finished] = slot + 1
+        n[finished] = new_n
         position += 1
-        index[:a] = np.where(done, position, i)
-        old_index[:a] = np.where(done, position, old)
-        weight[:a] = np.where(done, 1, np.minimum(w * (_BASE - threshold), _MAXINT + 1))
-        k_less_bias[:a] = np.where(done, _BASE - new_bias, k_less_bias[:a] + _BASE)
-        n[:a] = np.where(done, new_n, n[:a])
-        size[:a] += done
+        index[finished] = position
+        old_index[finished] = position
+        weight[finished] = 1
+    size = basic + insertions
+    events = int(insertions.max()) if count else 0
+    inserted, inserted_at = inserted[:events], inserted_at[:events]
     bad = (weight != 1) | (      # weight != 1: the input ended inside a delta
-        (inserted > 0x10FFFF) | ((inserted >= 0xD800) & (inserted <= 0xDFFF))).any(axis=1)
-    # Replay: basic code points first, then every insertion in order.
+        (inserted > 0x10FFFF) | ((inserted >= 0xD800) & (inserted <= 0xDFFF))).any(axis=0)
+    # Replay: an insertion ends one column right of where it was made for
+    # every later insertion at or before it.  The inserted code points are
+    # scattered to those final columns and the basic code points fill the
+    # others in order.
+    for later in range(1, events):
+        earlier = inserted_at[:later]
+        earlier += earlier >= inserted_at[later]
     width = int(size.max()) if count else 0
-    buffer = np.zeros((count, width), dtype=np.uint32)
-    basic = ok[row_of] & (offset < basic_len[row_of])
-    buffer[rank[row_of[basic]], offset[basic]] = codes[basic]
     columns = np.arange(width)
-    for event in range(int(insertions.max()) if count else 0):
-        has = np.flatnonzero(insertions > event)
-        at = inserted_at[has, event]
-        rows_buffer = buffer[has]
-        shift = columns[1:] > at[:, None]
-        rows_buffer[:, 1:] = np.where(shift, rows_buffer[:, :-1], rows_buffer[:, 1:])
-        rows_buffer[np.arange(has.size), at] = inserted[has, event]
-        buffer[has] = rows_buffer
+    buffer = np.zeros((count, width), dtype=np.uint32)
+    filled = np.zeros((count, width), dtype=bool)
+    made = np.arange(events)[:, None] < insertions
+    at = inserted_at[made]
+    made_rows = np.nonzero(made)[1]
+    buffer[made_rows, at] = inserted[made]
+    filled[made_rows, at] = True
+    basic_at = (starts[live, None] + columns)[columns < basic[:, None]]
+    buffer[~filled & (columns < size[:, None])] = codes[basic_at]
 
     ok[live[bad]] = False
     out_lengths = np.zeros(rows, dtype=np.int64)
@@ -347,3 +356,4 @@ def decode_batch(
     out_starts = np.zeros(rows, dtype=np.int64)
     np.cumsum(out_lengths[:-1], out=out_starts[1:])
     return out_codes, out_starts, out_lengths, ok
+

@@ -8,7 +8,9 @@ Two guarantees:
 * every module under ``repro`` imports cleanly and carries a module
   docstring, and the key public entry points render under :mod:`pydoc`
   (a broken docstring or import error fails here, not in a user's
-  ``help()`` call).
+  ``help()`` call);
+* every constant the docs quote with its value, as `` `NAME` (N) ``,
+  has that value in the code.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ DOC_FILES = sorted(
 _INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _CODE_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+#: A constant quoted with its value: `` `NAME` (N) ``, possibly across a line break.
+_DOC_CONSTANT = re.compile(r"`([A-Z_][A-Z0-9_]*)`\s+\((\d+)\)")
 
 
 def github_anchor(heading: str) -> str:
@@ -85,6 +89,23 @@ def _all_repro_modules() -> list[str]:
 def test_module_imports_with_docstring(module_name: str) -> None:
     module = importlib.import_module(module_name)
     assert module.__doc__ and module.__doc__.strip(), f"{module_name} has no module docstring"
+
+
+def test_doc_constants_match_the_code() -> None:
+    defined: dict[str, set] = {}
+    for module_name in _all_repro_modules():
+        for name, value in vars(importlib.import_module(module_name)).items():
+            if isinstance(value, int) and not isinstance(value, bool):
+                defined.setdefault(name, set()).add(value)
+    quoted, wrong = 0, []
+    for doc in DOC_FILES:
+        for match in _DOC_CONSTANT.finditer(doc.read_text(encoding="utf-8")):
+            name, value = match.group(1), int(match.group(2))
+            quoted += 1
+            if defined.get(name) != {value}:
+                wrong.append(f"{doc.name}: `{name}` ({value}), code has {defined.get(name)}")
+    assert quoted, "no `NAME` (N) constant quoted in the docs"
+    assert not wrong, wrong
 
 
 @pytest.mark.parametrize(

@@ -301,3 +301,74 @@ def test_decode_batch_round_trips_encoder_output(labels, upper):
 def test_decode_batch_of_nothing():
     assert _decode_rows([]) == []
     assert _decode_rows([""]) == [None]
+
+
+# -- the batch decoder on long insertion runs ----------------------------------
+
+def _scalar_rows(payloads):
+    """What :func:`punycode.decode_batch` must return for each payload:
+    :func:`punycode.decode`'s result, or ``None`` where that raises, is
+    pure ASCII or the payload is longer than ``MAX_BATCH_PAYLOAD``."""
+    rows = []
+    for payload in payloads:
+        got = _decode_outcome(punycode.decode, payload)
+        keep = (got is not punycode.PunycodeError and not got.isascii()
+                and len(payload) <= punycode.MAX_BATCH_PAYLOAD)
+        rows.append(got if keep else None)
+    return rows
+
+
+#: Labels with 20 to 40 non-basic code points behind a short basic part;
+#: most encode to at most 59 characters.
+_MANY_INSERTIONS = st.tuples(
+    st.text(alphabet="abc-", max_size=8),
+    st.text(alphabet="üöаоéж日\U0001F600", min_size=20, max_size=40),
+).map(lambda parts: punycode.encode(parts[0] + parts[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_MANY_INSERTIONS, _PAYLOADS), min_size=1, max_size=30))
+def test_decode_batch_equals_decode_on_many_insertions(payloads):
+    assert _decode_rows(payloads) == _scalar_rows(payloads)
+
+
+#: Cyrillic я down to а: spelled in this order, every insertion of a
+#: decode lands at column 0; spelled backwards, every one at the end.
+_DESCENDING = "".join(map(chr, range(0x44F, 0x42F, -1)))
+
+
+@pytest.mark.parametrize("basic", ["", "ab", "abc-def"])
+@pytest.mark.parametrize("count", [1, 2, 5, 20, 32])
+def test_decode_batch_repeated_insertion_at_column_0_and_at_the_end(basic, count):
+    front = punycode.encode(_DESCENDING[-count:] + basic)
+    back = punycode.encode(basic + _DESCENDING[-count:][::-1])
+    payloads = [front, back, front.upper(), back]
+    rows = _decode_rows(payloads)
+    assert rows == _scalar_rows(payloads)
+    assert rows[:2] == [_DESCENDING[-count:] + basic, basic + _DESCENDING[-count:][::-1]]
+
+
+@pytest.mark.parametrize("tail", ["ü", "日本", "оо", "\U0001F600", "üö"])
+def test_decode_batch_at_the_59_character_limit(tail):
+    # Payloads of 58, 59 and 60 characters: the last is always flagged.
+    encoded = [payload for payload in (punycode.encode("a" * m + tail) for m in range(59))
+               if len(payload) in (58, 59, 60)]
+    assert {len(payload) for payload in encoded} == {58, 59, 60}
+    payloads = encoded + ["a" * 59, "a" * 60, "9" * 59, "z" * 59, "a" * 57 + "-b"]
+    rows = _decode_rows(payloads)
+    assert rows == _scalar_rows(payloads)
+    assert [row is not None for row in rows[:len(encoded)]] == [
+        len(payload) <= 59 for payload in encoded]
+
+
+def test_decode_batch_mixes_every_insertion_count():
+    # One batch holds rows of 0 insertions (a pure-ASCII decode, flagged),
+    # of 1 to 30, and of 59 ("a" * 59 inserts U+0080 at the end 59 times).
+    payloads = ["abc-", "a" * 59] + [punycode.encode("x" + "ü" * k) for k in range(1, 31)]
+    payloads += [punycode.encode(_DESCENDING[-k:]) for k in range(1, 31)]
+    payloads = payloads[::2] + payloads[1::2][::-1]
+    rows = _decode_rows(payloads)
+    assert rows == _scalar_rows(payloads)
+    assert rows[0] is None
+    assert rows[payloads.index("a" * 59)] == "\x80" * 59
+    assert sum(row is not None for row in rows) == len(payloads) - 1

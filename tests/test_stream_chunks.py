@@ -20,6 +20,7 @@ from oracles.stream_chunks import chunked, process_chunk, step_ii
 
 from repro.detection.report import DetectionReport
 from repro.detection.shamfinder import ShamFinder
+from repro.detection import stream
 from repro.detection.stream import (
     ScanCheckpoint,
     StreamingScanner,
@@ -195,17 +196,80 @@ def test_file_lines_cut_exact_chunks_across_blocks(tmp_path):
 _PLAIN_NAMES = [name for name in _NAMES
                 if name and name.isascii() and "#" not in name and name.strip() == name]
 _PLAIN_LINES = st.lists(st.sampled_from(_PLAIN_NAMES), min_size=1, max_size=12)
+#: Bare ASCII names that place ``xn--`` at the edges of the registrable
+#: label: trailing and leading dots, empty labels, single labels, ``xn--``
+#: outside the registrable label or inside a label, upper case.
+_EDGE_NAMES = [
+    "xn--a.com.", "foo.xn--a.", ".xn--a.com", "a..xn--b", "xn--a..com", "xn--", "xn--abc",
+    "xn--a.b.com", "fooxn--bar.com", "example.xn--p1ai", "XN--A.COM", "www.xn--a.com",
+]
 
 
-@settings(max_examples=200, deadline=None)
-@given(lines=st.one_of(_PLAIN_LINES, _LINES), idn_only=st.booleans())
+def _dense_share(lines):
+    """Whether at least one line per ``_DENSE_LINES_PER_HIT`` holds ``xn--``."""
+    hits = sum("xn--" in line.lower() for line in lines)
+    return hits * stream._DENSE_LINES_PER_HIT >= len(lines)
+
+
+#: Chunks of bare domains dense in ``xn--`` lines.
+_DENSE_LINES = st.lists(
+    st.sampled_from(_PLAIN_NAMES + _EDGE_NAMES), min_size=1, max_size=24,
+).filter(_dense_share)
+
+
+def _step_ii_branch(text, idn_only=True):
+    """``(_step_ii result, whether the dense pick answered)``."""
+    picked = []
+
+    def pick(*args):
+        picked.append(dense_pick(*args))
+        return picked[-1]
+
+    dense_pick = stream._dense_pick
+    with mock.patch.object(stream, "_dense_pick", pick):
+        result = _step_ii(text, idn_only)
+    return result, bool(picked) and picked[0] is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.one_of(_PLAIN_LINES, _LINES, _DENSE_LINES), idn_only=st.booleans())
 def test_step_ii_matches_the_oracle(lines, idn_only):
-    # About half the draws are bare ASCII domains, which the counted branch
-    # takes; the rest hold blank, padded, comment or non-ASCII lines.
+    # About a third of the draws are bare ASCII domains, which the counted
+    # branch takes; another third are bare domains dense in ``xn--``, which
+    # the dense pick answers unless a line ends in "."; the rest hold
+    # blank, padded, comment or non-ASCII lines.
     text = "\n".join(lines)
-    if lines and all(line in _PLAIN_NAMES for line in lines):
+    plain = bool(lines) and all(line in _PLAIN_NAMES or line in _EDGE_NAMES for line in lines)
+    if plain:
         assert _plain_line_count(text) == len(lines)
-    assert _step_ii(text, idn_only) == step_ii(text.split("\n"), idn_only)[:2]
+    result, dense = _step_ii_branch(text, idn_only)
+    assert result == step_ii(text.split("\n"), idn_only)[:2]
+    assert dense == (idn_only and plain and _dense_share(lines)
+                     and not any(line.endswith(".") for line in lines))
+
+
+@pytest.mark.parametrize("name", _EDGE_NAMES)
+@pytest.mark.parametrize("filler", [0, 3])
+def test_dense_pick_registrable_label_edges(name, filler):
+    # Alone or among plain names, each edge name is picked exactly as the
+    # oracle picks it; a trailing dot sends the chunk back to the hit loop.
+    lines = ["plain.com"] * filler + [name] + ["a.b.example"] * filler
+    text = "\n".join(lines)
+    result, dense = _step_ii_branch(text)
+    assert result == step_ii(lines, True)[:2]
+    assert dense == (not name.endswith("."))
+
+
+@pytest.mark.parametrize("hits", [1, 3])
+@pytest.mark.parametrize("offset, dense", [(-1, True), (0, True), (1, False)])
+def test_dense_pick_threshold(hits, offset, dense):
+    # One line below the dense share, at it, and one line above it.
+    count = hits * stream._DENSE_LINES_PER_HIT + offset
+    lines = [GOOGLE] * hits + ["plain.com"] * (count - hits)
+    text = "\n".join(lines)
+    result, took_dense = _step_ii_branch(text)
+    assert result == step_ii(lines, True)[:2]
+    assert took_dense == dense
 
 
 @pytest.mark.parametrize("text", [
