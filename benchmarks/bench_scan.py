@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import random
+import resource
 import time
 from unittest import mock
 
@@ -239,6 +240,36 @@ def test_streaming_scan_spawn_parallel(tmp_path):
     })
 
 
+def _cpu_seconds(who: int) -> float:
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _scan_runs(finder, reference_domains, input_path, tmp_path, name):
+    """Scan *input_path* with one and with two workers.
+
+    Returns ``{jobs: (stats, seconds, sink bytes)}`` and the CPU seconds
+    of the two-worker run's parent and of its workers (the workers count
+    once they have been joined, which the scan does before it returns).
+    """
+    runs, split = {}, {}
+    for jobs in (1, 2):
+        scanner = StreamingScanner(finder, reference_domains, chunk_size=2000, jobs=jobs)
+        output_path = tmp_path / f"{name}-{jobs}.jsonl"
+        parent = _cpu_seconds(resource.RUSAGE_SELF)
+        workers = _cpu_seconds(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        stats = scanner.scan_file(input_path, output_path)
+        seconds = time.perf_counter() - start
+        if jobs == 2:
+            split = {
+                "jobs2_parent_cpu_s": round(_cpu_seconds(resource.RUSAGE_SELF) - parent, 3),
+                "jobs2_worker_cpu_s": round(_cpu_seconds(resource.RUSAGE_CHILDREN) - workers, 3),
+            }
+        runs[jobs] = (stats, seconds, output_path.read_bytes())
+    return runs, split
+
+
 CTLOG_LINES = 300_000
 #: One ``xn--`` name in this many lines (CT logs carry well under 1% IDNs).
 CTLOG_IDN_EVERY = 150
@@ -271,15 +302,7 @@ def test_ctlog_shaped_scan(tmp_path):
     input_path = tmp_path / "ctlog.txt"
     idn_lines = _ctlog_zone(input_path)
 
-    runs = {}
-    for jobs in (1, 2):
-        scanner = StreamingScanner(finder, reference_domains, chunk_size=2000, jobs=jobs)
-        output_path = tmp_path / f"ctlog-{jobs}.jsonl"
-        start = time.perf_counter()
-        stats = scanner.scan_file(input_path, output_path)
-        seconds = time.perf_counter() - start
-        runs[jobs] = (stats, seconds, output_path.read_bytes())
-
+    runs, cpu_split = _scan_runs(finder, reference_domains, input_path, tmp_path, "ctlog")
     serial, pooled = runs[1], runs[2]
     assert pooled[2] == serial[2]
     assert serial[0].idn_count == idn_lines
@@ -287,7 +310,7 @@ def test_ctlog_shaped_scan(tmp_path):
     plain_share = 1 - idn_lines / serial[0].lines_done
     assert plain_share >= 0.99
     rows, metrics = [], {"lines": serial[0].lines_done, "plain_ascii_share": round(plain_share, 4),
-                         "idn_lines": idn_lines, "identical_across_jobs": True}
+                         "idn_lines": idn_lines, "identical_across_jobs": True, **cpu_split}
     for jobs, (stats, seconds, _sink) in runs.items():
         rate = stats.domains_seen / seconds if seconds else 0.0
         rows.append((f"jobs={jobs}", f"{rate:,.0f} domains/s", f"{stats.chunks_done}",
@@ -296,7 +319,9 @@ def test_ctlog_shaped_scan(tmp_path):
         metrics[f"jobs{jobs}_chunks"] = stats.chunks_done
         metrics[f"jobs{jobs}_commits"] = stats.commits
     print_table(f"CT-log-shaped scan: {serial[0].lines_done:,} lines, "
-                f"{plain_share:.1%} plain ASCII, {idn_lines:,} xn-- names",
+                f"{plain_share:.1%} plain ASCII, {idn_lines:,} xn-- names; jobs=2 CPU "
+                f"{cpu_split['jobs2_parent_cpu_s']:.2f} s parent, "
+                f"{cpu_split['jobs2_worker_cpu_s']:.2f} s workers",
                 rows, headers=("workers", "throughput", "chunks", "commits"))
     record_bench("scan_ctlog", metrics)
 
@@ -345,15 +370,7 @@ def test_idn_dense_scan(tmp_path):
     input_path = tmp_path / "idn-dense.txt"
     idn_lines, junk = _idn_dense_zone(input_path)
 
-    runs = {}
-    for jobs in (1, 2):
-        scanner = StreamingScanner(finder, reference_domains, chunk_size=2000, jobs=jobs)
-        output_path = tmp_path / f"idn-dense-{jobs}.jsonl"
-        start = time.perf_counter()
-        stats = scanner.scan_file(input_path, output_path)
-        seconds = time.perf_counter() - start
-        runs[jobs] = (stats, seconds, output_path.read_bytes())
-
+    runs, cpu_split = _scan_runs(finder, reference_domains, input_path, tmp_path, "idn-dense")
     serial, pooled = runs[1], runs[2]
     assert pooled[2] == serial[2]
     assert (serial[0].idn_count, serial[0].skipped_count) == (idn_lines - junk, junk)
@@ -394,7 +411,7 @@ def test_idn_dense_scan(tmp_path):
                          "identical_across_jobs": True,
                          "step_ii_us_per_chunk": round(step_ii_us, 1),
                          "decode_batch_ms_per_idn_batch": round(decode_ms, 3),
-                         "idn_decode_batches": len(decode_seconds)}
+                         "idn_decode_batches": len(decode_seconds), **cpu_split}
     for jobs, (stats, seconds, _sink) in runs.items():
         rate = stats.domains_seen / seconds if seconds else 0.0
         rows.append((f"jobs={jobs}", f"{rate:,.0f} domains/s", f"{stats.chunks_done}",
@@ -404,6 +421,8 @@ def test_idn_dense_scan(tmp_path):
     print_table(f"IDN-dense scan: {serial[0].lines_done:,} lines, "
                 f"{idn_lines:,} xn-- names ({junk} undecodable); Step II "
                 f"{step_ii_us:,.0f} us/chunk, decode_batch {decode_ms:.2f} ms/batch "
-                f"over {len(decode_seconds)} batches",
+                f"over {len(decode_seconds)} batches; jobs=2 CPU "
+                f"{cpu_split['jobs2_parent_cpu_s']:.2f} s parent, "
+                f"{cpu_split['jobs2_worker_cpu_s']:.2f} s workers",
                 rows, headers=("workers", "throughput", "chunks", "kernel-proved"))
     record_bench("scan_idn", metrics)

@@ -9,7 +9,8 @@ module runs the same pipeline over a whole batch with numpy:
 1. **translation table** (:class:`FoldTable`) — the composed mapping
    ``m(c) = representative(fold(c))`` is precomputed once per database as
    two parallel sorted ``uint32`` arrays and applied to the batch's code
-   point array with one ``np.searchsorted`` pass;
+   point array with one dense lookup (one ``np.searchsorted`` pass when a
+   label holds a code point past U+FFFF);
 2. **bucket join** (:class:`BatchFoldKernel`) — the folded skeletons are
    probed against the :class:`~.skeleton.SkeletonIndex` keys with a
    vectorized hash join: positional polynomial ``uint64`` hashes computed
@@ -82,6 +83,7 @@ __all__ = [
     "MIN_IDN_DECODE_BATCH",
     "FoldTable",
     "BatchFoldKernel",
+    "DecodedLabels",
     "fold_table_for",
     "kernel_for",
 ]
@@ -223,20 +225,28 @@ def _membership(sorted_keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == codes
 
 
+#: Code points below this go through :attr:`FoldTable`'s dense lookup.
+_DENSE_LIMIT = 0x10000
+#: Set in a dense lookup entry whose code point the table cannot decide;
+#: a mapped code point never reaches it.
+_UNSAFE_BIT = np.uint32(1 << 31)
+
+
 class FoldTable:
     """Sparse code point translation tables for one homoglyph database.
 
     ``keys``/``values`` hold the non-identity entries of the *composed*
-    mapping ``representative(fold(c))`` — one ``np.searchsorted`` pass
-    folds and skeletonizes a batch at once.  ``fold_keys``/``fold_values``
-    hold the fold-only mapping, used to reconstruct the folded (pre-
-    skeleton) code points when the invisible-risk mask needs them.
-    ``unsafe`` lists the code points the table cannot decide
-    (:data:`_UNSAFE_CODES`).  All arrays are sorted ``uint32``.
+    mapping ``representative(fold(c))`` — one lookup folds and
+    skeletonizes a batch at once.  ``fold_keys``/``fold_values`` hold the
+    fold-only mapping, used to reconstruct the folded (pre-skeleton) code
+    points when the invisible-risk mask needs them.  ``unsafe`` lists the
+    code points the table cannot decide (:data:`_UNSAFE_CODES`).  All
+    arrays are sorted ``uint32``; the dense lookups :meth:`translate`
+    reads are built from them on first use.
     """
 
     __slots__ = ("keys", "values", "fold_keys", "fold_values", "unsafe",
-                 "database_digest", "_ascii_map")
+                 "database_digest", "_ascii_map", "_dense_map")
 
     def __init__(
         self,
@@ -254,6 +264,7 @@ class FoldTable:
         self.unsafe = unsafe
         self.database_digest = database_digest
         self._ascii_map: np.ndarray | None = None
+        self._dense_map: np.ndarray | None = None
 
     @classmethod
     def build(cls, classes: CharacterClasses, *, database_digest: str = "") -> "FoldTable":
@@ -287,28 +298,39 @@ class FoldTable:
 
     # -- batch primitives ---------------------------------------------------
 
-    def map_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Apply the composed fold+representative mapping to *codes*.
+    def translate(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(mapped, unsafe)``: the composed fold+representative mapping of
+        *codes*, and which of them the table cannot decide (→ scalar
+        fallback; ``None`` for an ASCII batch, which holds none).
 
-        All-ASCII batches (the ``domain_certain_miss`` hot path) go
-        through a dense 128-entry lookup instead of the sparse
-        ``searchsorted`` — one fancy-index take instead of a binary search
-        per code point.
+        All-ASCII batches (the ``domain_certain_miss`` hot path) take a
+        128-entry lookup.  Batches below U+10000 (decoded IDN labels) take
+        a 0x10000-entry lookup whose entries also carry the unsafe mark —
+        one fancy-index take instead of two binary searches per code
+        point.  Only a batch with an astral code point searches the sparse
+        arrays.
         """
-        if codes.size and codes.max() < 0x80:
+        top = int(codes.max()) if codes.size else 0
+        if top < 0x80:
             if self._ascii_map is None:
                 self._ascii_map = _sparse_apply(
                     self.keys, self.values, np.arange(0x80, dtype=np.uint32))
-            return self._ascii_map[codes]
-        return _sparse_apply(self.keys, self.values, codes)
+            return self._ascii_map[codes], None
+        if top < _DENSE_LIMIT:
+            if self._dense_map is None:
+                dense = np.arange(_DENSE_LIMIT, dtype=np.uint32)
+                low = self.keys < _DENSE_LIMIT
+                dense[self.keys[low]] = self.values[low]
+                dense[self.unsafe[self.unsafe < _DENSE_LIMIT]] |= _UNSAFE_BIT
+                self._dense_map = dense
+            entries = self._dense_map[codes]
+            return entries & ~_UNSAFE_BIT, (entries & _UNSAFE_BIT) != 0
+        return (_sparse_apply(self.keys, self.values, codes),
+                _membership(self.unsafe, codes))
 
     def fold_codes(self, codes: np.ndarray) -> np.ndarray:
         """Apply the fold-only mapping to *codes*."""
         return _sparse_apply(self.fold_keys, self.fold_values, codes)
-
-    def unsafe_mask(self, codes: np.ndarray) -> np.ndarray:
-        """Which of *codes* the table cannot decide (→ scalar fallback)."""
-        return _membership(self.unsafe, codes)
 
     # -- persistence --------------------------------------------------------
 
@@ -458,9 +480,9 @@ class BatchFoldKernel:
         return codes, starts, lengths
 
     @staticmethod
-    def _segment_any(flags: np.ndarray, starts: np.ndarray,
+    def _segment_any(flags: np.ndarray | None, starts: np.ndarray,
                      lengths: np.ndarray) -> np.ndarray:
-        """Per-label ``any()`` over per-character *flags*.
+        """Per-label ``any()`` over per-character *flags* (``None``: none set).
 
         Empty labels contribute no characters; ``reduceat`` over the
         non-empty starts spans them correctly because their segments are
@@ -468,7 +490,7 @@ class BatchFoldKernel:
         """
         out = np.zeros(len(lengths), dtype=bool)
         nonempty = lengths > 0
-        if flags.size and nonempty.any():
+        if flags is not None and flags.size and nonempty.any():
             out[nonempty] = np.logical_or.reduceat(flags, starts[nonempty])
         return out
 
@@ -499,8 +521,8 @@ class BatchFoldKernel:
         out-of-table code point and the entry is unspecified.
         """
         codes, starts, lengths = self._encode(labels)
-        undecidable = self._segment_any(self.table.unsafe_mask(codes), starts, lengths)
-        mapped = self.table.map_codes(codes)
+        mapped, unsafe = self.table.translate(codes)
+        undecidable = self._segment_any(unsafe, starts, lengths)
         joined = mapped.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
         ends = starts + lengths
         skeletons = [joined[start:end] for start, end in zip(starts, ends)]
@@ -578,8 +600,8 @@ class BatchFoldKernel:
         invisible_table: InvisibleTable | None,
     ) -> np.ndarray:
         """:meth:`certain_miss_mask` over already-packed label segments."""
-        undecidable = self._segment_any(self.table.unsafe_mask(codes), starts, lengths)
-        mapped = self.table.map_codes(codes)
+        mapped, unsafe = self.table.translate(codes)
+        undecidable = self._segment_any(unsafe, starts, lengths)
         hashes = self._segment_hash(mapped, starts, lengths)
         bucket_hit = _membership(self.key_hashes, hashes)
         miss = ~(undecidable | bucket_hit)
@@ -601,18 +623,19 @@ class BatchFoldKernel:
         texts: Sequence[str],
         *,
         invisible_table: InvisibleTable | None = None,
-    ) -> tuple[np.ndarray, dict[int, str]]:
+    ) -> tuple[np.ndarray, "DecodedLabels"]:
         """Certain misses among whole domain strings, fully vectorized.
 
-        Returns ``(mask, idn_labels)``.  ``mask[i]`` is True exactly when
+        Returns ``(mask, decoded)``.  ``mask[i]`` is True exactly when
         ``texts[i]`` is fast-parseable (:data:`FAST_DOMAIN_RE`) *and* its
         registrable label is a certain miss — i.e. the scalar ``query`` is
         guaranteed to return an empty, error-free verdict whose ASCII form
         equals the input.  For a non-IDN that verdict's Unicode form is
-        the input too; for an IDN ``idn_labels[i]`` holds the decoded
-        registrable U-label, the one piece of the verdict the input does
-        not spell.  Everything else (bad A-labels, uppercase, junk, bucket
-        hits) gets False and must run scalar.
+        the input too.  Everything else (bad A-labels, uppercase, junk,
+        bucket hits) gets False and must run scalar.  ``decoded`` holds
+        the registrable U-label of every fast-parseable IDN whose payload
+        the batch decoded, miss or bucket hit: the one piece of its name
+        the input does not spell.
 
         One concatenated code point pass replaces 20k regex matches and
         string slices: domain/label boundaries come from separator
@@ -627,9 +650,9 @@ class BatchFoldKernel:
         """
         count = len(texts)
         out = np.zeros(count, dtype=bool)
-        idn_labels: dict[int, str] = {}
+        decoded = DecodedLabels()
         if count == 0:
-            return out, idn_labels
+            return out, decoded
         blob = "\n".join(texts) + "\n"     # sentinel: every domain ends in \n
         codes = np.frombuffer(blob.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         is_newline = codes == 0x0A
@@ -697,23 +720,19 @@ class BatchFoldKernel:
                     & (domain_lengths <= MAX_FAST_DOMAIN))
         chosen = np.flatnonzero(eligible)
         if chosen.size == 0:
-            return out, idn_labels
+            return out, decoded
         registrable = first_label[chosen] + label_counts[chosen] - 2
         if ace is not None:
             is_idn = ace[registrable]
             rows, labels = chosen[is_idn], registrable[is_idn]
             chosen, registrable = chosen[~is_idn], registrable[~is_idn]
             if rows.size >= MIN_IDN_DECODE_BATCH:
-                decoded, decoded_starts, decoded_lengths, decodable = decode_batch(
+                ulabels, ulabel_starts, ulabel_lengths, decodable = decode_batch(
                     *_gather(codes, label_starts[labels] + 4, label_lengths[labels] - 4))
-                miss = decodable & self._codes_certain_miss(
-                    decoded, decoded_starts, decoded_lengths, invisible_table)
-                out[rows] = miss
-                text = decoded.astype("<u4").tobytes().decode("utf-32-le")
-                for row, start, length in zip(rows[miss].tolist(),
-                                              decoded_starts[miss].tolist(),
-                                              decoded_lengths[miss].tolist()):
-                    idn_labels[row] = text[start:start + length]
+                out[rows] = decodable & self._codes_certain_miss(
+                    ulabels, ulabel_starts, ulabel_lengths, invisible_table)
+                decoded = DecodedLabels(count, rows[decodable], ulabels,
+                                        ulabel_starts[decodable], ulabel_lengths[decodable])
 
         # Gather the registrable (second-to-last) labels into one packed
         # segment array and reuse the label-level kernel on it.
@@ -722,7 +741,46 @@ class BatchFoldKernel:
                 codes, label_starts[registrable], label_lengths[registrable])
             out[chosen] = self._codes_certain_miss(
                 packed, packed_starts, packed_lengths, invisible_table)
-        return out, idn_labels
+        return out, decoded
+
+
+class DecodedLabels:
+    """The registrable U-labels one batch decoded, looked up by row.
+
+    ``rows`` lists, in ascending order, the rows whose registrable A-label
+    the batch decoded.  The labels stay packed code points until
+    :meth:`get` first asks for one, so a caller that only counts rows
+    makes no string.
+    """
+
+    __slots__ = ("rows", "_count", "_codes", "_starts", "_lengths", "_spans")
+
+    def __init__(
+        self,
+        count: int = 0,
+        rows: np.ndarray | None = None,
+        codes: np.ndarray | None = None,
+        starts: np.ndarray | None = None,
+        lengths: np.ndarray | None = None,
+    ) -> None:
+        self.rows = rows if rows is not None else np.zeros(0, dtype=np.int64)
+        self._count = count
+        self._codes, self._starts, self._lengths = codes, starts, lengths
+        self._spans: tuple[str, list[int], list[int], list[int]] | None = None
+
+    def get(self, row: int) -> str | None:
+        """The U-label of *row*, or ``None`` when the batch did not decode it."""
+        if not self.rows.size:
+            return None
+        if self._spans is None:
+            slot = np.full(self._count, -1, dtype=np.int64)
+            slot[self.rows] = np.arange(self.rows.size)
+            self._spans = (self._codes.astype("<u4").tobytes().decode("utf-32-le"),
+                           slot.tolist(), self._starts.tolist(),
+                           (self._starts + self._lengths).tolist())
+        text, slot, starts, ends = self._spans
+        rank = slot[row]
+        return text[starts[rank]:ends[rank]] if rank >= 0 else None
 
 
 def _gather(codes: np.ndarray, starts: np.ndarray,

@@ -237,22 +237,22 @@ class OnlineDetector:
         with self._idle:
             self._inflight += len(items)
         try:
-            outcomes = self.finder.join_batch(
+            batch = self.finder.join_batch(
                 items, snapshot.prepared,
                 lambda label: self._matches_for(label, snapshot),
                 cache_dir=self.fold_table_dir,
             )
             verdicts = []
             errors = 0
+            joined = iter(batch.joined)
             # str() on a str returns it untouched, on a DomainName its ASCII form.
-            for text, outcome in zip(map(str, items), outcomes):
-                if outcome is None:
-                    verdicts.append(_fast_miss_verdict(text))
+            for position, (text, fast) in enumerate(zip(map(str, items), batch.fast.tolist())):
+                if fast:
+                    label = batch.decoded.get(position)
+                    verdicts.append(_fast_miss_verdict(text) if label is None
+                                    else self._idn_miss_verdict(text, label))
                     continue
-                if isinstance(outcome, str):
-                    verdicts.append(self._idn_miss_verdict(text, outcome))
-                    continue
-                name, label, matches, error = outcome
+                _position, name, label, matches, error = next(joined)
                 if error is not None:
                     errors += 1
                     verdicts.append(QueryVerdict(domain=text, error=str(error)))
@@ -287,11 +287,9 @@ class OnlineDetector:
         """The verdict of an IDN fast miss: *text* is its ASCII form and
         *label* its decoded registrable U-label, which replaces the
         registrable A-label in the Unicode form."""
-        head, _, tld = text.rpartition(".")
-        subdomains, dot, _alabel = head.rpartition(".")
         return QueryVerdict(
-            domain=text, ascii=text, unicode=f"{subdomains}{dot}{label}.{tld}",
-            is_idn=True, revert=self._revert(label, tld),
+            domain=text, ascii=text, unicode=DomainName.from_decoded(text, label).unicode,
+            is_idn=True, revert=self._revert(label, text.rpartition(".")[2]),
         )
 
     # -- the per-label join cache -------------------------------------------

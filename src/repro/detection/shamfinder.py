@@ -34,12 +34,13 @@ from ..homoglyph.simchar import SimCharBuilder
 from ..idn.domain import DomainName
 from ..idn.idna_codec import IDNAError
 from .algorithm import HomographMatcher, MatchResult, fold_label
-from .batchfold import MIN_KERNEL_BATCH, kernel_for
+from .batchfold import MIN_KERNEL_BATCH, DecodedLabels, kernel_for
 from .report import DetectionReport, HomographDetection
 from .revert import HomographReverter
 from .skeleton import PACK_SEPARATOR, SkeletonIndex
 
-__all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches", "REFERENCE_SEPARATOR"]
+__all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches", "BatchJoin",
+           "REFERENCE_SEPARATOR"]
 
 #: Separator packing a label's reference domains into one string — the
 #: same C0 byte the skeleton buckets pack with, imported so the artifact
@@ -81,6 +82,23 @@ class PreparedReferences:
 #: One label's skeleton-join outcome: each match paired with the reference
 #: domains (canonical ASCII, all TLDs) carrying the matched label.
 LabelMatches = tuple
+
+
+@dataclass(frozen=True, eq=False)
+class BatchJoin:
+    """What :meth:`ShamFinder.join_batch` found for one batch of inputs."""
+
+    #: Per input, True for a *fast miss*: no match, and an ASCII form
+    #: equal to ``str(item)``.  Its Unicode form is ``str(item)`` too,
+    #: unless :attr:`decoded` holds its registrable U-label.
+    fast: np.ndarray
+    #: The registrable U-labels the kernel decoded, by input position.
+    decoded: DecodedLabels
+    #: One ``(position, name, label, matches, error)`` per other input, in
+    #: input order.  ``error`` is set, and ``name`` and ``label`` are
+    #: ``None``, when the input is not a domain name; otherwise ``label``
+    #: is the name's registrable U-label.
+    joined: list[tuple]
 
 
 @dataclass(frozen=True)
@@ -287,18 +305,15 @@ class ShamFinder:
 
         Returns ``(detections, idn_count, skipped_count)`` — the unit of
         work one streaming-scan chunk performs (:mod:`.stream`).  The
-        batch goes through :meth:`join_batch`; a fast miss counts in
-        ``idn_count`` exactly as parsing it would, and ``skipped_count``
-        counts the inputs that are not domain names.
+        batch goes through :meth:`join_batch`; the fast misses count in
+        ``idn_count`` exactly as parsing them would, and
+        ``skipped_count`` counts the inputs that are not domain names.
         """
+        batch = self.join_batch(idns, prepared, lambda label: self.join_label(label, prepared))
         detections: list[HomographDetection] = []
-        idn_count = 0
+        idn_count = int(np.count_nonzero(batch.fast))
         skipped = 0
-        for outcome in self.join_batch(idns, prepared, lambda label: self.join_label(label, prepared)):
-            if not isinstance(outcome, tuple):
-                idn_count += 1
-                continue
-            name, _label, matches, error = outcome
+        for _position, name, _label, matches, error in batch.joined:
             if error is not None:
                 skipped += 1
             else:
@@ -313,60 +328,67 @@ class ShamFinder:
         join: Callable[[str], LabelMatches],
         *,
         cache_dir=None,
-    ) -> list[tuple | str | None]:
-        """Step III's batch front-end: one outcome per input, in order.
+    ) -> BatchJoin:
+        """Step III's batch front-end: every input's outcome, in order.
 
         Both :meth:`detect_prepared` (``scan``, ``track``, the Section 5
         study) and ``OnlineDetector.query_many`` (``query``, ``serve``)
-        reach the skeleton join only through here.  A *fast miss* has no
-        match and an ASCII form equal to ``str(item)``; its outcome is
-        ``None`` when it is not an IDN (its Unicode form is ``str(item)``
-        too) and its decoded registrable U-label when it is one.  Any
-        other outcome is ``(name, label, matches, error)``: ``error`` is
-        set, and ``name`` and ``label`` are ``None``, when the input is
-        not a domain name.  A parsed name always has its ``label``:
-        construction already decoded it.
+        reach the skeleton join only through here.  The outcome is a
+        :class:`BatchJoin`: the fast misses as a mask, the rest as joined
+        rows.
 
         From :data:`~.batchfold.MIN_KERNEL_BATCH` inputs up, the
         domain-level kernel pass finds the fast misses among the raw
-        strings; the rest are parsed, and if that many remain the
-        label-level pass runs over their labels.
-        *join* (``label -> matches``) runs only for labels neither pass
-        proved matchless — a proved label gets ``()``, exactly what the
-        join would return.
-        Smaller batches run the plain scalar loop.  *cache_dir* is where
-        the kernel's fold-table sidecar lives.
+        strings.  A bucket hit whose registrable A-label that pass decoded
+        is built from its two forms, the input and the U-label; the rest
+        are parsed, and if that many were, the label-level pass runs over
+        their labels.  *join* (``label -> matches``) runs only for labels
+        neither pass proved matchless — a proved label gets ``()``,
+        exactly what the join would return.  Smaller batches run the plain
+        scalar loop.  *cache_dir* is where the kernel's fold-table sidecar
+        lives.
         """
         items = items if isinstance(items, list) else list(items)
-        outcomes: list[tuple | str | None] = [None] * len(items)
+        fast = np.zeros(len(items), dtype=bool)
+        decoded = DecodedLabels()
         kernel = None
         pending = range(len(items))
         if len(items) >= MIN_KERNEL_BATCH:
             kernel = kernel_for(self.matcher, prepared, cache_dir=cache_dir)
-            fast, idn_labels = kernel.domain_misses(
+            fast, decoded = kernel.domain_misses(
                 list(map(str, items)), invisible_table=self.invisible_table)
             pending = np.flatnonzero(~fast).tolist()
-            for position, label in idn_labels.items():
-                outcomes[position] = label
 
-        parsed: list[tuple[int, DomainName, str]] = []
+        rows: list[tuple] = []      # (position, name, label, error), in input order
+        parsed: list[int] = []      # indexes into rows of the names parsed here
         for position in pending:
             item = items[position]
+            label = decoded.get(position)
+            if label is not None:
+                if not isinstance(item, DomainName):
+                    item = DomainName.from_decoded(item, label)
+                rows.append((position, item, label, None))
+                continue
             try:
                 name = item if isinstance(item, DomainName) else DomainName(str(item))
             except (IDNAError, ValueError) as exc:
-                outcomes[position] = (None, None, (), exc)
+                rows.append((position, None, None, exc))
                 continue
-            parsed.append((position, name, name.registrable_unicode))
+            parsed.append(len(rows))
+            rows.append((position, name, name.registrable_unicode, None))
 
-        miss = None
+        proved = [False] * len(rows)
         if kernel is not None and len(parsed) >= MIN_KERNEL_BATCH:
             miss = kernel.certain_miss_mask(
-                [label for _, _, label in parsed], invisible_table=self.invisible_table)
-        for rank, (position, name, label) in enumerate(parsed):
-            matches = () if miss is not None and miss[rank] else join(label)
-            outcomes[position] = (name, label, matches, None)
-        return outcomes
+                [rows[rank][2] for rank in parsed], invisible_table=self.invisible_table)
+            for rank, is_miss in zip(parsed, miss.tolist()):
+                proved[rank] = is_miss
+        joined = [
+            (position, name, label,
+             () if error is not None or proved[rank] else join(label), error)
+            for rank, (position, name, label, error) in enumerate(rows)
+        ]
+        return BatchJoin(fast, decoded, joined)
 
     def join_label(self, label: str, prepared: PreparedReferences) -> LabelMatches:
         """The scalar skeleton join for one registrable label."""

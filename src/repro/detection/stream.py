@@ -23,7 +23,9 @@ module streams it instead:
   artifact path), so every start method runs parallel.  A worker's
   exception, failed start-up or death raises in the caller;
 * **JSONL result sink** — each detection is appended as one JSON object
-  per line (:meth:`HomographDetection.as_dict`), flushed commit by commit;
+  per line (:meth:`HomographDetection.as_dict`), flushed commit by commit.
+  The worker that matched a chunk renders its lines, so the parent only
+  writes text;
 * **checkpoint/resume** — every commit appends the results of one or more
   whole chunks and then atomically rewrites a small checkpoint recording
   how much input was consumed and how many result lines are durable.  One
@@ -69,6 +71,7 @@ from ..durable import Checkpoint, CheckpointedLog, SinkRecovery, json_record, re
 from ..idn.domain import DomainName
 from ..idn.idna_codec import ACE_PREFIX, split_labels
 from ..parallel.pool import pool_context
+from .batchfold import kernel_for
 from .report import DetectionReport, HomographDetection
 from .shamfinder import PreparedReferences, ShamFinder
 
@@ -260,7 +263,8 @@ def _receive_chunks(conn, chunks: queue.SimpleQueue) -> None:
         chunks.put(None)
 
 
-def _scan_worker(conn, inherited, finder: ShamFinder, prepared, idn_only: bool) -> None:
+def _scan_worker(conn, inherited, finder: ShamFinder, prepared, idn_only: bool,
+                 render: bool) -> None:
     """A scan worker: match each chunk that arrives on *conn*, reply in order.
 
     Chunks are received on a thread of their own, so the parent is never
@@ -278,7 +282,7 @@ def _scan_worker(conn, inherited, finder: ShamFinder, prepared, idn_only: bool) 
         chunks: queue.SimpleQueue = queue.SimpleQueue()
         threading.Thread(target=_receive_chunks, args=(conn, chunks), daemon=True).start()
         for chunk in iter(chunks.get, None):
-            reply = _process_chunk(finder, prepared, chunk, idn_only)
+            reply = _process_chunk(finder, prepared, chunk, idn_only, render)
             try:
                 conn.send(reply)
             except OSError:         # the parent is gone
@@ -430,12 +434,23 @@ def _process_chunk(
     prepared: PreparedReferences,
     chunk: tuple[str, int],
     idn_only: bool,
-) -> tuple[list[HomographDetection], int, int, int, int]:
-    """Steps II + III over one ``(text, raw_lines)`` chunk."""
+    render: bool,
+) -> tuple[list[HomographDetection] | str, int, int, int, int, int]:
+    """Steps II + III over one ``(text, raw_lines)`` chunk.
+
+    Returns ``(found, detections, raw_lines, domains_seen, idn_count,
+    skipped)``.  ``found`` is the chunk's detections, or with *render*
+    their sink lines as one string, so a worker hands its parent text to
+    write instead of objects to unpickle and encode.
+    """
     text, raw_lines = chunk
     candidates, seen = _step_ii(text, idn_only)
     detections, idn_count, skipped = finder.detect_prepared(candidates, prepared)
-    return detections, raw_lines, seen, idn_count, skipped
+    found: list[HomographDetection] | str = detections
+    if render:
+        found = "".join([json.dumps(d.as_dict(), ensure_ascii=False) + "\n"
+                         for d in detections])
+    return found, len(detections), raw_lines, seen, idn_count, skipped
 
 
 #: A chunk slicer: ``take(n)`` returns the next *n* input lines as one
@@ -737,8 +752,9 @@ class StreamingScanner:
         report = DetectionReport()
         stats = ScanStats()
         started = time.perf_counter()
-        for batch in self._batches(_element_take(iter(domains))):
-            report.extend(self._fold(batch, stats))
+        for batch in self._batches(_element_take(iter(domains)), render=False):
+            for detections in self._fold(batch, stats):
+                report.extend(detections)
             stats.elapsed_seconds = time.perf_counter() - started
             if progress is not None:
                 progress(stats)
@@ -831,10 +847,9 @@ class StreamingScanner:
                         break
                     stats.resumed_lines += taken
 
-            for batch in self._batches(take):
-                detections = self._fold(batch, stats)
+            for batch in self._batches(take, render=True):
                 sink.commit(
-                    [json.dumps(d.as_dict(), ensure_ascii=False) + "\n" for d in detections],
+                    self._fold(batch, stats),
                     ScanCheckpoint(
                         lines_done=stats.lines_done,
                         chunks_done=stats.chunks_done,
@@ -853,22 +868,32 @@ class StreamingScanner:
 
     # -- shared chunk pipeline -------------------------------------------------
 
-    def _batches(self, take: _Take) -> Iterator[list[tuple]]:
+    def _batches(self, take: _Take, *, render: bool) -> Iterator[list[tuple]]:
         """Yield chunk results in input order, one commit's batch at a time.
 
         One worker yields every chunk on its own.  Several wait for the
         next result, then add every later result that is already ready,
         so a parent that falls behind its workers commits many chunks at
-        once instead of one checkpoint per chunk.
+        once instead of one checkpoint per chunk.  *render* makes each
+        result carry its sink lines (see :func:`_process_chunk`).
         """
         chunks = iter(partial(take, self.chunk_size), ("", 0))
         if self.jobs == 1:
             for chunk in chunks:
-                yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only)]
+                yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only, render)]
             return
         context = pool_context(self.start_method)
+        # Build the batch kernel before the workers start, so none of them
+        # re-runs the fold table's full-code-space scan: fork children
+        # inherit the kernel, spawn and forkserver children get the table
+        # memoized on the finder they are sent.  An mmap index's directory
+        # holds the table's sidecar, so a warm parent loads it.
+        path = getattr(self.prepared, "path", None)
+        kernel_for(self.finder.matcher, self.prepared,
+                   cache_dir=Path(path).parent if path is not None else None)
         workers = _ScanWorkers(context, self.jobs, chunks, (
-            self.finder, self._worker_prepared(context.get_start_method()), self.idn_only))
+            self.finder, self._worker_prepared(context.get_start_method()),
+            self.idn_only, render))
         try:
             for first in workers:
                 yield [first, *workers.drain()]
@@ -890,16 +915,17 @@ class StreamingScanner:
         return (_MMAP_SPEC, str(path))
 
     @staticmethod
-    def _fold(batch: list[tuple], stats: ScanStats) -> list[HomographDetection]:
-        """Count one batch of chunk results into *stats*; returns its detections."""
-        detections: list[HomographDetection] = []
-        for found, raw_lines, domains_seen, idn_count, skipped in batch:
-            detections.extend(found)
+    def _fold(batch: list[tuple], stats: ScanStats) -> list:
+        """Count one batch of chunk results into *stats*; returns each
+        chunk's ``found`` (its detections or its sink lines)."""
+        found = []
+        for chunk_found, detections, raw_lines, domains_seen, idn_count, skipped in batch:
+            found.append(chunk_found)
+            stats.detection_count += detections
             stats.lines_done += raw_lines
             stats.domains_seen += domains_seen
             stats.idn_count += idn_count
             stats.skipped_count += skipped
         stats.chunks_done += len(batch)
-        stats.detection_count += len(detections)
         stats.commits += 1
-        return detections
+        return found

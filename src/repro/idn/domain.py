@@ -49,6 +49,23 @@ class DomainName:
         """Build from either a Unicode or an ASCII/A-label representation."""
         return cls(text)
 
+    @classmethod
+    def from_decoded(cls, ascii: str, registrable_unicode: str) -> "DomainName":
+        """The name *ascii* whose registrable A-label decodes to
+        *registrable_unicode*, built without validating either.
+
+        Only for a canonical ASCII name (lowercase LDH labels that pass
+        every check) whose registrable label is its one A-label, paired
+        with that label's non-ASCII decode: the result then equals
+        ``DomainName(ascii)``.
+        """
+        head, _, tld = ascii.rpartition(".")
+        subdomains, dot, _alabel = head.rpartition(".")
+        name = object.__new__(cls)
+        object.__setattr__(name, "ascii", ascii)
+        object.__setattr__(name, "unicode", f"{subdomains}{dot}{registrable_unicode}.{tld}")
+        return name
+
     # -- representations ------------------------------------------------------
 
     @property

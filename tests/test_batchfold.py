@@ -13,6 +13,7 @@ the domain-level fast-parse is pinned against its executable regex oracle
 from __future__ import annotations
 
 import pickle
+import random
 from contextlib import contextmanager
 from unittest import mock
 
@@ -155,11 +156,12 @@ def _decoding_every_idn():
 
 
 def _expected_domain_miss(kernel, text, invisible_table=None):
-    """The oracle: ``(certain miss?, decoded label of an IDN miss)``.
+    """The oracle: ``(certain miss?, decoded label of an eligible IDN)``.
 
     Eligibility is FAST_DOMAIN_RE plus the length cap; an eligible IDN
     must also parse, and an eligible name is a miss exactly when its
-    registrable U-label is a certain miss at label level.
+    registrable U-label is a certain miss at label level.  Every eligible
+    IDN that parses carries its U-label, miss or bucket hit.
     """
     if len(text) > MAX_FAST_DOMAIN or FAST_DOMAIN_RE.fullmatch(text) is None:
         return False, None
@@ -171,12 +173,22 @@ def _expected_domain_miss(kernel, text, invisible_table=None):
         except IDNAError:
             return False, None
     miss = bool(kernel.certain_miss_mask([registrable], invisible_table=invisible_table)[0])
-    return miss, label if miss else None
+    return miss, label
+
+
+def _labels_by_row(decoded):
+    """A :class:`DecodedLabels` as ``{row: U-label}``, checking that it
+    has a label exactly at its rows."""
+    rows = decoded.rows.tolist()
+    assert rows == sorted(set(rows))
+    labels = {row: decoded.get(row) for row in rows}
+    assert None not in labels.values()
+    return labels
 
 
 def _assert_domain_pass_matches_oracle(kernel, matcher, prepared, batch, invisible_table=None):
     with _decoding_every_idn():
-        got, idn_labels = kernel.domain_misses(batch, invisible_table=invisible_table)
+        got, decoded = kernel.domain_misses(batch, invisible_table=invisible_table)
     assert got.shape == (len(batch),)
     expected_labels = {}
     for position, text in enumerate(batch):
@@ -184,13 +196,16 @@ def _assert_domain_pass_matches_oracle(kernel, matcher, prepared, batch, invisib
         assert got[position] == miss, text
         if label is not None:
             expected_labels[position] = label
-    assert idn_labels == expected_labels
-    for position, label in idn_labels.items():
-        # What an IDN fast miss is taken to be without parsing it.
+        else:
+            assert decoded.get(position) is None
+    assert _labels_by_row(decoded) == expected_labels
+    for position, label in expected_labels.items():
+        # What a decoded IDN is taken to be without parsing it.
         name = DomainName(batch[position])
         assert name.ascii == batch[position] and name.has_idn_registrable_label
         assert name.registrable_unicode == label
-        assert list(matcher.match_with_skeleton_index(label, prepared.index)) == []
+        if got[position]:
+            assert list(matcher.match_with_skeleton_index(label, prepared.index)) == []
 
 
 _DOMAIN_ALPHABET = st.sampled_from(list("gole.amzn-_оа​ΣAZ%/\n09x"))
@@ -247,13 +262,13 @@ def test_idn_decode_waits_for_a_full_batch(kernel):
     # The last name has an A-label in the registrable position but is not
     # eligible (uppercase TLD), so only MIN_IDN_DECODE_BATCH - 1 rows are.
     few = plain + idns[:-1] + [idns[-1].replace(".com", ".COM")]
-    mask, labels = kernel.domain_misses(few)
-    assert mask[:4].all() and not mask[4:].any() and labels == {}
+    mask, decoded = kernel.domain_misses(few)
+    assert mask[:4].all() and not mask[4:].any() and _labels_by_row(decoded) == {}
     assert np.array_equal(kernel.domain_certain_miss(few), mask)
     full = plain + idns
-    mask, labels = kernel.domain_misses(full)
+    mask, decoded = kernel.domain_misses(full)
     assert mask.all()
-    assert labels == {4 + i: f"bénin{i}" for i in range(MIN_IDN_DECODE_BATCH)}
+    assert _labels_by_row(decoded) == {4 + i: f"bénin{i}" for i in range(MIN_IDN_DECODE_BATCH)}
     assert np.array_equal(kernel.domain_certain_miss(full), mask)
 
 
@@ -377,9 +392,10 @@ def test_idn_batch_equals_scalar(small_finder, prepared, detect_per_item):
     eligible = [d for d in corpus
                 if FAST_DOMAIN_RE.fullmatch(d) and d.rsplit(".", 2)[-2].startswith("xn--")]
     assert len(eligible) >= MIN_IDN_DECODE_BATCH
-    outcomes = small_finder.join_batch(
+    batch = small_finder.join_batch(
         corpus, prepared, lambda label: small_finder.join_label(label, prepared))
-    assert sum(isinstance(outcome, str) for outcome in outcomes) >= MIN_IDN_DECODE_BATCH // 2
+    idn_misses = [row for row in batch.decoded.rows.tolist() if batch.fast[row]]
+    assert len(idn_misses) >= MIN_IDN_DECODE_BATCH // 2
 
     batch, batch_count, batch_skipped = small_finder.detect_prepared(corpus, prepared)
     scalar, scalar_count, scalar_skipped = detect_per_item(small_finder, corpus, prepared)
@@ -424,15 +440,159 @@ def test_mixed_batch_outcomes_in_input_order(small_finder, prepared):
         joined.append(label)
         return small_finder.join_label(label, prepared)
 
-    outcomes = small_finder.join_batch(batch, prepared, join)
-    assert len(outcomes) == len(batch)
-    assert outcomes[0] is None
-    name, label, matches, error = outcomes[1]
-    assert name is None and error is not None
-    name, label, matches, error = outcomes[2]
+    outcome = small_finder.join_batch(batch, prepared, join)
+    assert outcome.fast.tolist() == [True] + [False] * (len(batch) - 1)
+    assert outcome.decoded.get(0) is None
+    assert [row[0] for row in outcome.joined] == list(range(1, len(batch)))
+    _position, name, label, matches, error = outcome.joined[0]
+    assert name is None and label is None and matches == () and error is not None
+    _position, name, label, matches, error = outcome.joined[1]
     assert error is None and matches and joined == [label]
-    assert [(label, matches) for _, label, matches, _ in outcomes[3:]] == [
+    assert [(label, matches) for _, _, label, matches, _ in outcome.joined[2:]] == [
         (f"site{i}", ()) for i in range(MIN_KERNEL_BATCH)]
+
+
+# -- decoded bucket hits --------------------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["", "www.", "a.b-c.", "_dmarc.x9."]), _ALABELS,
+       st.sampled_from(["com", "de", "x_y"]))
+@example("", "xn--bcher-kva", "de")
+@example("www.", to_ascii_label("gооgle"), "com")
+@example("", "xn--" + "a" * 55 + "-8yf", "com")
+@example("", "xn--ab_c", "com")
+@example("", "xn--99999999", "com")
+def test_name_from_decoded_forms_equals_a_full_parse(kernel, subdomain, alabel, tld):
+    """A fast-parseable name whose registrable A-label the batch decodes,
+    rebuilt from (text, U-label), is the name a full parse builds; a
+    payload the batch does not decode (flagged, undecodable) gets no
+    label, so the front-end parses it."""
+    text = f"{subdomain}{alabel}.{tld}"
+    assume(FAST_DOMAIN_RE.fullmatch(text) and len(text) <= MAX_FAST_DOMAIN)
+    with _decoding_every_idn():
+        _mask, decoded = kernel.domain_misses([text])
+    label = decoded.get(0)
+    try:
+        parsed = DomainName(text)
+    except IDNAError:
+        assert label is None
+        return
+    assert label is not None
+    built = DomainName.from_decoded(text, label)
+    for attribute in ("ascii", "unicode", "tld", "registrable_unicode", "labels",
+                      "unicode_labels", "has_idn_registrable_label"):
+        assert getattr(built, attribute) == getattr(parsed, attribute), attribute
+    assert built == parsed and hash(built) == hash(parsed)
+
+
+def test_only_decoded_bucket_hits_skip_the_parse(small_finder, prepared, monkeypatch):
+    """A bucket hit whose A-label the batch decoded is built from its forms
+    and goes straight to the join; a payload that is flagged or
+    undecodable, an ineligible name and a plain ASCII hit are parsed, and
+    only the parsed names reach the label-level pass."""
+    from repro.idn import domain as domain_module
+
+    hits = [to_ascii_label(label) + ".com" for label in ("gооgle", "аmazon", "pаypаl")]
+    hits.append("www." + hits[0])
+    undecoded = ["xn--ab_c.com", "xn--99999999.com", "xn--jv09t.com"]
+    parsed_names = ["google.com", "XN--BCHER-KVA.de", "xn--bcher-kva.xn--p1ai", "..",
+                    *(f"UPPER{i}.com" for i in range(MIN_KERNEL_BATCH))]
+    misses = [f"xn--{encode(f'bénin{i}')}.com" for i in range(MIN_KERNEL_BATCH)]
+    batch = misses[:4] + hits[:2] + undecoded + parsed_names + hits[2:] + misses[4:]
+
+    built, parsed, checked = [], [], []
+    from_decoded, domain_forms = DomainName.from_decoded, domain_module.domain_forms
+    certain_miss_mask = BatchFoldKernel.certain_miss_mask
+
+    def recording_from_decoded(text, label):
+        built.append(text)
+        return from_decoded(text, label)
+
+    def recording_domain_forms(text):
+        parsed.append(text)
+        return domain_forms(text)
+
+    def recording_mask(self, labels, **kwargs):
+        checked.extend(labels)
+        return certain_miss_mask(self, labels, **kwargs)
+
+    monkeypatch.setattr(DomainName, "from_decoded", staticmethod(recording_from_decoded))
+    monkeypatch.setattr(domain_module, "domain_forms", recording_domain_forms)
+    monkeypatch.setattr(BatchFoldKernel, "certain_miss_mask", recording_mask)
+    joined = []
+
+    def join(label):
+        joined.append(label)
+        return small_finder.join_label(label, prepared)
+
+    with _decoding_every_idn():
+        outcome = small_finder.join_batch(batch, prepared, join)
+    assert built == hits
+    assert parsed == undecoded + parsed_names
+    assert outcome.fast.tolist() == [text in misses for text in batch]
+    by_position = {row[0]: row for row in outcome.joined}
+    assert sorted(by_position) == [i for i, text in enumerate(batch) if text not in misses]
+    hit_labels = [by_position[batch.index(text)][2] for text in hits]
+    assert all(by_position[batch.index(text)][3] for text in hits)
+    # The label-level pass sees exactly the names parsed here.
+    assert checked == [DomainName(text).registrable_unicode
+                       for text in parsed_names if text != ".."]
+    assert set(hit_labels) <= set(joined)
+
+
+def _threshold_corpus(eligible: int) -> list[str]:
+    """A shuffled mixed batch holding exactly *eligible* fast-parseable
+    IDNs: decodable misses, decodable bucket hits and payloads the batch
+    decoder flags, among ineligible IDNs, plain names and junk."""
+    hits = [to_ascii_label(label) + ".com" for label in ("gооgle", "аmazon", "pаypаl")]
+    hits.append("www." + hits[0])
+    flagged = ["xn--ab_c.com", "xn--99999999.com", "xn--jv09t.com", "xn--w.net"]
+    fill = eligible - len(hits) - len(flagged)
+    idns = [f"xn--{encode(f'bénin{i}')}.{'com' if i % 2 else 'net'}" for i in range(fill)]
+    others = ["benign.com", "..", "UPPER.com", "XN--BCHER-KVA.de", "xn--bcher-kva.xn--p1ai",
+              hits[0].upper(), "www.site.co.uk", "google.com", "xn--.com", "xn--abc-.com"]
+    corpus = idns + hits + flagged + others
+    random.Random(eligible).shuffle(corpus)
+    assert sum(bool(FAST_DOMAIN_RE.fullmatch(text)) and text.rsplit(".", 2)[-2].startswith("xn--")
+               for text in corpus) == eligible
+    return corpus
+
+
+def _outcome_rows(finder, prepared, batch):
+    """:meth:`ShamFinder.join_batch` over *batch*, one ``(ascii, unicode,
+    label, matches, error)`` per input; a fast miss is spelled out as the
+    name it is taken to be."""
+    outcome = finder.join_batch(batch, prepared, lambda label: finder.join_label(label, prepared))
+    joined = iter(outcome.joined)
+    rows = []
+    for position, text in enumerate(batch):
+        if outcome.fast[position]:
+            label = outcome.decoded.get(position)
+            if label is None:
+                rows.append((text, text, text.rsplit(".", 2)[-2], (), None))
+            else:
+                rows.append((text, DomainName.from_decoded(text, label).unicode, label, (), None))
+            continue
+        row_position, name, label, matches, error = next(joined)
+        assert row_position == position
+        rows.append((name and name.ascii, name and name.unicode, label, matches,
+                     error and str(error)))
+    assert next(joined, None) is None
+    return rows, outcome
+
+
+@pytest.mark.parametrize("eligible", [MIN_IDN_DECODE_BATCH - 1, MIN_IDN_DECODE_BATCH,
+                                      MIN_IDN_DECODE_BATCH + 1])
+def test_join_batch_equals_scalar_loop_around_the_decode_threshold(
+        small_finder, prepared, eligible):
+    corpus = _threshold_corpus(eligible)
+    rows, outcome = _outcome_rows(small_finder, prepared, corpus)
+    assert bool(outcome.decoded.rows.size) == (eligible >= MIN_IDN_DECODE_BATCH)
+    scalar = [_outcome_rows(small_finder, prepared, [text])[0][0] for text in corpus]
+    assert rows == scalar
+    assert any(matches for _, _, _, matches, _ in rows)
+    assert any(error for *_, error in rows)
 
 
 # -- the trivial-verdict constructor ------------------------------------------
@@ -503,6 +663,22 @@ def test_fold_table_sidecar_used_by_fold_table_for(tmp_path, small_finder):
     second = fold_table_for(classes, database_digest=digest, cache_dir=tmp_path)
     assert np.array_equal(first.keys, second.keys)
     assert np.array_equal(first.values, second.values)
+
+
+@pytest.mark.parametrize("codes", [
+    np.arange(0x80), np.arange(0x80, 0x10000), np.array([0x41, 0x3A3, 0xD800, 0x1F600, 0x10FFFF]),
+], ids=["ascii", "bmp", "astral"])
+def test_translate_equals_the_sparse_tables(small_finder, codes):
+    """Every lookup :meth:`FoldTable.translate` picks (128-entry, dense
+    BMP, sparse) maps and flags exactly what the sorted arrays say."""
+    table = fold_table_for(
+        small_finder.matcher.classes,
+        database_digest=small_finder.database.content_digest())
+    codes = codes.astype(np.uint32)
+    mapped, unsafe = table.translate(codes)
+    assert np.array_equal(mapped, batchfold._sparse_apply(table.keys, table.values, codes))
+    expected = batchfold._membership(table.unsafe, codes)
+    assert np.array_equal(unsafe if unsafe is not None else np.zeros(codes.size, bool), expected)
 
 
 def test_kernel_matches_manual_construction(small_finder, prepared, kernel):

@@ -222,26 +222,32 @@ class _FallBehind:
     result) returns a result; ``drain()`` finds nothing ready.
     ``catch_up`` waits for every remaining result, so from then on all of
     them are ready at once: the parent has fallen behind its workers,
-    whatever the host's timing.
+    whatever the host's timing.  ``returned`` records every result handed
+    to the scan, in order.
     """
 
     def __init__(self, workers):
         self._workers = workers
         self._ready: deque = deque()
         self._caught_up = False
+        self.returned: list = []
 
     def __iter__(self):
         return self
 
     def __next__(self):
         if self._ready:
-            return self._ready.popleft()
-        if self._caught_up:
+            result = self._ready.popleft()
+        elif self._caught_up:
             raise StopIteration
-        return next(self._workers)
+        else:
+            result = next(self._workers)
+        self.returned.append(result)
+        return result
 
     def drain(self):
         ready, self._ready = list(self._ready), deque()
+        self.returned.extend(ready)
         return ready
 
     def close(self):
@@ -289,6 +295,13 @@ def test_coalesced_scan_commits_are_crash_safe(finder, tmp_path):
     assert out.read_bytes() == serial_out.read_bytes()
     assert checkpoint_path.read_bytes() == (tmp_path / "serial.jsonl.checkpoint").read_bytes()
     assert len(checkpoints) == stats.commits + 1
+    # Each worker result carries its chunk's sink lines as text, which the
+    # parent writes as they are; its detection count is that text's lines.
+    returned = held[-1].returned
+    assert len(returned) == stats.chunks_done
+    assert all(isinstance(result[0], str) for result in returned)
+    assert "".join(result[0] for result in returned).encode("utf-8") == out.read_bytes()
+    assert [result[1] for result in returned] == [result[0].count("\n") for result in returned]
 
     def resume():
         assert serial.scan_file(corpus, out, resume=True).lines_done == len(lines)

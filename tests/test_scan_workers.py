@@ -5,7 +5,11 @@ calling thread (``repro.detection.stream._ScanWorkers``).  Each test names
 the outcome it pins:
 
 * every start method: the ``jobs=2`` sink and counters equal ``jobs=1``'s,
-  also with an mmap-attached index (spawn and forkserver re-attach it);
+  also with an mmap-attached index (spawn and forkserver re-attach it),
+  and on IDN-dense chunks whose sink lines the workers render;
+  ``scan_to_report`` still returns detection objects;
+* the fold table: a scan builds it once, in the parent, under every
+  start method;
 * an exception inside a worker's chunk: re-raised with its own type;
 * a worker that cannot attach the index: its own ``RuntimeError`` text;
 * a worker killed mid-scan: ``scan`` exits non-zero with one stderr line
@@ -23,15 +27,19 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.cli import main
+from repro.detection.batchfold import FoldTable
 from repro.detection.index import ReferenceIndexStore, cached_reference_index
+from repro.detection.report import HomographDetection
 from repro.detection.shamfinder import ShamFinder
-from repro.detection.stream import StreamingScanner
+from repro.detection.stream import StreamingScanner, is_idn_candidate, read_sink
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.idn.domain import DomainName
+from repro.idn.punycode import encode
 
 REFERENCES = ["google.com", "amazon.com"]
 GOOGLE = DomainName("gоogle.com").ascii
@@ -104,6 +112,102 @@ def test_workers_equal_one_process_under_every_start_method(finder, tmp_path, me
     assert (tmp_path / "two.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
     assert _counts(stats) == _counts(serial_stats)
     assert stats.detection_count > 0
+
+
+def _write_idn_zone(path: Path, count: int) -> Path:
+    """A zone dense enough in IDNs that every chunk of 600 lines runs the
+    batch kernel and its A-label decoder: bucket hits among decoded misses,
+    an undecodable payload and plain names."""
+    lines = []
+    for i in range(count):
+        if i % 2:
+            lines.append(f"plain{i}.com")
+        elif i % 14 == 0:
+            lines.append(GOOGLE if i % 28 else "www." + AMAZON)
+        elif i % 50 == 0:
+            lines.append("xn--99999999.com")
+        else:
+            lines.append(f"xn--{encode(f'bénin{i}')}.com")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("attached", [False, True], ids=["in-memory", "mmap"])
+@pytest.mark.parametrize("method", METHODS)
+def test_worker_rendered_sink_is_byte_identical(finder, tmp_path, method, attached):
+    # Workers hand back each chunk's sink lines as text; the sink, its line
+    # count and every counter must be those of one process rendering them.
+    prepared = _attached_index(finder, tmp_path / "index").prepared if attached else None
+    corpus = _write_idn_zone(tmp_path / "zone.txt", 2400)
+    serial = StreamingScanner(finder, REFERENCES, chunk_size=600, prepared=prepared)
+    serial_stats = serial.scan_file(corpus, tmp_path / "one.jsonl")
+    workers = StreamingScanner(finder, REFERENCES, chunk_size=600, jobs=2,
+                               prepared=prepared, start_method=method)
+    stats = workers.scan_file(corpus, tmp_path / "two.jsonl")
+    sink = (tmp_path / "two.jsonl").read_bytes()
+    assert sink == (tmp_path / "one.jsonl").read_bytes()
+    assert _counts(stats) == _counts(serial_stats)
+    assert stats.detection_count == sink.count(b"\n") == len(read_sink(tmp_path / "two.jsonl"))
+    assert stats.detection_count > 0 and stats.skipped_count > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_scan_to_report_returns_the_detections_of_detect_prepared(finder, tmp_path, method):
+    corpus = _write_idn_zone(tmp_path / "zone.txt", 1200)
+    domains = corpus.read_text(encoding="utf-8").splitlines()
+    expected, idn_count, skipped = finder.detect_prepared(
+        list(filter(is_idn_candidate, domains)), finder.prepare_references(REFERENCES))
+    scanner = StreamingScanner(finder, REFERENCES, chunk_size=600, jobs=2, start_method=method)
+    report, stats = scanner.scan_to_report(domains)
+    assert all(isinstance(detection, HomographDetection) for detection in report)
+    assert report.detections == expected
+    assert (stats.detection_count, stats.idn_count, stats.skipped_count) == (
+        len(expected), idn_count, skipped)
+
+
+def _counting_build(calls: Path) -> classmethod:
+    """``FoldTable.build`` that also appends its process id to *calls*."""
+    build = FoldTable.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        with open(calls, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return build(cls, *args, **kwargs)
+    return classmethod(counting_build)
+
+
+class _BuildCountingFinder(ShamFinder):
+    """A finder whose unpickled copies (spawn and forkserver workers)
+    count their process's ``FoldTable.build`` calls into ``calls``."""
+
+    def __init__(self, database, calls: Path) -> None:
+        super().__init__(database)
+        self.calls = calls
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        FoldTable.build = _counting_build(self.calls)
+
+
+@pytest.mark.parametrize("attached", [False, True], ids=["in-memory", "mmap"])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_scan_builds_the_fold_table_once(tmp_path, method, attached):
+    # The parent builds the batch kernel before its workers start; they
+    # inherit it or receive its table, instead of each re-running the
+    # full-code-space scan.
+    calls = tmp_path / "builds"
+    finder = _BuildCountingFinder(_database(), calls)    # no table memoized yet
+    prepared = _attached_index(finder, tmp_path / "index").prepared if attached else None
+    corpus = _write_idn_zone(tmp_path / "zone.txt", 2400)
+    scanner = StreamingScanner(finder, REFERENCES, chunk_size=600, jobs=2,
+                               prepared=prepared, start_method=method)
+    with mock.patch.object(FoldTable, "build", _counting_build(calls)):
+        stats = scanner.scan_file(corpus, tmp_path / "out.jsonl")
+    assert stats.chunks_done == 4 and stats.detection_count > 0
+    assert calls.read_text().split() == [str(os.getpid())]
+    if attached:
+        # The table's sidecar now sits next to the index for later runs.
+        assert list((tmp_path / "index").glob("foldtable-*.bin"))
 
 
 # -- failures inside a worker ---------------------------------------------------
