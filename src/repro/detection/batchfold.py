@@ -241,12 +241,12 @@ class FoldTable:
     fold-only mapping, used to reconstruct the folded (pre-skeleton) code
     points when the invisible-risk mask needs them.  ``unsafe`` lists the
     code points the table cannot decide (:data:`_UNSAFE_CODES`).  All
-    arrays are sorted ``uint32``; the dense lookups :meth:`translate`
-    reads are built from them on first use.
+    arrays are sorted ``uint32``; the dense lookup :meth:`translate`
+    reads is built from them on first use and never pickled.
     """
 
     __slots__ = ("keys", "values", "fold_keys", "fold_values", "unsafe",
-                 "database_digest", "_ascii_map", "_dense_map")
+                 "database_digest", "_dense_map")
 
     def __init__(
         self,
@@ -263,8 +263,13 @@ class FoldTable:
         self.fold_values = fold_values
         self.unsafe = unsafe
         self.database_digest = database_digest
-        self._ascii_map: np.ndarray | None = None
         self._dense_map: np.ndarray | None = None
+
+    def __reduce__(self):
+        # Only the sorted arrays travel: the dense lookup is ~256 KB and
+        # rebuilt on first use.
+        return (type(self), (self.keys, self.values, self.fold_keys,
+                             self.fold_values, self.unsafe, self.database_digest))
 
     @classmethod
     def build(cls, classes: CharacterClasses, *, database_digest: str = "") -> "FoldTable":
@@ -303,19 +308,14 @@ class FoldTable:
         *codes*, and which of them the table cannot decide (→ scalar
         fallback; ``None`` for an ASCII batch, which holds none).
 
-        All-ASCII batches (the ``domain_certain_miss`` hot path) take a
-        128-entry lookup.  Batches below U+10000 (decoded IDN labels) take
-        a 0x10000-entry lookup whose entries also carry the unsafe mark —
-        one fancy-index take instead of two binary searches per code
-        point.  Only a batch with an astral code point searches the sparse
-        arrays.
+        Batches below U+10000 (raw domains, decoded IDN labels) take a
+        0x10000-entry lookup whose entries also carry the unsafe mark — one
+        fancy-index take instead of two binary searches per code point.  No
+        ASCII code point is unsafe, so an ASCII batch reads the mapped
+        entries as they are.  Only a batch with an astral code point
+        searches the sparse arrays.
         """
         top = int(codes.max()) if codes.size else 0
-        if top < 0x80:
-            if self._ascii_map is None:
-                self._ascii_map = _sparse_apply(
-                    self.keys, self.values, np.arange(0x80, dtype=np.uint32))
-            return self._ascii_map[codes], None
         if top < _DENSE_LIMIT:
             if self._dense_map is None:
                 dense = np.arange(_DENSE_LIMIT, dtype=np.uint32)
@@ -324,6 +324,8 @@ class FoldTable:
                 dense[self.unsafe[self.unsafe < _DENSE_LIMIT]] |= _UNSAFE_BIT
                 self._dense_map = dense
             entries = self._dense_map[codes]
+            if top < 0x80:
+                return entries, None
             return entries & ~_UNSAFE_BIT, (entries & _UNSAFE_BIT) != 0
         return (_sparse_apply(self.keys, self.values, codes),
                 _membership(self.unsafe, codes))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..idn.domain import DomainName
+from ..idn.domain import DomainName, unicode_from_decoded
 from ..idn.idna_codec import fold_label
 from .index import (
     ReferenceIndex,
@@ -252,7 +252,7 @@ class OnlineDetector:
                     verdicts.append(_fast_miss_verdict(text) if label is None
                                     else self._idn_miss_verdict(text, label))
                     continue
-                _position, name, label, matches, error = next(joined)
+                name, label, matches, error = next(joined)
                 if error is not None:
                     errors += 1
                     verdicts.append(QueryVerdict(domain=text, error=str(error)))
@@ -288,7 +288,7 @@ class OnlineDetector:
         *label* its decoded registrable U-label, which replaces the
         registrable A-label in the Unicode form."""
         return QueryVerdict(
-            domain=text, ascii=text, unicode=DomainName.from_decoded(text, label).unicode,
+            domain=text, ascii=text, unicode=unicode_from_decoded(text, label),
             is_idn=True, revert=self._revert(label, text.rpartition(".")[2]),
         )
 

@@ -94,8 +94,8 @@ class BatchJoin:
     fast: np.ndarray
     #: The registrable U-labels the kernel decoded, by input position.
     decoded: DecodedLabels
-    #: One ``(position, name, label, matches, error)`` per other input, in
-    #: input order.  ``error`` is set, and ``name`` and ``label`` are
+    #: One ``(name, label, matches, error)`` per other input, in input
+    #: order.  ``error`` is set, and ``name`` and ``label`` are
     #: ``None``, when the input is not a domain name; otherwise ``label``
     #: is the name's registrable U-label.
     joined: list[tuple]
@@ -313,7 +313,7 @@ class ShamFinder:
         detections: list[HomographDetection] = []
         idn_count = int(np.count_nonzero(batch.fast))
         skipped = 0
-        for _position, name, _label, matches, error in batch.joined:
+        for name, _label, matches, error in batch.joined:
             if error is not None:
                 skipped += 1
             else:
@@ -359,7 +359,7 @@ class ShamFinder:
                 list(map(str, items)), invisible_table=self.invisible_table)
             pending = np.flatnonzero(~fast).tolist()
 
-        rows: list[tuple] = []      # (position, name, label, error), in input order
+        rows: list[tuple] = []      # (name, label, error), in input order
         parsed: list[int] = []      # indexes into rows of the names parsed here
         for position in pending:
             item = items[position]
@@ -367,26 +367,25 @@ class ShamFinder:
             if label is not None:
                 if not isinstance(item, DomainName):
                     item = DomainName.from_decoded(item, label)
-                rows.append((position, item, label, None))
+                rows.append((item, label, None))
                 continue
             try:
                 name = item if isinstance(item, DomainName) else DomainName(str(item))
             except (IDNAError, ValueError) as exc:
-                rows.append((position, None, None, exc))
+                rows.append((None, None, exc))
                 continue
             parsed.append(len(rows))
-            rows.append((position, name, name.registrable_unicode, None))
+            rows.append((name, name.registrable_unicode, None))
 
         proved = [False] * len(rows)
         if kernel is not None and len(parsed) >= MIN_KERNEL_BATCH:
             miss = kernel.certain_miss_mask(
-                [rows[rank][2] for rank in parsed], invisible_table=self.invisible_table)
+                [rows[rank][1] for rank in parsed], invisible_table=self.invisible_table)
             for rank, is_miss in zip(parsed, miss.tolist()):
                 proved[rank] = is_miss
         joined = [
-            (position, name, label,
-             () if error is not None or proved[rank] else join(label), error)
-            for rank, (position, name, label, error) in enumerate(rows)
+            (name, label, () if error is not None or proved[rank] else join(label), error)
+            for rank, (name, label, error) in enumerate(rows)
         ]
         return BatchJoin(fast, decoded, joined)
 

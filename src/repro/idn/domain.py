@@ -20,7 +20,16 @@ from .idna_codec import (
     is_ace_label,
 )
 
-__all__ = ["DomainName", "IDNAError"]
+__all__ = ["DomainName", "IDNAError", "unicode_from_decoded"]
+
+
+def unicode_from_decoded(ascii: str, registrable_unicode: str) -> str:
+    """The Unicode form of the canonical name *ascii* whose registrable
+    A-label decodes to *registrable_unicode* (and whose other labels are
+    ASCII): that label replaced by its decode."""
+    head, _, tld = ascii.rpartition(".")
+    subdomains, dot, _alabel = head.rpartition(".")
+    return f"{subdomains}{dot}{registrable_unicode}.{tld}"
 
 
 @dataclass(frozen=True)
@@ -59,11 +68,9 @@ class DomainName:
         with that label's non-ASCII decode: the result then equals
         ``DomainName(ascii)``.
         """
-        head, _, tld = ascii.rpartition(".")
-        subdomains, dot, _alabel = head.rpartition(".")
         name = object.__new__(cls)
         object.__setattr__(name, "ascii", ascii)
-        object.__setattr__(name, "unicode", f"{subdomains}{dot}{registrable_unicode}.{tld}")
+        object.__setattr__(name, "unicode", unicode_from_decoded(ascii, registrable_unicode))
         return name
 
     # -- representations ------------------------------------------------------

@@ -443,12 +443,12 @@ def test_mixed_batch_outcomes_in_input_order(small_finder, prepared):
     outcome = small_finder.join_batch(batch, prepared, join)
     assert outcome.fast.tolist() == [True] + [False] * (len(batch) - 1)
     assert outcome.decoded.get(0) is None
-    assert [row[0] for row in outcome.joined] == list(range(1, len(batch)))
-    _position, name, label, matches, error = outcome.joined[0]
+    assert len(outcome.joined) == len(batch) - 1
+    name, label, matches, error = outcome.joined[0]
     assert name is None and label is None and matches == () and error is not None
-    _position, name, label, matches, error = outcome.joined[1]
+    name, label, matches, error = outcome.joined[1]
     assert error is None and matches and joined == [label]
-    assert [(label, matches) for _, _, label, matches, _ in outcome.joined[2:]] == [
+    assert [(label, matches) for _, label, matches, _ in outcome.joined[2:]] == [
         (f"site{i}", ()) for i in range(MIN_KERNEL_BATCH)]
 
 
@@ -531,10 +531,11 @@ def test_only_decoded_bucket_hits_skip_the_parse(small_finder, prepared, monkeyp
     assert built == hits
     assert parsed == undecoded + parsed_names
     assert outcome.fast.tolist() == [text in misses for text in batch]
-    by_position = {row[0]: row for row in outcome.joined}
-    assert sorted(by_position) == [i for i, text in enumerate(batch) if text not in misses]
-    hit_labels = [by_position[batch.index(text)][2] for text in hits]
-    assert all(by_position[batch.index(text)][3] for text in hits)
+    positions = np.flatnonzero(~outcome.fast).tolist()
+    assert positions == [i for i, text in enumerate(batch) if text not in misses]
+    by_position = dict(zip(positions, outcome.joined))
+    hit_labels = [by_position[batch.index(text)][1] for text in hits]
+    assert all(by_position[batch.index(text)][2] for text in hits)
     # The label-level pass sees exactly the names parsed here.
     assert checked == [DomainName(text).registrable_unicode
                        for text in parsed_names if text != ".."]
@@ -574,8 +575,7 @@ def _outcome_rows(finder, prepared, batch):
             else:
                 rows.append((text, DomainName.from_decoded(text, label).unicode, label, (), None))
             continue
-        row_position, name, label, matches, error = next(joined)
-        assert row_position == position
+        name, label, matches, error = next(joined)
         rows.append((name and name.ascii, name and name.unicode, label, matches,
                      error and str(error)))
     assert next(joined, None) is None
@@ -669,8 +669,9 @@ def test_fold_table_sidecar_used_by_fold_table_for(tmp_path, small_finder):
     np.arange(0x80), np.arange(0x80, 0x10000), np.array([0x41, 0x3A3, 0xD800, 0x1F600, 0x10FFFF]),
 ], ids=["ascii", "bmp", "astral"])
 def test_translate_equals_the_sparse_tables(small_finder, codes):
-    """Every lookup :meth:`FoldTable.translate` picks (128-entry, dense
-    BMP, sparse) maps and flags exactly what the sorted arrays say."""
+    """Both lookups :meth:`FoldTable.translate` picks (dense below
+    U+10000, sparse above) map and flag exactly what the sorted arrays
+    say."""
     table = fold_table_for(
         small_finder.matcher.classes,
         database_digest=small_finder.database.content_digest())
@@ -679,6 +680,25 @@ def test_translate_equals_the_sparse_tables(small_finder, codes):
     assert np.array_equal(mapped, batchfold._sparse_apply(table.keys, table.values, codes))
     expected = batchfold._membership(table.unsafe, codes)
     assert np.array_equal(unsafe if unsafe is not None else np.zeros(codes.size, bool), expected)
+
+
+def test_a_pickled_fold_table_leaves_its_dense_lookup_behind(small_finder):
+    """The memoized table rides in every pickled finder (spawn and
+    forkserver workers): folding a BMP batch must not grow that pickle,
+    and the unpickled table rebuilds the lookup to the same result."""
+    table = fold_table_for(
+        small_finder.matcher.classes,
+        database_digest=small_finder.database.content_digest())
+    finder_size, table_size = len(pickle.dumps(small_finder)), len(pickle.dumps(table))
+    codes = np.arange(0x80, 0x800, dtype=np.uint32)
+    mapped, unsafe = table.translate(codes)
+    assert table._dense_map is not None
+    assert len(pickle.dumps(small_finder)) == finder_size
+    assert len(pickle.dumps(table)) == table_size
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone._dense_map is None and clone.database_digest == table.database_digest
+    clone_mapped, clone_unsafe = clone.translate(codes)
+    assert np.array_equal(clone_mapped, mapped) and np.array_equal(clone_unsafe, unsafe)
 
 
 def test_kernel_matches_manual_construction(small_finder, prepared, kernel):
