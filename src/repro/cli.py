@@ -35,9 +35,8 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .countermeasure.warning import WarningGenerator
 from .detection.index import (
     ReferenceIndex,
     ReferenceIndexStore,
@@ -59,12 +58,13 @@ from .homoglyph.registry import (
 from .homoglyph.simchar import SimCharBuilder
 from .idn.domain import DomainName
 from .idn.idna_codec import IDNAError
-from .measurement.alexa import ReferenceList
-from .measurement.domainlists import ZoneConfig, generate_population
-from .measurement.longitudinal import DayReport, LongitudinalTracker, TrackResumeError
-from .measurement.pipeline import PipelineError
-from .measurement.reporting import render_tracking_report
-from .measurement.study import MeasurementStudy
+
+if TYPE_CHECKING:
+    from .measurement.longitudinal import DayReport
+
+# The measurement stack (and the DNS, web and language layers under it) is
+# imported by the sub-commands that run it, so ``serve``, ``query`` and
+# ``scan`` start without it.
 
 __all__ = ["main", "build_parser", "positive_int", "CLIError"]
 
@@ -334,6 +334,8 @@ def _default_finder(
 def _resolve_reference(args: argparse.Namespace) -> list[str]:
     reference = list(args.reference or []) + _load_lines(args.reference_file)
     if not reference:
+        from .measurement.alexa import ReferenceList
+
         reference = ReferenceList.top_sites(1000).domains()
     return reference
 
@@ -605,6 +607,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"scripts:   {', '.join(sorted(name.scripts)) or 'none'}")
     print(f"mixed:     {name.is_mixed_script}")
     if name.has_idn_registrable_label:
+        from .countermeasure.warning import WarningGenerator
+        from .measurement.alexa import ReferenceList
+
         finder = ShamFinder.with_default_databases(cache_dir=args.cache_dir)
         reference = args.reference or ReferenceList.top_sites(1000).domains()
         generator = WarningGenerator(finder.database, reference)
@@ -616,6 +621,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from .measurement.domainlists import ZoneConfig, generate_population
+    from .measurement.pipeline import PipelineError
+    from .measurement.study import MeasurementStudy
+
     if args.resume and args.output_dir is None:
         print("--resume requires --output-dir", file=sys.stderr)
         return 2
@@ -736,6 +745,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
+    from .measurement.longitudinal import LongitudinalTracker, TrackResumeError
+    from .measurement.reporting import render_tracking_report
+
     snapshots: list[tuple[str, str]] = []
     for item in args.snapshot:
         date, separator, path = item.partition("=")

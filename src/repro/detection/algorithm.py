@@ -152,8 +152,7 @@ class HomographMatcher:
     def build_skeleton_index(self, references: Iterable[str]) -> SkeletonIndex:
         """Bucket reference labels by their canonical skeleton."""
         index = SkeletonIndex(self.classes)
-        for reference in references:
-            index.add(fold_label(reference))
+        index.extend(map(fold_label, references))
         return index
 
     def match_with_skeleton_index(

@@ -77,6 +77,7 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
 __all__ = [
     "FOLD_TABLE_VERSION",
     "FOLD_TABLE_MAGIC",
+    "FAST_LABEL",
     "FAST_DOMAIN_RE",
     "MAX_FAST_DOMAIN",
     "MIN_KERNEL_BATCH",
@@ -119,10 +120,10 @@ _UNSAFE_CODES = (0x03A3, *range(0xD800, 0xE000))
 #: regex is the executable *oracle*; :meth:`BatchFoldKernel.domain_misses`
 #: implements the same predicate with numpy passes and the property
 #: suite asserts they agree.
-_FAST_LABEL = r"(?!-)(?![a-z0-9_-]{2}--)[a-z0-9_-]{1,63}(?<!-)"
+FAST_LABEL = r"(?!-)(?![a-z0-9_-]{2}--)[a-z0-9_-]{1,63}(?<!-)"
 _FAST_ALABEL = r"xn--[a-z0-9_-]{1,59}(?<!-)"
 FAST_DOMAIN_RE = re.compile(
-    rf"(?:{_FAST_LABEL}\.)*(?:{_FAST_LABEL}|{_FAST_ALABEL})\.{_FAST_LABEL}")
+    rf"(?:{FAST_LABEL}\.)*(?:{FAST_LABEL}|{_FAST_ALABEL})\.{FAST_LABEL}")
 
 MAX_FAST_DOMAIN = 253
 

@@ -56,7 +56,8 @@ import json
 import mmap
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -104,7 +105,7 @@ def reference_list_hash(reference: Iterable[str | DomainName]) -> str:
     join; a reordered list therefore fingerprints differently and rebuilds,
     which is always safe — just not free.
     """
-    joined = "\n".join(str(item) for item in reference)
+    joined = "\n".join(map(str, reference))
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
@@ -362,6 +363,11 @@ class MmapPreparedReferences:
         #: The artifact file backing the map (what serving workers reopen).
         self.path = path
 
+    @property
+    def index_dir(self) -> Path:
+        """The directory holding the artifact (and the fold-table sidecar)."""
+        return Path(self.path).parent
+
     def references_for(self, folded_label: str) -> tuple[str, ...]:
         """The reference domains (canonical ASCII) carrying *folded_label*."""
         group = self.labels.get(folded_label)
@@ -405,15 +411,15 @@ class ReferenceIndexStore:
         path = self.path_for(index.key)
         prepared = index.prepared
 
-        label_view = prepared.labels
-        labels = sorted(label_view)
-        groups = [label_view.get(label) for label in labels]
-        buckets = {skeleton: members for skeleton, members in prepared.index.buckets()}
+        labels = sorted(prepared.labels)
+        groups = list(map(prepared.labels.get, labels))
+        buckets = dict(prepared.index.buckets())
         bucket_keys = sorted(buckets)
-        bucket_values = [PACK_SEPARATOR.join(buckets[key]) for key in bucket_keys]
-        entry_count = sum(len(members) for members in buckets.values())
+        members = list(map(buckets.__getitem__, bucket_keys))
+        bucket_values = list(map(PACK_SEPARATOR.join, members))
+        entry_count = sum(map(len, members))
 
-        sections = [
+        sections = [section.encode("utf-8") for section in (
             _FIELD_SEPARATOR.join(labels),
             _GROUP_SEPARATOR.join(groups),
             _FIELD_SEPARATOR.join(bucket_keys),
@@ -422,8 +428,8 @@ class ReferenceIndexStore:
             _offset_directory(groups),
             _offset_directory(bucket_keys),
             _offset_directory(bucket_values),
-        ]
-        body = "\n".join(sections).encode("utf-8")
+        )]
+        body = b"\n".join(sections)
         header = {
             "magic": INDEX_MAGIC,
             "version": INDEX_FORMAT_VERSION,
@@ -432,7 +438,7 @@ class ReferenceIndexStore:
             "bucket_count": len(bucket_keys),
             "entry_count": entry_count,
             "domain_count": prepared.domain_count,
-            "section_bytes": [len(s.encode("utf-8")) for s in sections],
+            "section_bytes": [len(section) for section in sections],
             "body_sha256": hashlib.sha256(body).hexdigest(),
         }
         header_line = (json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8")
@@ -451,16 +457,15 @@ class ReferenceIndexStore:
         """
         path = self.path_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 header = _checked_header(json.loads(handle.readline()), key)
                 if header is None:
                     return None
 
-                body = handle.read()
-                digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-                if digest != header["body_sha256"]:
+                raw = handle.read()
+                if hashlib.sha256(raw).hexdigest() != header["body_sha256"]:
                     return None   # truncated or bit-rotted body
-                sections = body.split("\n")
+                sections = raw.decode("utf-8").split("\n")
                 if len(sections) != 8:
                     return None
                 label_count = header["label_count"]
@@ -489,6 +494,7 @@ class ReferenceIndexStore:
                 )
                 prepared = PreparedReferences(
                     labels=label_map, index=index, domain_count=header["domain_count"],
+                    index_dir=self.index_dir,
                 )
                 return ReferenceIndex(prepared=prepared, key=key, from_cache=True)
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
@@ -640,13 +646,10 @@ class ReferenceIndexStore:
 
 def _offset_directory(records: list[str]) -> str:
     """Fixed-width END byte offsets of *records* within their joined section."""
-    parts: list[str] = []
-    position = 0
-    for record in records:
-        position += len(record.encode("utf-8"))
-        parts.append(f"{position:0{_OFFSET_WIDTH}d}")
-        position += 1   # the joining separator byte
-    return "".join(parts)
+    # Record i ends at the bytes of records 0..i plus the i separators
+    # between them: a running sum of (size + 1) started at -1.
+    ends = accumulate(map((1).__add__, map(len, map(str.encode, records))), initial=-1)
+    return "".join(map(f"%0{_OFFSET_WIDTH}d".__mod__, islice(ends, 1, None)))
 
 
 def _checked_header(header: dict, key: IndexKey) -> dict | None:
@@ -693,7 +696,7 @@ def cached_reference_index(
             cached = store.load(key, finder)
         if cached is not None:
             return cached, True
-    index = build_reference_index(finder, reference)
+    index = ReferenceIndex(prepared=finder.prepare_references(reference), key=key)
     try:
         store.store(index)
     except OSError as exc:
@@ -702,6 +705,7 @@ def cached_reference_index(
         warnings.warn(f"could not persist reference index to {store.index_dir}: {exc}",
                       stacklevel=2)
         return index, False
+    index = ReferenceIndex(prepared=replace(index.prepared, index_dir=store.index_dir), key=key)
     if mmap_load:
         mapped = store.load_mmap(key, finder, verify=True)
         if mapped is not None:

@@ -16,8 +16,10 @@ timing probe used by the Section 4.2 computational-cost bench.
 
 from __future__ import annotations
 
+import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ from ..homoglyph.simchar import SimCharBuilder
 from ..idn.domain import DomainName
 from ..idn.idna_codec import IDNAError
 from .algorithm import HomographMatcher, MatchResult, fold_label
-from .batchfold import MIN_KERNEL_BATCH, DecodedLabels, kernel_for
+from .batchfold import FAST_LABEL, MIN_KERNEL_BATCH, DecodedLabels, kernel_for
 from .report import DetectionReport, HomographDetection
 from .revert import HomographReverter
 from .skeleton import PACK_SEPARATOR, SkeletonIndex
@@ -49,6 +51,26 @@ __all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches"
 #: the index artifact with C-level ``str.split`` instead of per-entry
 #: object construction.
 REFERENCE_SEPARATOR = PACK_SEPARATOR
+
+#: Matches every line of a newline-joined name list once: group 1 is the
+#: registrable label of a *plain* name — labels of the batch kernel's
+#: fast-parse rule (lowercase LDH, 1-63 octets, no hyphen at either end or
+#: in positions 3-4, so no ``xn--`` either), at most 253 octets — and
+#: empty for any other line.  A plain name is its own canonical ASCII and
+#: Unicode form, so it needs no :class:`DomainName` parse.
+_PLAIN_NAMES = re.compile(
+    rf"^(?:(?=[^\n]{{1,253}}$)(?:{FAST_LABEL}\.)*?({FAST_LABEL})(?:\.{FAST_LABEL})?$"
+    r"|[^\n]*)$",
+    re.MULTILINE,
+)
+
+
+def _plain_registrable_labels(texts: list[str]) -> list[str]:
+    """Per text, its registrable label if it is a plain name, else ``""``."""
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1:
+        return [""] * len(texts)   # a text holds a line break (or the list is empty)
+    return _PLAIN_NAMES.findall(joined)
 
 
 @dataclass(frozen=True)
@@ -70,6 +92,10 @@ class PreparedReferences:
     index: SkeletonIndex
     #: number of reference domains that parsed (the paper's |M|)
     domain_count: int
+    #: directory of the index artifact these were loaded from or saved to,
+    #: where the fold table's ``foldtable-*.bin`` sidecar lives too
+    #: (``None`` when never persisted)
+    index_dir: Path | None = field(default=None, compare=False, repr=False)
 
     def references_for(self, folded_label: str) -> tuple[str, ...]:
         """The reference domains (canonical ASCII) carrying *folded_label*."""
@@ -277,24 +303,29 @@ class ShamFinder:
 
         Invalid reference domains are dropped (as in :meth:`detect`);
         labels are case-folded once and bucketed by skeleton so matching a
-        candidate is a hash lookup instead of a length-bucket scan.
+        candidate is a hash lookup instead of a length-bucket scan.  One
+        regex pass over the whole list reads the registrable label of every
+        plain name (lowercase LDH ASCII, no ``xn--``); only the other
+        references are parsed as :class:`DomainName`.
         """
-        reference_names: list[DomainName] = []
-        for item in reference:
-            try:
-                reference_names.append(item if isinstance(item, DomainName) else DomainName(str(item)))
-            except (IDNAError, ValueError):
-                continue
-
-        labels: dict[str, list[str]] = {}
-        for ref in reference_names:
-            labels.setdefault(fold_label(ref.registrable_unicode), []).append(ref.ascii)
-        index = self.matcher.build_skeleton_index(labels)
-        return PreparedReferences(
-            labels={label: REFERENCE_SEPARATOR.join(refs) for label, refs in labels.items()},
-            index=index,
-            domain_count=len(reference_names),
-        )
+        items = reference if isinstance(reference, list) else list(reference)
+        texts = list(map(str, items))
+        plain = _plain_registrable_labels(texts)
+        groups: dict[str, list[str]] = {}
+        domain_count = 0
+        for item, text, label in zip(items, texts, plain):
+            if not label:
+                try:
+                    name = item if isinstance(item, DomainName) else DomainName(text)
+                except (IDNAError, ValueError):
+                    continue
+                label, text = fold_label(name.registrable_unicode), name.ascii
+            groups.setdefault(label, []).append(text)
+            domain_count += 1
+        labels = {label: REFERENCE_SEPARATOR.join(refs) for label, refs in groups.items()}
+        index = SkeletonIndex(self.matcher.classes)
+        index.extend(labels)
+        return PreparedReferences(labels=labels, index=index, domain_count=domain_count)
 
     def detect_prepared(
         self,

@@ -69,13 +69,15 @@ class CharacterClasses:
             best = lowest.get(root)
             if best is None or ord(char) < ord(best):
                 lowest[root] = char
-        self._representative: dict[str, str] = {
-            char: lowest[_find(parent, char)] for char in parent
+        #: Code point → class representative, for every class member: the
+        #: ``str.translate`` table :meth:`skeletonize` applies.
+        self._table: dict[int, str] = {
+            ord(char): lowest[_find(parent, char)] for char in parent
         }
 
     def representative(self, char: str) -> str:
         """Canonical representative of *char* (itself when not in any pair)."""
-        return self._representative.get(char, char)
+        return self._table.get(ord(char), char)
 
     def skeletonize(self, label: str) -> str:
         """Replace every character by its class representative.
@@ -83,22 +85,21 @@ class CharacterClasses:
         Length-preserving and idempotent: representatives map to
         themselves, so ``skeletonize(skeletonize(x)) == skeletonize(x)``.
         """
-        rep = self._representative
-        return "".join(rep.get(char, char) for char in label)
+        return label.translate(self._table)
 
     def class_of(self, char: str) -> frozenset[str]:
         """All characters sharing *char*'s class (including itself)."""
         target = self.representative(char)
-        members = {c for c, r in self._representative.items() if r == target}
+        members = {chr(c) for c, r in self._table.items() if r == target}
         members.add(char)
         return frozenset(members)
 
     def representatives(self) -> Mapping[str, str]:
         """The full character → representative mapping (read-only view)."""
-        return dict(self._representative)
+        return {chr(c): r for c, r in self._table.items()}
 
     def __len__(self) -> int:
-        return len(self._representative)
+        return len(self._table)
 
 
 #: Separator for lazily-unpacked bucket members (see
@@ -156,18 +157,18 @@ class SkeletonIndex:
 
     def add(self, folded_label: str) -> None:
         """Index one (already case-folded) reference label."""
-        skeleton = self.classes.skeletonize(folded_label)
-        bucket = self._bucket(skeleton)
-        if bucket is None:
-            self._buckets[skeleton] = [folded_label]
-        else:
-            bucket.append(folded_label)
-        self._size += 1
+        self.extend((folded_label,))
 
     def extend(self, folded_labels: Iterable[str]) -> None:
-        """Index several (already case-folded) reference labels."""
-        for label in folded_labels:
-            self.add(label)
+        """Index several (already case-folded) reference labels, in order."""
+        labels = list(folded_labels)
+        buckets = self._buckets
+        for label, skeleton in zip(labels, map(self.classes.skeletonize, labels)):
+            bucket = buckets.setdefault(skeleton, [])
+            if type(bucket) is str:
+                bucket = self._bucket(skeleton)
+            bucket.append(label)
+        self._size += len(labels)
 
     def candidates_for(self, folded_label: str) -> list[str]:
         """References that could match *folded_label* (superset of matches)."""
@@ -175,9 +176,10 @@ class SkeletonIndex:
         return bucket if bucket is not None else []
 
     def buckets(self) -> Iterator[tuple[str, list[str]]]:
-        """Yield ``(skeleton, members)`` in insertion order (serialisation view)."""
-        for skeleton in list(self._buckets):
-            yield skeleton, list(self._bucket(skeleton))
+        """``(skeleton, members)`` pairs in insertion order (serialisation
+        view); each members list is a copy."""
+        skeletons = list(self._buckets)
+        return zip(skeletons, map(list, map(self._bucket, skeletons)))
 
     def skeletons(self) -> list[str]:
         """All bucket keys, without unpacking any members.

@@ -878,19 +878,20 @@ class StreamingScanner:
         result carry its sink lines (see :func:`_process_chunk`).
         """
         chunks = iter(partial(take, self.chunk_size), ("", 0))
+        # Build the batch kernel up front: with several workers so none of
+        # them re-runs the fold table's full-code-space scan (fork children
+        # inherit the kernel, spawn and forkserver children get the table
+        # memoized on the finder they are sent), and whenever the prepared
+        # references came from an index directory, whose fold-table
+        # sidecar a warm run then loads instead of rebuilding.
+        index_dir = self.prepared.index_dir
+        if self.jobs > 1 or index_dir is not None:
+            kernel_for(self.finder.matcher, self.prepared, cache_dir=index_dir)
         if self.jobs == 1:
             for chunk in chunks:
                 yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only, render)]
             return
         context = pool_context(self.start_method)
-        # Build the batch kernel before the workers start, so none of them
-        # re-runs the fold table's full-code-space scan: fork children
-        # inherit the kernel, spawn and forkserver children get the table
-        # memoized on the finder they are sent.  An mmap index's directory
-        # holds the table's sidecar, so a warm parent loads it.
-        path = getattr(self.prepared, "path", None)
-        kernel_for(self.finder.matcher, self.prepared,
-                   cache_dir=Path(path).parent if path is not None else None)
         workers = _ScanWorkers(context, self.jobs, chunks, (
             self.finder, self._worker_prepared(context.get_start_method()),
             self.idn_only, render))

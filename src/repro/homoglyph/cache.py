@@ -203,12 +203,12 @@ class SimCharCache:
                     return None
                 if header.get("key") != key.as_dict():
                     return None
+                # Every non-blank line is one row: parse them all as one array.
+                rows = json.loads("[" + ",".join(filter(str.strip, handle.read().split("\n"))) + "]")
+                if len(rows) != header.get("pair_count"):
+                    return None
                 database = HomoglyphDatabase(name=header.get("name", "SimChar"))
-                count = 0
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    first_hex, second_hex, delta_value, sources = json.loads(line)
+                for first_hex, second_hex, delta_value, sources in rows:
                     database.add(
                         HomoglyphPair(
                             chr(int(first_hex, 16)),
@@ -217,9 +217,6 @@ class SimCharCache:
                             delta_value,
                         )
                     )
-                    count += 1
-                if count != header.get("pair_count"):
-                    return None
                 stats = header["stats"]
                 return SimCharResult(
                     database=database,

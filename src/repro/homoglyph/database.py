@@ -119,6 +119,8 @@ class HomoglyphDatabase:
     name: str = "homoglyphs"
     _pairs: dict[tuple[int, int], HomoglyphPair] = field(default_factory=dict, repr=False)
     _index: dict[str, set[str]] = field(default_factory=dict, repr=False)
+    #: Memo of :meth:`content_digest`; every mutation resets it.
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction -----------------------------------------------------
 
@@ -132,10 +134,12 @@ class HomoglyphDatabase:
 
     def add(self, pair: HomoglyphPair) -> None:
         """Add a pair, merging sources/Δ when the pair already exists."""
-        existing = self._pairs.get(pair.key)
+        key = pair.key
+        existing = self._pairs.get(key)
         if existing is not None:
             pair = existing.merged_with(pair)
-        self._pairs[pair.key] = pair
+        self._digest = None
+        self._pairs[key] = pair
         self._index.setdefault(pair.first, set()).add(pair.second)
         self._index.setdefault(pair.second, set()).add(pair.first)
 
@@ -198,14 +202,17 @@ class HomoglyphDatabase:
         results, so artifacts derived from a database (the reference index)
         use this as their fingerprint component — it transitively covers
         whatever built the database (font, threshold, UC version).
+        Memoized until the next :meth:`add`.
         """
-        hasher = hashlib.sha256()
-        for pair in self.pairs():
-            hasher.update(
-                f"{ord(pair.first):04X}:{ord(pair.second):04X}:"
-                f"{pair.delta}:{','.join(sorted(pair.sources))}\n".encode("utf-8")
-            )
-        return hasher.hexdigest()[:16]
+        if self._digest is None:
+            pairs = self.pairs()
+            sources = {s: ",".join(sorted(s)) for s in {pair.sources for pair in pairs}}
+            text = "".join([
+                f"{ord(pair.first):04X}:{ord(pair.second):04X}:{pair.delta}:{sources[pair.sources]}\n"
+                for pair in pairs
+            ])
+            self._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return self._digest
 
     # -- set algebra --------------------------------------------------------
 

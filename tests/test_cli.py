@@ -6,11 +6,18 @@ suite fast.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import _scan_progress, build_parser, main
+from repro.detection.batchfold import FoldTable
 from repro.detection.stream import ScanStats
+from repro.idn.idna_codec import to_ascii_label
 
 
 def test_parser_has_all_subcommands():
@@ -416,3 +423,51 @@ def test_scan_reuses_index_dir(tmp_path, capsys, union_db):
                  "--index-dir", str(index_dir)]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["detection_count"] == 1
+
+
+def test_warm_index_dir_scan_and_track_read_the_fold_table_sidecar(tmp_path, capsys, union_db,
+                                                                    monkeypatch):
+    builds = []
+    build = FoldTable.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(1)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FoldTable, "build", classmethod(counting_build))
+    db_path = _saved_db(tmp_path, union_db)
+    input_path = tmp_path / "zone.txt"
+    # enough candidates for the batch kernel (MIN_KERNEL_BATCH)
+    candidates = [to_ascii_label(f"gооgle{n}") + ".com" for n in range(12)] + ["xn--ggle-55da.com"]
+    input_path.write_text("".join(f"{name}\n" for name in candidates), encoding="utf-8")
+    index_dir = tmp_path / "index"
+    common = ["--reference", "google.com", "--database", str(db_path),
+              "--index-dir", str(index_dir)]
+
+    assert main(["scan", "-i", str(input_path), "-o", str(tmp_path / "cold.jsonl"),
+                 *common, "--build-index"]) == 0
+    assert len(builds) == 1                      # cold: built once, saved as a sidecar
+    assert list(index_dir.glob("foldtable-*.bin"))
+
+    assert main(["scan", "-i", str(input_path), "-o", str(tmp_path / "warm.jsonl"),
+                 *common]) == 0
+    zone = tmp_path / "day1.zone"
+    zone.write_text("".join(f"{name}.\t172800\tIN\tNS\tns1.host.net.\n" for name in candidates),
+                    encoding="utf-8")
+    assert main(["track", "-s", f"2019-05-01={zone}", "--state-dir", str(tmp_path / "state"),
+                 *common]) == 0
+    assert len(builds) == 1                      # warm: both read the sidecar
+    assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+    capsys.readouterr()
+
+
+def test_serve_and_query_import_no_measurement_stack():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, repro.cli, repro.serving.server; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                            capture_output=True, text=True).stdout.split()
+    assert "repro.cli" in loaded
+    assert [name for name in loaded
+            if name.startswith(("repro.measurement", "repro.dns", "repro.web"))] == []

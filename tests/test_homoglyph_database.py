@@ -143,3 +143,17 @@ def test_json_roundtrip(tmp_path):
 def test_iteration_is_deterministic():
     db = _sample_db()
     assert [p.key for p in db.pairs()] == sorted(p.key for p in db)
+
+
+def test_content_digest_is_memoized_until_the_next_add():
+    db = HomoglyphDatabase(name="memo")
+    db.add_pair("o", "о", source=SOURCE_UC)
+    first = db.content_digest()
+    assert db.content_digest() is first          # memoized
+    db.add_pair("a", "а", source=SOURCE_UC)
+    second = db.content_digest()
+    assert second != first
+    db.add_pair("a", "а", source=SOURCE_SIMCHAR, delta=1)   # merges into the existing pair
+    assert db.content_digest() not in (first, second)
+    fresh = HomoglyphDatabase.from_pairs(db.pairs())
+    assert fresh.content_digest() == db.content_digest()

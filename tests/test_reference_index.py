@@ -291,6 +291,25 @@ def test_cached_reference_index_mmap_load(tmp_path, small_finder):
     assert _detect(small_finder, again.prepared) == _detect(small_finder, built.prepared)
 
 
+def test_prepared_references_carry_their_index_dir(tmp_path, small_finder):
+    # The fold-table sidecar lives beside the artifact: every index that
+    # was saved to or read from a store says which directory that is.
+    store = ReferenceIndexStore(tmp_path / "idx")
+    assert small_finder.prepare_references(REFERENCE).index_dir is None
+    assert cached_reference_index(small_finder, REFERENCE, None)[0].prepared.index_dir is None
+    for mmap_load in (False, True):
+        for force in (True, False):   # fresh build, then a cache hit
+            index, hit = cached_reference_index(small_finder, REFERENCE, store,
+                                                force=force, mmap_load=mmap_load)
+            assert hit is not force and index.mapped is mmap_load
+            assert index.prepared.index_dir == store.index_dir
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, not a directory", encoding="utf-8")
+    with pytest.warns(UserWarning):
+        index, _ = cached_reference_index(small_finder, REFERENCE, ReferenceIndexStore(blocked))
+    assert index.prepared.index_dir is None   # never persisted
+
+
 # -- format-version-1 artifacts ------------------------------------------------
 
 
