@@ -31,9 +31,12 @@ reuse the prebuilt reference index instead of re-preparing it per run.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -496,12 +499,33 @@ def _parse_listen(text: str) -> tuple[str, int]:
     return host, port
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run ``serve`` set-up without cyclic collections, then freeze its objects.
+
+    Everything set-up allocates (homoglyph pairs, the index, module state)
+    lives as long as the server, so a collection during set-up only rescans
+    it.  On success the survivors are frozen out of every later pass (and
+    out of forked workers' copy-on-write pages); the caller unfreezes them
+    when the command returns.  The collector is restored in any case.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _cmd_serve_listen(args: argparse.Namespace) -> int:
     """The ``serve --listen`` network server (see docs/OPERATIONS.md)."""
     import asyncio
 
     from .serving import HomographServer, ServeConfig, WorkerPool
 
+    started = time.perf_counter()
     host, port = _parse_listen(args.listen)
     workers = args.workers or 0
     if workers and args.index_dir is None:
@@ -509,15 +533,18 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
                        "(worker processes attach to the packed index artifact)")
     if args.batch_window < 0:
         raise CLIError("--batch-window must be >= 0")
-    reference = _resolve_reference(args)
-    finder = _default_finder(args.database, args.cache_dir, args.font, args.databases)
-    index = _resolve_index(finder, reference, args.index_dir, args.build_index,
-                           mmap_load=True)
-    if index is None:
-        detector = OnlineDetector.from_references(finder, reference,
-                                                  include_revert=args.revert)
-    else:
-        detector = OnlineDetector(finder, index, include_revert=args.revert)
+    with _collector_paused():
+        reference = _resolve_reference(args)
+        finder = _default_finder(args.database, args.cache_dir, args.font, args.databases)
+        finder_ready = time.perf_counter()
+        index = _resolve_index(finder, reference, args.index_dir, args.build_index,
+                               mmap_load=True)
+        if index is None:
+            detector = OnlineDetector.from_references(finder, reference,
+                                                      include_revert=args.revert)
+        else:
+            detector = OnlineDetector(finder, index, include_revert=args.revert)
+        index_ready = time.perf_counter()
 
     pool = None
     if workers:
@@ -553,10 +580,17 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         bound_host, bound_port = await server.start()
+        listening = time.perf_counter()
         print(json.dumps({
             "listening": f"{bound_host}:{bound_port}",
             "workers": workers,
             "fingerprint": server.fingerprint,
+            # Milliseconds since the command started (imports not included).
+            "setup_ms": {
+                "finder": round((finder_ready - started) * 1000, 1),
+                "index": round((index_ready - finder_ready) * 1000, 1),
+                "total": round((listening - started) * 1000, 1),
+            },
         }), file=sys.stderr, flush=True)
         await server.run()
 
@@ -568,7 +602,10 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.listen is not None:
-        return _cmd_serve_listen(args)
+        try:
+            return _cmd_serve_listen(args)
+        finally:
+            gc.unfreeze()   # what _collector_paused froze
     if args.workers:
         raise CLIError("--workers requires --listen")
     detector = _online_detector(args)

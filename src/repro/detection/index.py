@@ -23,19 +23,21 @@ The fingerprint covers:
 
 On-disk layout (one file per fingerprint, ``refindex-<digest>.idx``):
 line 1 is a JSON header (magic, version, fingerprint fields, counts,
-per-section byte lengths, and a checksum of the body); the body is eight
-packed sections — folded labels, their reference-domain groups, bucket
-skeletons, bucket members, plus four fixed-width offset directories —
-using C0 separators that cannot occur in IDNA labels.  The whole file is
-UTF-8 text.
+per-section byte lengths, and one checksum over every other header field
+and the body); the body is eight sections joined by newlines — four UTF-8
+text sections (folded labels, their reference-domain groups, bucket
+skeletons, bucket members) packed with C0 separators that cannot occur in
+IDNA labels, then their four offset directories, each an array of
+little-endian uint64 record END offsets.
 
 Two load paths share that one artifact:
 
 * :meth:`ReferenceIndexStore.load` — the *dict build*: two C-level
-  ``dict(zip(str.split(...)))`` passes over sections 0-3 instead of a
+  ``dict(zip(str.split(...)))`` passes over sections 0-3 (sliced out of
+  the body by their ``section_bytes``) instead of a
   Python loop with IDNA parsing per reference (≥10x faster than
   ``prepare_references`` at 100k references; ``benchmarks/bench_query.py``
-  asserts it).  The body checksum is always verified.
+  asserts it).  The checksum is always verified.
 * :meth:`ReferenceIndexStore.load_mmap` — the *zero-copy map*: the file is
   ``mmap``-ed and sections 0-3 are probed in place by binary search over
   the sorted keys, using the offset directories (sections 4-7) for O(1)
@@ -45,8 +47,9 @@ Two load paths share that one artifact:
   (``benchmarks/bench_serve.py`` asserts the per-worker win).
 
 Only the current format is read: a file of another version (such as the
-pre-mmap version-1 layout) has a different fingerprint, reads as a miss,
-and is rebuilt.
+pre-mmap version-1 layout, or version 2 with its zero-padded decimal
+directories and a checksum over the body alone) has a different
+fingerprint, reads as a miss, and is rebuilt.
 """
 
 from __future__ import annotations
@@ -55,13 +58,15 @@ import hashlib
 import json
 import mmap
 import os
+import struct
 import warnings
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ..durable import atomic_write
+import numpy as np
+
+from ..durable import artifact_checksum, atomic_write
 from ..idn.domain import DomainName
 from .shamfinder import PreparedReferences, ShamFinder
 from .skeleton import PACK_SEPARATOR, CharacterClasses, SkeletonIndex
@@ -81,7 +86,7 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes; old files then read as misses.
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 INDEX_MAGIC = "shamfinder-reference-index"
 
@@ -92,10 +97,11 @@ _FIELD_SEPARATOR = PACK_SEPARATOR
 #: Separates the groups of one body section (reference groups, buckets).
 _GROUP_SEPARATOR = "\x1e"
 
-#: Width of one offset-directory entry: a zero-padded decimal byte offset.
-#: Fixed width keeps the file pure text while giving the mmap reader O(1)
-#: random access into the directories (10 digits cover bodies up to ~10GB).
-_OFFSET_WIDTH = 10
+#: One offset-directory entry: a little-endian uint64 byte offset, read in
+#: place with ``unpack_from`` (which keeps no buffer exported, so
+#: :meth:`MmapPreparedReferences.close` can still release the map).
+_OFFSET = struct.Struct("<Q")
+_OFFSET_WIDTH = _OFFSET.size
 
 
 def reference_list_hash(reference: Iterable[str | DomainName]) -> str:
@@ -211,7 +217,7 @@ class _PackedSection:
 
     Records live in ``buf[start:start+length]`` joined by *separator*; the
     offset directory at ``dir_start`` holds each record's END byte offset
-    (relative to the section start) as a fixed-width decimal, so record
+    (relative to the section start) as a little-endian uint64, so record
     *i* is ``buf[off(i-1)+1 : off(i)]`` — O(1) addressing, no
     materialisation.  Keys compare as raw UTF-8 bytes, whose order equals
     code-point order, so binary search agrees with the writer's
@@ -228,8 +234,7 @@ class _PackedSection:
         self.count = count
 
     def _end_offset(self, i: int) -> int:
-        pos = self.dir_start + i * _OFFSET_WIDTH
-        return int(self.buf[pos:pos + _OFFSET_WIDTH])
+        return _OFFSET.unpack_from(self.buf, self.dir_start + i * _OFFSET_WIDTH)[0]
 
     def record_bytes(self, i: int) -> bytes:
         lo = 0 if i == 0 else self._end_offset(i - 1) + 1
@@ -424,11 +429,8 @@ class ReferenceIndexStore:
             _GROUP_SEPARATOR.join(groups),
             _FIELD_SEPARATOR.join(bucket_keys),
             _GROUP_SEPARATOR.join(bucket_values),
-            _offset_directory(labels),
-            _offset_directory(groups),
-            _offset_directory(bucket_keys),
-            _offset_directory(bucket_values),
         )]
+        sections += map(_offset_directory, (labels, groups, bucket_keys, bucket_values))
         body = b"\n".join(sections)
         header = {
             "magic": INDEX_MAGIC,
@@ -439,8 +441,8 @@ class ReferenceIndexStore:
             "entry_count": entry_count,
             "domain_count": prepared.domain_count,
             "section_bytes": [len(section) for section in sections],
-            "body_sha256": hashlib.sha256(body).hexdigest(),
         }
+        header["sha256"] = artifact_checksum(header, body)
         header_line = (json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8")
         atomic_write(path, [header_line, body])
         return path
@@ -463,11 +465,13 @@ class ReferenceIndexStore:
                     return None
 
                 raw = handle.read()
-                if hashlib.sha256(raw).hexdigest() != header["body_sha256"]:
-                    return None   # truncated or bit-rotted body
-                sections = raw.decode("utf-8").split("\n")
-                if len(sections) != 8:
+                if artifact_checksum(header, raw) != header["sha256"]:
+                    return None   # truncated or bit-rotted header field or body
+                starts = _section_starts(header, len(raw))
+                if starts is None:
                     return None
+                sections = [raw[start:start + size].decode("utf-8")
+                            for start, size in zip(starts, header["section_bytes"][:4])]
                 label_count = header["label_count"]
                 bucket_count = header["bucket_count"]
                 entry_count = header["entry_count"]
@@ -551,71 +555,12 @@ class ReferenceIndexStore:
         except (OSError, ValueError):   # missing file or empty file
             return None
         try:
-            newline = buf.find(b"\n")
-            if newline < 0:
-                buf.close()
-                return None
-            header = json.loads(buf[:newline].decode("utf-8"))
-            key = expect_key
-            if key is None:
-                key = IndexKey(**header.get("key", {}))
-            header = _checked_header(header, key)
-            if header is None:
-                buf.close()
-                return None
-            section_bytes = header["section_bytes"]
-            if (not isinstance(section_bytes, list) or len(section_bytes) != 8
-                    or not all(isinstance(n, int) and n >= 0 for n in section_bytes)):
-                buf.close()
-                return None
-            body_start = newline + 1
-            # 8 sections + 7 joining newlines must exactly cover the body.
-            if body_start + sum(section_bytes) + 7 != len(buf):
-                buf.close()
-                return None
-            if verify:
-                digest = hashlib.sha256(buf[body_start:]).hexdigest()
-                if digest != header["body_sha256"]:
-                    buf.close()
-                    return None
-
-            starts = []
-            position = body_start
-            for length in section_bytes:
-                starts.append(position)
-                position += length + 1
-            label_count = header["label_count"]
-            bucket_count = header["bucket_count"]
-            for count, data_i, dir_i in ((label_count, 0, 4), (label_count, 1, 5),
-                                         (bucket_count, 2, 6), (bucket_count, 3, 7)):
-                if section_bytes[dir_i] != count * _OFFSET_WIDTH:
-                    buf.close()
-                    return None
-                if count and int(
-                    buf[starts[dir_i] + (count - 1) * _OFFSET_WIDTH:
-                        starts[dir_i] + count * _OFFSET_WIDTH]
-                ) != section_bytes[data_i]:
-                    buf.close()   # directory disagrees with its section
-                    return None
-
-            def section(count: int, data_i: int, dir_i: int) -> _PackedSection:
-                return _PackedSection(buf, starts[data_i], section_bytes[data_i],
-                                      starts[dir_i], count)
-
-            labels = _MmapLabelView(section(label_count, 0, 4), section(label_count, 1, 5))
-            index = MmapSkeletonIndex(
-                finder.matcher.classes,
-                section(bucket_count, 2, 6),
-                section(bucket_count, 3, 7),
-                header["entry_count"],
-            )
-            prepared = MmapPreparedReferences(
-                buf, labels, index, header["domain_count"], path,
-            )
-            return ReferenceIndex(prepared=prepared, key=key, from_cache=True, mapped=True)
-        except (ValueError, KeyError, TypeError, AttributeError):
+            index = _attach(buf, path, finder, expect_key, verify)
+        except (ValueError, KeyError, TypeError, AttributeError, struct.error):
+            index = None
+        if index is None:
             buf.close()
-            return None
+        return index
 
     # -- maintenance --------------------------------------------------------
 
@@ -644,12 +589,83 @@ class ReferenceIndexStore:
         return removed
 
 
-def _offset_directory(records: list[str]) -> str:
-    """Fixed-width END byte offsets of *records* within their joined section."""
-    # Record i ends at the bytes of records 0..i plus the i separators
-    # between them: a running sum of (size + 1) started at -1.
-    ends = accumulate(map((1).__add__, map(len, map(str.encode, records))), initial=-1)
-    return "".join(map(f"%0{_OFFSET_WIDTH}d".__mod__, islice(ends, 1, None)))
+def _attach(
+    buf: mmap.mmap,
+    path: Path,
+    finder: ShamFinder,
+    expect_key: IndexKey | None,
+    verify: bool,
+) -> ReferenceIndex | None:
+    """Probe views over the mapped artifact *buf*, or ``None`` if it is unsound."""
+    newline = buf.find(b"\n")
+    if newline < 0:
+        return None
+    header = json.loads(buf[:newline].decode("utf-8"))
+    key = expect_key
+    if key is None:
+        key = IndexKey(**header.get("key", {}))
+    header = _checked_header(header, key)
+    if header is None:
+        return None
+    body_start = newline + 1
+    starts = _section_starts(header, len(buf) - body_start)
+    if starts is None:
+        return None
+    if verify and artifact_checksum(header, buf[body_start:]) != header["sha256"]:
+        return None
+    starts = [body_start + start for start in starts]
+    section_bytes = header["section_bytes"]
+    label_count = header["label_count"]
+    bucket_count = header["bucket_count"]
+    for count, data_i, dir_i in ((label_count, 0, 4), (label_count, 1, 5),
+                                 (bucket_count, 2, 6), (bucket_count, 3, 7)):
+        if section_bytes[dir_i] != count * _OFFSET_WIDTH:
+            return None
+        if count and _OFFSET.unpack_from(
+            buf, starts[dir_i] + (count - 1) * _OFFSET_WIDTH,
+        )[0] != section_bytes[data_i]:
+            return None   # directory disagrees with its section
+
+    def section(count: int, data_i: int, dir_i: int) -> _PackedSection:
+        return _PackedSection(buf, starts[data_i], section_bytes[data_i], starts[dir_i], count)
+
+    labels = _MmapLabelView(section(label_count, 0, 4), section(label_count, 1, 5))
+    index = MmapSkeletonIndex(
+        finder.matcher.classes,
+        section(bucket_count, 2, 6),
+        section(bucket_count, 3, 7),
+        header["entry_count"],
+    )
+    prepared = MmapPreparedReferences(buf, labels, index, header["domain_count"], path)
+    return ReferenceIndex(prepared=prepared, key=key, from_cache=True, mapped=True)
+
+
+def _offset_directory(records: Sequence[str]) -> bytes:
+    """END byte offsets of *records* within their joined section, as ``<u8``."""
+    # Record i ends after the bytes of records 0..i and the i separators
+    # between them: a running sum of (size + 1), less one.
+    sizes = np.fromiter(map(len, map(str.encode, records)), dtype="<u8", count=len(records))
+    sizes += 1
+    ends = sizes.cumsum()
+    ends -= 1
+    return ends.tobytes()
+
+
+def _section_starts(header: dict, body_length: int) -> list[int] | None:
+    """Body offsets of the eight sections, or None if ``section_bytes`` is unsound."""
+    section_bytes = header["section_bytes"]
+    if (not isinstance(section_bytes, list) or len(section_bytes) != 8
+            or not all(isinstance(n, int) and n >= 0 for n in section_bytes)):
+        return None
+    # 8 sections + 7 joining newlines must exactly cover the body.
+    if sum(section_bytes) + 7 != body_length:
+        return None
+    starts = []
+    position = 0
+    for length in section_bytes:
+        starts.append(position)
+        position += length + 1
+    return starts
 
 
 def _checked_header(header: dict, key: IndexKey) -> dict | None:
@@ -665,7 +681,7 @@ def _checked_header(header: dict, key: IndexKey) -> dict | None:
     for field in ("label_count", "bucket_count", "entry_count", "domain_count"):
         if not isinstance(header.get(field), int) or header[field] < 0:
             return None
-    if not isinstance(header.get("body_sha256"), str):
+    if not isinstance(header.get("sha256"), str):
         return None
     return header
 

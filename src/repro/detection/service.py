@@ -31,7 +31,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..idn.domain import DomainName, unicode_from_decoded
@@ -148,7 +147,6 @@ class OnlineDetector:
         *,
         cache_size: int = 4096,
         include_revert: bool = False,
-        fold_table_dir: str | Path | None = None,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
@@ -156,10 +154,6 @@ class OnlineDetector:
         self.index = index
         self.cache_size = cache_size
         self.include_revert = include_revert
-        #: Where the batch kernel's fold-table sidecar artifact lives
-        #: (usually the reference-index store directory); ``None`` builds
-        #: the table in memory.
-        self.fold_table_dir = fold_table_dir
         # The `# guarded-by:` annotations are enforced by repro-lint's
         # lock-discipline rule: accessing an annotated attribute outside a
         # `with <lock>:` block is a lint error (docs/LINT.md#lock-discipline).
@@ -193,14 +187,11 @@ class OnlineDetector:
         """
         if store is None:
             index = build_reference_index(finder, reference)
-            fold_table_dir = None
         else:
             index, _hit = cached_reference_index(
                 finder, reference, store, force=force_rebuild, mmap_load=mmap_load,
             )
-            fold_table_dir = store.index_dir
-        return cls(finder, index, cache_size=cache_size, include_revert=include_revert,
-                   fold_table_dir=fold_table_dir)
+        return cls(finder, index, cache_size=cache_size, include_revert=include_revert)
 
     # -- queries ------------------------------------------------------------
 
@@ -229,8 +220,9 @@ class OnlineDetector:
         The batch runs through :meth:`ShamFinder.join_batch` with the
         LRU-backed :meth:`_matches_for` as the join: a fast miss gets its
         (empty) verdict built directly, and only labels the kernel passes
-        cannot rule out pay the join.  The whole batch counts as in flight
-        until it returns.
+        cannot rule out pay the join.  The kernel's fold-table sidecar lives
+        in the index's own directory when it has one.  The whole batch counts
+        as in flight until it returns.
         """
         snapshot = index if index is not None else self.index
         items = domains if isinstance(domains, list) else list(domains)
@@ -240,7 +232,7 @@ class OnlineDetector:
             batch = self.finder.join_batch(
                 items, snapshot.prepared,
                 lambda label: self._matches_for(label, snapshot),
-                cache_dir=self.fold_table_dir,
+                cache_dir=snapshot.prepared.index_dir,
             )
             verdicts = []
             errors = 0

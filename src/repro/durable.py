@@ -22,6 +22,7 @@ checkpoint; the recovery matrix is tabulated in ``docs/OPERATIONS.md``.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -36,6 +37,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointedLog",
     "SinkRecovery",
+    "artifact_checksum",
     "atomic_write",
     "json_record",
     "recover_sink",
@@ -65,6 +67,20 @@ def atomic_write(path: str | os.PathLike, data: bytes | Iterable[bytes]) -> None
         except OSError:
             pass
         raise
+
+
+def artifact_checksum(header: dict, body: bytes) -> str:
+    """SHA-256 over an artifact's header fields and its *body*.
+
+    The header goes in as canonical JSON (sorted keys) without its own
+    ``sha256`` field, so a damaged reported figure reads as a mismatch just
+    like a damaged body byte does.
+    """
+    covered = {name: value for name, value in header.items() if name != "sha256"}
+    hasher = hashlib.sha256(json.dumps(covered, sort_keys=True, ensure_ascii=False).encode("utf-8"))
+    hasher.update(b"\n")
+    hasher.update(body)
+    return hasher.hexdigest()
 
 
 # -- versioned JSON checkpoints ------------------------------------------------

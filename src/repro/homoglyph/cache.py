@@ -18,22 +18,34 @@ The fingerprint covers:
 
 On-disk layout (one file per fingerprint, ``simchar-<digest>.jsonl``):
 line 1 is a header object (magic, version, fingerprint fields, build
-statistics); every following line is one pair as a compact JSON array
+statistics, and a ``sha256`` over the other header fields and the rows);
+every following line is one pair as a compact JSON array
 ``["0065", "00E9", 2, ["SimChar"]]``.  Corrupt or mismatched files are
 treated as cache misses, never as errors.
+
+Deriving the key costs more than loading a warm entry (the IDNA repertoire
+and the probe glyph renders), so :func:`cached_build` keeps a key memo,
+``simchar-key-<memo>.json``, beside the entries.  The memo name digests
+what the key is computed from — the builder parameters, the font's class
+and public attributes, the Unicode data version, the cache format, and
+the bytes of the sources that derive the key (``repro/fonts``,
+``repro/unicode``, ``homoglyph/simchar.py`` and this module) — so an edit
+to any of them reads as a memo miss and the full key is computed again.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import json
 import os
+import unicodedata
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..durable import atomic_write
+from .. import fonts
+from ..durable import artifact_checksum, atomic_write
 from ..fonts.registry import FontProtocol
 from .database import HomoglyphDatabase, HomoglyphPair
 from .simchar import BuildTimings, SimCharBuilder, SimCharResult
@@ -51,7 +63,7 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes; old files then read as misses.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 CACHE_MAGIC = "shamfinder-simchar-cache"
 
@@ -138,6 +150,49 @@ def key_for_builder(builder: SimCharBuilder) -> CacheKey:
     )
 
 
+@functools.cache
+def _key_source_digest() -> str:
+    """Digest of the sources whose code decides a builder's key."""
+    package = Path(__file__).resolve().parents[1]
+    paths = [*sorted((package / "fonts").glob("*.py")),
+             *sorted((package / "unicode").glob("*.py")),
+             package / "homoglyph" / "simchar.py", Path(__file__).resolve()]
+    hasher = hashlib.sha256()
+    for path in paths:
+        hasher.update(path.relative_to(package).as_posix().encode("utf-8") + b"\0")
+        hasher.update(path.read_bytes())
+    return hasher.hexdigest()
+
+
+def _key_memo(builder: SimCharBuilder) -> str | None:
+    """Cheap identity of *builder*'s key, or None when only the full key will do.
+
+    A font from outside :mod:`repro.fonts` may render anything under any
+    name, and a font with ``content_digest()`` is fingerprinted by its whole
+    glyph set, so neither is memoised.
+    """
+    font = builder.font
+    font_type = type(font)
+    if (not font_type.__module__.startswith(fonts.__name__ + ".")
+            or callable(getattr(font, "content_digest", None))):
+        return None
+    try:
+        public = {name: value for name, value in vars(font).items()
+                  if not name.startswith("_")}
+        identity = json.dumps({
+            "format": CACHE_FORMAT_VERSION,
+            "unicode": unicodedata.unidata_version,
+            "builder": [builder.threshold, builder.sparse_min_pixels,
+                        *builder.repertoire_spec],
+            "font": [f"{font_type.__module__}.{font_type.__qualname__}",
+                     font.name, font.glyph_size, public],
+            "sources": _key_source_digest(),
+        }, sort_keys=True, default=sorted)
+    except (OSError, TypeError, ValueError):   # unreadable source, unhashable state
+        return None
+    return hashlib.sha256(identity.encode("utf-8")).hexdigest()[:24]
+
+
 class SimCharCache:
     """Directory of persisted SimChar builds keyed by :class:`CacheKey`."""
 
@@ -152,6 +207,10 @@ class SimCharCache:
         """Cache file path for *key* (the file may not exist yet)."""
         return self.cache_dir / f"simchar-{key.digest}.jsonl"
 
+    def memo_path_for(self, memo: str) -> Path:
+        """Key memo file path for the memo digest *memo*."""
+        return self.cache_dir / f"simchar-key-{memo}.json"
+
     # -- store --------------------------------------------------------------
 
     def store(self, key: CacheKey, result: SimCharResult) -> Path:
@@ -162,6 +221,11 @@ class SimCharCache:
         """
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
+        rows = "".join(
+            json.dumps([f"{ord(pair.first):04X}", f"{ord(pair.second):04X}", pair.delta,
+                        sorted(pair.sources)], ensure_ascii=False) + "\n"
+            for pair in result.database.pairs()
+        ).encode("utf-8")
         header = {
             "magic": CACHE_MAGIC,
             "version": CACHE_FORMAT_VERSION,
@@ -178,16 +242,19 @@ class SimCharCache:
                 "sparse_examples": list(result.sparse_examples),
             },
         }
-        rows = (
-            [f"{ord(pair.first):04X}", f"{ord(pair.second):04X}", pair.delta,
-             sorted(pair.sources)]
-            for pair in result.database.pairs()
-        )
-        atomic_write(path, (
-            (json.dumps(item, ensure_ascii=False) + "\n").encode("utf-8")
-            for item in itertools.chain([header], rows)
-        ))
+        header["sha256"] = artifact_checksum(header, rows)
+        atomic_write(path, [(json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8"), rows])
         return path
+
+    def store_key_memo(self, memo: str, key: CacheKey) -> None:
+        """Record that the memo digest *memo* stands for *key* (best effort)."""
+        payload = {"memo": memo, "key": key.as_dict()}
+        payload["sha256"] = artifact_checksum(payload, b"")
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            atomic_write(self.memo_path_for(memo), json.dumps(payload).encode("utf-8"))
+        except OSError:
+            pass   # the memo only saves the key derivation; the next run recomputes it
 
     # -- load ---------------------------------------------------------------
 
@@ -195,7 +262,7 @@ class SimCharCache:
         """Load the cached build for *key*, or ``None`` on miss/corruption."""
         path = self.path_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 header = json.loads(handle.readline())
                 if header.get("magic") != CACHE_MAGIC:
                     return None
@@ -203,8 +270,12 @@ class SimCharCache:
                     return None
                 if header.get("key") != key.as_dict():
                     return None
+                raw = handle.read()
+                if artifact_checksum(header, raw) != header.get("sha256"):
+                    return None   # a damaged row or header field
                 # Every non-blank line is one row: parse them all as one array.
-                rows = json.loads("[" + ",".join(filter(str.strip, handle.read().split("\n"))) + "]")
+                lines = raw.decode("utf-8").split("\n")
+                rows = json.loads("[" + ",".join(filter(str.strip, lines)) + "]")
                 if len(rows) != header.get("pair_count"):
                     return None
                 database = HomoglyphDatabase(name=header.get("name", "SimChar"))
@@ -236,10 +307,20 @@ class SimCharCache:
             # miss so the caller rebuilds.
             return None
 
+    def load_key_memo(self, memo: str) -> CacheKey | None:
+        """The key recorded for the memo digest *memo*, or ``None``."""
+        try:
+            payload = json.loads(self.memo_path_for(memo).read_bytes())
+            if payload["memo"] != memo or artifact_checksum(payload, b"") != payload["sha256"]:
+                return None
+            return CacheKey(**payload["key"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+
     # -- maintenance --------------------------------------------------------
 
     def entries(self) -> list[Path]:
-        """Existing cache files, newest first."""
+        """Existing cache entries and key memos, newest first."""
         if not self.cache_dir.is_dir():
             return []
 
@@ -249,10 +330,12 @@ class SimCharCache:
             except OSError:   # deleted concurrently — sort it last
                 return 0.0
 
-        return sorted(self.cache_dir.glob("simchar-*.jsonl"), key=mtime, reverse=True)
+        files = [*self.cache_dir.glob("simchar-*.jsonl"),
+                 *self.cache_dir.glob("simchar-key-*.json")]
+        return sorted(files, key=mtime, reverse=True)
 
     def clear(self) -> int:
-        """Delete all cache entries; returns the number removed."""
+        """Delete all cache entries and key memos; returns the number removed."""
         removed = 0
         for path in self.entries():
             try:
@@ -288,18 +371,28 @@ def cached_build(
     """Build through the cache: ``(result, was_cache_hit)``.
 
     ``force=True`` skips the read (but still writes), and ``cache=None``
-    degrades to a plain in-memory build.
+    degrades to a plain in-memory build.  The key comes from the key memo
+    when one names a loadable entry; otherwise :func:`key_for_builder`
+    derives it and the memo is rewritten.
     """
     if cache is None:
         return builder.build(name=name), False
-    key = key_for_builder(builder)
-    if not force:
-        cached = cache.load(key)
-        if cached is not None:
-            # The stored name reflects whoever built the entry; honour the
-            # caller's requested name on a hit.
-            cached.database.name = name
-            return cached, True
+    memo = _key_memo(builder)
+    key = cache.load_key_memo(memo) if memo is not None and not force else None
+    cached = cache.load(key) if key is not None else None
+    if cached is None:
+        # No memo, or it named no loadable entry: trust only the full key.
+        memo_key, key = key, key_for_builder(builder)
+        if key != memo_key:
+            if memo is not None:
+                cache.store_key_memo(memo, key)
+            if not force:
+                cached = cache.load(key)
+    if cached is not None:
+        # The stored name reflects whoever built the entry; honour the
+        # caller's requested name on a hit.
+        cached.database.name = name
+        return cached, True
     result = builder.build(name=name)
     try:
         cache.store(key, result)

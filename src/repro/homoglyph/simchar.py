@@ -163,6 +163,12 @@ class SimCharBuilder:
 
     # -- repertoire -----------------------------------------------------------
 
+    @property
+    def repertoire_spec(self) -> tuple:
+        """What :meth:`repertoire` derives from: an explicit code point list
+        (or None), the block names, and the per-block cap."""
+        return self._explicit_repertoire, self._repertoire_blocks, self._limit_per_block
+
     def repertoire(self) -> list[int]:
         """IDNA-permitted code points the build will consider (before font coverage)."""
         if self._explicit_repertoire is not None:

@@ -2,11 +2,11 @@
 
 ``ShamFinder.prepare_references`` reads the registrable label of a plain
 name (lowercase LDH ASCII) straight off its text, and
-``repro.detection.index`` lays its offset directories out with numpy.
-This module keeps the loops they replaced: :func:`prepare_references`
-builds a full :class:`~repro.idn.domain.DomainName` per reference and
-:func:`offset_directory` walks the records one by one.  Differential tests
-pin the production paths to them.
+``repro.detection.index`` lays its offset directories out with one numpy
+running sum.  This module keeps the loops they replaced:
+:func:`prepare_references` builds a full :class:`~repro.idn.domain.DomainName`
+per reference and :func:`offset_directory` walks the records one by one.
+Differential tests pin the production paths to them.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ def prepare_references(
     )
 
 
-def offset_directory(records: list[str], width: int = 10) -> str:
-    """Fixed-width END byte offsets of *records* within their joined section."""
-    parts: list[str] = []
+def offset_directory(records: list[str]) -> list[int]:
+    """END byte offsets of *records* within their joined section."""
+    ends: list[int] = []
     position = 0
     for record in records:
         position += len(record.encode("utf-8"))
-        parts.append(f"{position:0{width}d}")
+        ends.append(position)
         position += 1   # the joining separator byte
-    return "".join(parts)
+    return ends

@@ -5,6 +5,7 @@ through lighter paths (pre-built database files, small scales) to keep the
 suite fast.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import _scan_progress, build_parser, main
+from repro.cli import CLIError, _scan_progress, build_parser, main
 from repro.detection.batchfold import FoldTable
 from repro.detection.stream import ScanStats
 from repro.idn.idna_codec import to_ascii_label
@@ -456,9 +457,94 @@ def test_warm_index_dir_scan_and_track_read_the_fold_table_sidecar(tmp_path, cap
                     encoding="utf-8")
     assert main(["track", "-s", f"2019-05-01={zone}", "--state-dir", str(tmp_path / "state"),
                  *common]) == 0
-    assert len(builds) == 1                      # warm: both read the sidecar
+    assert main(["query", *candidates, *common, "--json"]) == 0
+    assert len(builds) == 1                      # warm: all three read the sidecar
     assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
     capsys.readouterr()
+
+
+def _stub_listening_server(monkeypatch, seen):
+    """Make ``serve --listen`` return right after printing its listening line."""
+    from repro.serving import server as serving_server
+
+    async def start(self):
+        seen.append(("start", gc.isenabled()))
+        return "127.0.0.1", 0
+
+    async def run(self):
+        return None
+
+    monkeypatch.setattr(serving_server.HomographServer, "start", start)
+    monkeypatch.setattr(serving_server.HomographServer, "run", run)
+
+
+def _serve_argv(tmp_path, union_db, *extra):
+    return ["serve", "--listen", "127.0.0.1:0", "--reference", "google.com",
+            "--database", str(_saved_db(tmp_path, union_db)),
+            "--index-dir", str(tmp_path / "index"), "--build-index", *extra]
+
+
+def test_serve_setup_runs_with_the_collector_paused(tmp_path, capsys, union_db, monkeypatch):
+    import repro.cli as cli
+
+    seen = []
+    default_finder = cli._default_finder
+
+    def finder(*args):
+        seen.append(("set-up", gc.isenabled()))
+        return default_finder(*args)
+
+    monkeypatch.setattr(cli, "_default_finder", finder)
+    _stub_listening_server(monkeypatch, seen)
+    assert main(_serve_argv(tmp_path, union_db)) == 0
+    assert seen == [("set-up", False), ("start", True)]
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    listening = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert set(listening) == {"listening", "workers", "fingerprint", "setup_ms"}
+    setup = listening["setup_ms"]
+    assert set(setup) == {"finder", "index", "total"}
+    assert 0 <= setup["finder"] + setup["index"] <= setup["total"]
+
+
+@pytest.mark.parametrize("error", [CLIError("no index"), RuntimeError("boom")])
+def test_serve_setup_that_raises_restores_the_collector(tmp_path, capsys, union_db,
+                                                        monkeypatch, error):
+    import repro.cli as cli
+
+    def failing(*args, **kwargs):
+        assert not gc.isenabled()
+        raise error
+
+    monkeypatch.setattr(cli, "_resolve_index", failing)
+    if isinstance(error, CLIError):
+        assert main(_serve_argv(tmp_path, union_db)) == 2
+        assert "error: no index" in capsys.readouterr().err
+    else:
+        with pytest.raises(RuntimeError, match="boom"):
+            main(_serve_argv(tmp_path, union_db))
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_serve_workers_run_with_the_collector_enabled(tmp_path, capsys, union_db, monkeypatch):
+    from repro.serving import server as serving_server
+
+    pools, children = [], []
+    warm = serving_server.WorkerPool.warm
+
+    def recording_warm(self, *args, **kwargs):
+        pools.append(self)
+        warm(self, *args, **kwargs)
+        children.append(self._executor.submit(gc.isenabled).result())
+
+    monkeypatch.setattr(serving_server.WorkerPool, "warm", recording_warm)
+    _stub_listening_server(monkeypatch, [])
+    try:
+        assert main(_serve_argv(tmp_path, union_db, "--workers", "1")) == 0
+    finally:
+        for pool in pools:
+            pool.close()
+    assert children == [True]
+    assert gc.isenabled()
 
 
 def test_serve_and_query_import_no_measurement_stack():

@@ -393,12 +393,10 @@ def test_simchar_cache_cut_at_every_offset(font, tmp_path):
     key = key_for_builder(builder)
     path = cache.path_for(key)
     full = path.read_bytes()
-    # No checksum covers the pair rows (docs/OPERATIONS.md), so only
-    # truncation is guaranteed to be caught; a flipped hex digit is not.
-    for cut in range(len(full)):
-        path.write_bytes(full[:cut])
+    for damaged in _cuts_and_flips(full):
+        path.write_bytes(damaged)
         loaded = cache.load(key)
-        assert loaded is None or loaded.database.to_json() == built.database.to_json(), cut
+        assert loaded is None or loaded.database.to_json() == built.database.to_json()
 
     path.write_bytes(full[: len(full) // 2])
     rebuilt, hit = cached_build(builder, cache)
@@ -407,11 +405,10 @@ def test_simchar_cache_cut_at_every_offset(font, tmp_path):
 
 
 def _index_content(prepared):
-    # What verdicts read.  The header's domain_count (a reported figure)
-    # is outside the body checksum, so a flipped digit there is not caught
-    # (docs/OPERATIONS.md).
+    # What verdicts read, plus the reported domain_count: the checksum
+    # covers every header field, not only the body.
     labels = {label: prepared.labels.get(label) for label in prepared.labels}
-    return labels, sorted(prepared.index.buckets())
+    return labels, sorted(prepared.index.buckets()), prepared.domain_count
 
 
 def test_reference_index_cut_or_flipped_at_every_offset(finder, tmp_path):

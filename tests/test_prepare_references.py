@@ -2,11 +2,14 @@
 
 ``ShamFinder.prepare_references`` reads a plain name's registrable label
 straight off its text, and ``repro.detection.index`` lays out its offset
-directories with numpy; ``oracles.reference_prepare`` keeps the
-``DomainName``-per-reference loop and the record-by-record offset loop
-they replaced.
+directories (little-endian uint64 END offsets) with one numpy running sum;
+``oracles.reference_prepare`` keeps the ``DomainName``-per-reference loop
+and the record-by-record offset loop they replaced.
 """
 
+import struct
+
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,8 +80,10 @@ def test_prepare_references_takes_domainname_items_and_empty_lists():
 @example([])
 @example(["", "", ""])
 @example(["abc", "дом", "日本語", "𝔸x", ""])
+@example(["a\x1fb", "\x1e", "\n", "\x1f\x1f", "é\n\x1e"])
 def test_offset_directory_matches_the_record_loop(records):
-    assert index_module._offset_directory(records) == offset_directory(records)
+    directory = index_module._offset_directory(records)
+    assert np.frombuffer(directory, dtype="<u8").tolist() == offset_directory(records)
 
 
 def test_artifact_bytes_match_the_oracle_layout(tmp_path, monkeypatch):
@@ -87,7 +92,8 @@ def test_artifact_bytes_match_the_oracle_layout(tmp_path, monkeypatch):
     key = key_for(FINDER, names)
     produced = ReferenceIndexStore(tmp_path / "new").store(
         ReferenceIndex(FINDER.prepare_references(names), key))
-    monkeypatch.setattr(index_module, "_offset_directory", offset_directory)
+    monkeypatch.setattr(index_module, "_offset_directory",
+                        lambda records: struct.pack(f"<{len(records)}Q", *offset_directory(records)))
     expected = ReferenceIndexStore(tmp_path / "oracle").store(
         ReferenceIndex(prepare_references(FINDER, names), key))
     assert produced.read_bytes() == expected.read_bytes()

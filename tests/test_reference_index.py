@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+from oracles.reference_prepare import offset_directory
 from repro.detection.index import (
     INDEX_FORMAT_VERSION,
     INDEX_MAGIC,
@@ -258,7 +259,8 @@ def test_mmap_structural_corruption_is_a_miss(tmp_path, small_finder):
     assert store.load_mmap(index.key, small_finder) is None
 
     # A directory whose terminal offset disagrees with its section length
-    # (the file ends with the last directory's fixed-width final entry).
+    # (the file ends with the high byte of the last directory's final
+    # uint64 entry).
     corrupted = bytearray(data)
     corrupted[-1] = ord("9") if corrupted[-1] != ord("9") else ord("8")
     path.write_bytes(bytes(corrupted))
@@ -358,3 +360,56 @@ def test_v1_artifact_reads_as_a_miss_and_is_rebuilt(tmp_path, small_finder):
     assert index.key == key
     assert store.path_for(key).exists() and v1_path.exists()
     assert _detect(small_finder, index.prepared) == _detect(small_finder, built.prepared)
+
+
+def _write_v2_artifact(store: ReferenceIndexStore, finder, reference):
+    """Write a text-directory artifact exactly as format version 2 stored it."""
+    index = build_reference_index(finder, reference)
+    prepared = index.prepared
+    labels = sorted(prepared.labels)
+    groups = [prepared.labels[label] for label in labels]
+    buckets = dict(prepared.index.buckets())
+    bucket_keys = sorted(buckets)
+    bucket_values = [PACK_SEPARATOR.join(buckets[key]) for key in bucket_keys]
+    data = [labels, groups, bucket_keys, bucket_values]
+    sections = [PACK_SEPARATOR.join(labels), "\x1e".join(groups),
+                PACK_SEPARATOR.join(bucket_keys), "\x1e".join(bucket_values)]
+    sections += ["".join(f"{end:010d}" for end in offset_directory(records)) for records in data]
+    encoded = [section.encode("utf-8") for section in sections]
+    body = b"\n".join(encoded)
+    v2_key = IndexKey(database_digest=index.key.database_digest,
+                      reference_hash=index.key.reference_hash, format_version=2)
+    header = {
+        "magic": INDEX_MAGIC,
+        "version": 2,
+        "key": v2_key.as_dict(),
+        "label_count": len(labels),
+        "bucket_count": len(bucket_keys),
+        "entry_count": len(prepared.index),
+        "domain_count": prepared.domain_count,
+        "section_bytes": [len(section) for section in encoded],
+        "body_sha256": hashlib.sha256(body).hexdigest(),
+    }
+    store.index_dir.mkdir(parents=True, exist_ok=True)
+    path = store.path_for(v2_key)
+    path.write_bytes((json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8") + body)
+    return index, path
+
+
+def test_v2_artifact_reads_as_a_miss_and_is_rebuilt(tmp_path, small_finder):
+    store = ReferenceIndexStore(tmp_path)
+    built, v2_path = _write_v2_artifact(store, small_finder, REFERENCE)
+    key = key_for(small_finder, REFERENCE)
+    assert store.load(key, small_finder) is None
+    assert store.load_mmap(key, small_finder, verify=True) is None
+    # Under the current name (as if renamed in place) it is still a miss.
+    current = store.path_for(key)
+    v2_path.rename(current)
+    assert store.load(key, small_finder) is None
+    assert store.load_mmap(key, small_finder, verify=True) is None
+    assert store.load_path(current, small_finder) is None
+
+    index, hit = cached_reference_index(small_finder, REFERENCE, store, mmap_load=True)
+    assert not hit and index.mapped and index.key == key
+    assert _detect(small_finder, index.prepared) == _detect(small_finder, built.prepared)
+    index.prepared.close()

@@ -6,21 +6,29 @@ import threading
 import pytest
 
 from repro.detection.algorithm import HomographMatcher, fold_label
-from repro.detection.batchfold import BatchFoldKernel
-from repro.detection.index import ReferenceIndexStore, build_reference_index
+from repro.detection.batchfold import BatchFoldKernel, FoldTable
+from repro.detection.index import (
+    ReferenceIndexStore,
+    build_reference_index,
+    cached_reference_index,
+)
 from repro.detection.service import OnlineDetector
 from repro.detection.shamfinder import ShamFinder
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.idn.idna_codec import to_ascii_label
 
 
-@pytest.fixture()
-def small_finder():
+def _small_finder() -> ShamFinder:
     db = HomoglyphDatabase(name="svc-test")
     db.add_pair("o", "о", source=SOURCE_UC)
     db.add_pair("a", "а", source=SOURCE_UC)
     db.add_pair("e", "е", source=SOURCE_UC)
     return ShamFinder(db)
+
+
+@pytest.fixture()
+def small_finder():
+    return _small_finder()
 
 
 REFERENCE = ["google.com", "amazon.com", "paypal.com", "google.net"]
@@ -272,3 +280,33 @@ def test_drain_waits_for_a_batch_the_kernel_is_still_proving(detector, monkeypat
     assert detector.drain(timeout=1) is True
     assert detector.stats()["inflight"] == 0
     assert [v.is_homograph for v in results[0]] == [False] * len(domains)
+
+
+# -- fold-table sidecar ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("mmap_load", [False, True])
+def test_second_detector_over_a_warm_index_dir_reads_the_fold_table(tmp_path, monkeypatch,
+                                                                    mmap_load):
+    builds = []
+    build = FoldTable.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(1)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FoldTable, "build", classmethod(counting_build))
+    store = ReferenceIndexStore(tmp_path / "idx")
+    # enough domains for the batch kernel (MIN_KERNEL_BATCH)
+    batch = [_homograph("gооgle"), _homograph("аmazon")] + [f"benign{n}.com" for n in range(10)]
+    # Fresh finders, as in two server processes: nothing is shared in memory.
+    first = OnlineDetector.from_references(_small_finder(), REFERENCE, store=store,
+                                           mmap_load=mmap_load)
+    cold = first.query_many(batch)
+    assert len(builds) == 1 and list(store.index_dir.glob("foldtable-*.bin"))
+    # Built the way `serve` and `query` build theirs: from the loaded index alone.
+    finder = _small_finder()
+    index, hit = cached_reference_index(finder, REFERENCE, store, mmap_load=mmap_load)
+    assert hit
+    assert OnlineDetector(finder, index).query_many(batch) == cold
+    assert len(builds) == 1

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.detection.shamfinder import ShamFinder
+from repro.fonts.synthetic import SyntheticFont
+from repro.homoglyph import cache as cache_module
 from repro.homoglyph.cache import (
     CACHE_DIR_ENV,
     SimCharCache,
@@ -67,7 +69,7 @@ def test_changed_parameters_trigger_rebuild(font, builder, cache):
     other = SimCharBuilder(font, repertoire=REPERTOIRE, threshold=2, jobs=1)
     _result, hit = cached_build(other, cache)
     assert not hit
-    assert len(cache.entries()) == 2
+    assert len([path for path in cache.entries() if path.suffix == ".jsonl"]) == 2
 
 
 def test_font_fingerprint_tracks_rendered_shapes(font):
@@ -222,7 +224,134 @@ def test_unwritable_cache_degrades_to_in_memory_build(builder, tmp_path):
 
 def test_cache_clear(builder, cache):
     cached_build(builder, cache)
-    assert cache.clear() == 1
+    assert cache.clear() == 2   # the entry and its key memo
     assert cache.entries() == []
     _result, hit = cached_build(builder, cache)
     assert not hit
+
+
+# -- the key memo ---------------------------------------------------------------
+
+
+@pytest.fixture
+def key_derivations(monkeypatch):
+    """Counts full key derivations made through ``cached_build``."""
+    calls = []
+
+    def counting(builder):
+        calls.append(builder)
+        return key_for_builder(builder)
+
+    monkeypatch.setattr(cache_module, "key_for_builder", counting)
+    return calls
+
+
+def test_warm_hit_reads_the_key_memo(builder, cache, key_derivations):
+    cold, hit = cached_build(builder, cache)
+    assert not hit and len(key_derivations) == 1
+    assert len(list(cache.cache_dir.glob("simchar-key-*.json"))) == 1
+    warm, hit = cached_build(builder, cache)
+    assert hit and len(key_derivations) == 1   # no second derivation
+    assert warm.database.to_json() == cold.database.to_json()
+
+
+def test_font_class_outside_repro_fonts_is_never_memoised(font, builder, cache,
+                                                          key_derivations):
+    class ShiftedFont:
+        name = font.name          # same identity on paper...
+        glyph_size = font.glyph_size
+
+        def covers(self, codepoint):
+            return font.covers(codepoint)
+
+        def render(self, codepoint):
+            return font.render(codepoint).inverted()   # ...different pixels
+
+    cached_build(builder, cache)
+    shifted = SimCharBuilder(ShiftedFont(), repertoire=REPERTOIRE, jobs=1)
+    assert cache_module._key_memo(shifted) is None
+    result, hit = cached_build(shifted, cache)
+    assert not hit and len(key_derivations) == 2
+    assert result.database.pair_count
+    assert len(list(cache.cache_dir.glob("simchar-*.jsonl"))) == 2   # its own entry
+
+
+def test_key_memo_covers_the_font_attributes(font):
+    narrow = SyntheticFont(coverage_planes=(0,))
+    memos = {cache_module._key_memo(SimCharBuilder(each, repertoire=REPERTOIRE, jobs=1))
+             for each in (font, narrow, SyntheticFont(name="other"))}
+    assert None not in memos and len(memos) == 3
+
+
+def test_changed_memo_digest_misses_the_memo(builder, cache, key_derivations, monkeypatch):
+    cached_build(builder, cache)
+    # As if a font or Unicode source had been edited since the memo was written.
+    monkeypatch.setattr(cache_module, "_key_source_digest", lambda: "edited")
+    _result, hit = cached_build(builder, cache)
+    assert hit and len(key_derivations) == 2   # the full key found the same entry
+    assert len(list(cache.cache_dir.glob("simchar-key-*.json"))) == 2
+
+
+def test_corrupt_key_memo_falls_back_to_the_full_key(font, builder, cache, key_derivations):
+    cold, _ = cached_build(builder, cache)
+    memo_path, = cache.cache_dir.glob("simchar-key-*.json")
+    # An entry the flipped memo below would name, were the memo trusted.
+    neighbour = SimCharBuilder(font, repertoire=REPERTOIRE, threshold=builder.threshold + 1,
+                               jobs=1)
+    cached_build(neighbour, cache)
+    del key_derivations[:]
+    payload = json.loads(memo_path.read_bytes())
+    other = key_for_builder(SimCharBuilder(font, repertoire=REPERTOIRE, threshold=2, jobs=1))
+    forged = {"memo": payload["memo"], "key": other.as_dict()}
+    forged["sha256"] = cache_module.artifact_checksum(forged, b"")
+    flipped = memo_path.read_bytes().replace(f'"threshold": {builder.threshold}'.encode(),
+                                             f'"threshold": {builder.threshold + 1}'.encode())
+    assert flipped != memo_path.read_bytes()
+    for damaged in (b"", b"{", b"[1, 2]", flipped, json.dumps(forged).encode()):
+        memo_path.write_bytes(damaged)
+        derived = len(key_derivations)
+        result, hit = cached_build(builder, cache)
+        assert hit and len(key_derivations) == derived + 1, damaged
+        assert result.database.to_json() == cold.database.to_json()
+        assert memo_path.read_bytes() != damaged   # rewritten for the next run
+        cached_build(builder, cache)
+        assert len(key_derivations) == derived + 1
+
+
+def test_force_rewrites_the_key_memo(builder, cache, key_derivations):
+    cached_build(builder, cache)
+    memo_path, = cache.cache_dir.glob("simchar-key-*.json")
+    memo_path.write_bytes(b"{")
+    _result, hit = cached_build(builder, cache, force=True)
+    assert not hit and len(key_derivations) == 2
+    _result, hit = cached_build(builder, cache)
+    assert hit and len(key_derivations) == 2
+
+
+def test_v1_cache_entry_reads_as_a_miss_and_is_rebuilt(builder, cache):
+    result = builder.build()
+    key = key_for_builder(builder)
+    v1_key = cache_module.CacheKey(**{**key.as_dict(), "format_version": 1})
+    header = {"magic": cache_module.CACHE_MAGIC, "version": 1, "key": v1_key.as_dict(),
+              "name": "SimChar", "pair_count": result.database.pair_count,
+              "stats": {"repertoire_size": result.repertoire_size,
+                        "rendered_count": result.rendered_count,
+                        "raw_pair_count": result.raw_pair_count,
+                        "sparse_character_count": result.sparse_character_count,
+                        "threshold": result.threshold,
+                        "sparse_min_pixels": result.sparse_min_pixels,
+                        "sparse_examples": list(result.sparse_examples)}}
+    rows = [[f"{ord(pair.first):04X}", f"{ord(pair.second):04X}", pair.delta,
+             sorted(pair.sources)] for pair in result.database.pairs()]
+    v1_text = "".join(json.dumps(item, ensure_ascii=False) + "\n" for item in [header, *rows])
+    cache.cache_dir.mkdir(parents=True)
+    v1_path = cache.path_for(v1_key)
+    v1_path.write_text(v1_text, encoding="utf-8")
+    assert cache.load(key) is None
+    # Under the current name (as if renamed in place) it is still a miss.
+    cache.path_for(key).write_text(v1_text, encoding="utf-8")
+    assert cache.load(key) is None
+
+    rebuilt, hit = cached_build(builder, cache)
+    assert not hit and rebuilt.database.to_json() == result.database.to_json()
+    assert cache.load(key) is not None and v1_path.read_text(encoding="utf-8") == v1_text
