@@ -18,26 +18,36 @@ Quickstart::
         print(detection.describe())
 """
 
-from .detection.report import DetectionReport, HomographDetection
-from .detection.shamfinder import ShamFinder
-from .homoglyph.cache import SimCharCache, cached_build
-from .homoglyph.confusables import load_confusables
-from .homoglyph.database import HomoglyphDatabase, HomoglyphPair
-from .homoglyph.simchar import SimCharBuilder
-from .idn.domain import DomainName
+import importlib
+
+#: Public name -> the module that defines it, imported on first use of the
+#: name (PEP 562): ``import repro.cli`` loads only what the CLI imports.
+_EXPORTS = {
+    "DetectionReport": "detection.report",
+    "HomographDetection": "detection.report",
+    "ShamFinder": "detection.shamfinder",
+    "load_confusables": "homoglyph.confusables",
+    "HomoglyphDatabase": "homoglyph.database",
+    "HomoglyphPair": "homoglyph.database",
+    "SimCharBuilder": "homoglyph.simchar",
+    "SimCharCache": "homoglyph.cache",
+    "cached_build": "homoglyph.cache",
+    "DomainName": "idn.domain",
+}
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "DetectionReport",
-    "HomographDetection",
-    "ShamFinder",
-    "load_confusables",
-    "HomoglyphDatabase",
-    "HomoglyphPair",
-    "SimCharBuilder",
-    "SimCharCache",
-    "cached_build",
-    "DomainName",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

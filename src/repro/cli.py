@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import json
 import os
@@ -48,8 +49,6 @@ from .detection.index import (
 )
 from .detection.service import OnlineDetector
 from .detection.shamfinder import ShamFinder
-from .detection.stream import ScanResumeError, ScanStats, ScanWorkerError, StreamingScanner
-from .fonts.hexfont import HexFont
 from .homoglyph.cache import cached_build, resolve_cache
 from .homoglyph.confusables import load_confusables
 from .homoglyph.database import HomoglyphDatabase
@@ -58,22 +57,45 @@ from .homoglyph.registry import (
     UnknownSourceError,
     default_registry,
 )
-from .homoglyph.simchar import SimCharBuilder
 from .idn.domain import DomainName
 from .idn.idna_codec import IDNAError
 
 if TYPE_CHECKING:
+    from .detection.stream import ScanStats
     from .measurement.longitudinal import DayReport
 
-# The measurement stack (and the DNS, web and language layers under it) is
-# imported by the sub-commands that run it, so ``serve``, ``query`` and
-# ``scan`` start without it.
+# The measurement stack (and the DNS, web and language layers under it),
+# the streaming scanner and the SimChar builder with its fonts are imported
+# by the sub-commands that run them, so ``serve`` and ``query`` start
+# without them.
 
 __all__ = ["main", "build_parser", "positive_int", "CLIError"]
 
 
 class CLIError(Exception):
     """A user-facing CLI failure: printed as one line, never a traceback."""
+
+    def __init__(self, message: str, exit_code: int = 2) -> None:
+        super().__init__(message)
+        #: the exit status: 2 for a usage or input error, 1 for a failed run
+        self.exit_code = exit_code
+
+
+def _scan_workers_checked(handler: Callable[[argparse.Namespace], int]):
+    """Wrap a sub-command that scans: a scan worker that died becomes one
+    ``error:`` line and exit status 1."""
+
+    @functools.wraps(handler)
+    def run(args: argparse.Namespace) -> int:
+        from .detection.stream import ScanWorkerError
+
+        try:
+            return handler(args)
+        except ScanWorkerError as exc:
+            raise CLIError(f"{exc}; rerun with --resume to continue from the last commit",
+                           exit_code=1) from exc
+
+    return run
 
 
 def positive_int(text: str) -> int:
@@ -278,6 +300,8 @@ def _load_font(font_path: Path | None):
     """Load a ``.hex`` font file, or ``None`` for the default synthetic font."""
     if font_path is None:
         return None
+    from .fonts.hexfont import HexFont
+
     try:
         return HexFont.from_file(font_path)
     except OSError as exc:
@@ -378,6 +402,8 @@ def _resolve_index(
 
 
 def _cmd_build_db(args: argparse.Namespace) -> int:
+    from .homoglyph.simchar import SimCharBuilder
+
     if args.databases is not None and args.no_uc:
         raise CLIError("--databases and --no-uc are mutually exclusive "
                        "(select the sources explicitly instead)")
@@ -657,10 +683,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+@_scan_workers_checked
 def _cmd_measure(args: argparse.Namespace) -> int:
     from .measurement.domainlists import ZoneConfig, generate_population
     from .measurement.pipeline import PipelineError
     from .measurement.study import MeasurementStudy
+    from .detection.stream import ScanResumeError
 
     if args.resume and args.output_dir is None:
         print("--resume requires --output-dir", file=sys.stderr)
@@ -753,7 +781,10 @@ def _scan_progress(every: int) -> Callable[[ScanStats], None]:
     return progress
 
 
+@_scan_workers_checked
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .detection.stream import ScanResumeError, StreamingScanner
+
     reference = _resolve_reference(args)
     finder = _default_finder(args.database, args.cache_dir, None, args.databases)
     index = _resolve_index(finder, reference, args.index_dir, args.build_index)
@@ -781,6 +812,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+@_scan_workers_checked
 def _cmd_track(args: argparse.Namespace) -> int:
     from .measurement.longitudinal import LongitudinalTracker, TrackResumeError
     from .measurement.reporting import render_tracking_report
@@ -862,11 +894,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handlers[args.command](args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScanWorkerError as exc:
-        print(f"error: {exc}; rerun with --resume to continue from the last commit",
-              file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

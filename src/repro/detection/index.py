@@ -418,19 +418,15 @@ class ReferenceIndexStore:
 
         labels = sorted(prepared.labels)
         groups = list(map(prepared.labels.get, labels))
-        buckets = dict(prepared.index.buckets())
+        buckets = prepared.index.packed()
         bucket_keys = sorted(buckets)
-        members = list(map(buckets.__getitem__, bucket_keys))
-        bucket_values = list(map(PACK_SEPARATOR.join, members))
-        entry_count = sum(map(len, members))
+        bucket_values = list(map(buckets.__getitem__, bucket_keys))
 
-        sections = [section.encode("utf-8") for section in (
-            _FIELD_SEPARATOR.join(labels),
-            _GROUP_SEPARATOR.join(groups),
-            _FIELD_SEPARATOR.join(bucket_keys),
-            _GROUP_SEPARATOR.join(bucket_values),
-        )]
-        sections += map(_offset_directory, (labels, groups, bucket_keys, bucket_values))
+        records = (labels, groups, bucket_keys, bucket_values)
+        separators = (_FIELD_SEPARATOR, _GROUP_SEPARATOR, _FIELD_SEPARATOR, _GROUP_SEPARATOR)
+        sections = [separator.join(section).encode("utf-8")
+                    for separator, section in zip(separators, records)]
+        sections += map(_offset_directory, records, sections, separators)
         body = b"\n".join(sections)
         header = {
             "magic": INDEX_MAGIC,
@@ -438,7 +434,7 @@ class ReferenceIndexStore:
             "key": index.key.as_dict(),
             "label_count": len(labels),
             "bucket_count": len(bucket_keys),
-            "entry_count": entry_count,
+            "entry_count": len(prepared.index),
             "domain_count": prepared.domain_count,
             "section_bytes": [len(section) for section in sections],
         }
@@ -640,10 +636,15 @@ def _attach(
     return ReferenceIndex(prepared=prepared, key=key, from_cache=True, mapped=True)
 
 
-def _offset_directory(records: Sequence[str]) -> bytes:
-    """END byte offsets of *records* within their joined section, as ``<u8``."""
-    # Record i ends after the bytes of records 0..i and the i separators
-    # between them: a running sum of (size + 1), less one.
+def _offset_directory(records: Sequence[str], section: bytes, separator: str) -> bytes:
+    """END byte offsets of *records* within *section* — their join with
+    *separator*, UTF-8 encoded — as ``<u8``."""
+    # Every record but the last ends where a separator byte starts.
+    ends = np.flatnonzero(np.frombuffer(section, dtype=np.uint8) == ord(separator))
+    if len(ends) + 1 == len(records):
+        return np.append(ends, len(section)).astype("<u8").tobytes()
+    # No records, or one holds the separator: a running sum of the record
+    # sizes plus one, less one.
     sizes = np.fromiter(map(len, map(str.encode, records)), dtype="<u8", count=len(records))
     sizes += 1
     ends = sizes.cumsum()

@@ -19,8 +19,9 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,14 +33,16 @@ from ..homoglyph.database import (
 )
 from ..homoglyph.invisible import InvisibleTable
 from ..homoglyph.registry import BuildContext, DatabaseRegistry, default_registry
-from ..homoglyph.simchar import SimCharBuilder
 from ..idn.domain import DomainName
 from ..idn.idna_codec import IDNAError
 from .algorithm import HomographMatcher, MatchResult, fold_label
 from .batchfold import FAST_LABEL, MIN_KERNEL_BATCH, DecodedLabels, kernel_for
 from .report import DetectionReport, HomographDetection
-from .revert import HomographReverter
 from .skeleton import PACK_SEPARATOR, SkeletonIndex
+
+if TYPE_CHECKING:
+    from ..homoglyph.simchar import SimCharBuilder
+    from .revert import HomographReverter
 
 __all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches", "BatchJoin",
            "REFERENCE_SEPARATOR"]
@@ -177,8 +180,13 @@ class ShamFinder:
         source_config: str = "",
     ) -> None:
         self.database = database
-        self.uc_database = uc_database
-        self.simchar_database = simchar_database
+        #: The sources' own databases by registry name, for
+        #: :meth:`databases` and the Table 8 comparison only; a registry
+        #: build derives each on first use.
+        self._source_databases: Mapping[str, HomoglyphDatabase] = {
+            name: db for name, db in (("uc", uc_database), ("simchar", simchar_database))
+            if db is not None
+        }
         #: Curated invisible-character table, set when the ``invisible``
         #: source is selected; enables the strip-and-rematch check in the
         #: matcher's skeleton path.
@@ -189,7 +197,23 @@ class ShamFinder:
         #: :mod:`repro.homoglyph.registry`).
         self.source_config = source_config
         self.matcher = HomographMatcher(database, invisible_table=invisible_table)
-        self.reverter = HomographReverter(database)
+
+    @property
+    def uc_database(self) -> HomoglyphDatabase | None:
+        """The UC source's own database, if UC is among the sources."""
+        return self._source_databases.get("uc")
+
+    @property
+    def simchar_database(self) -> HomoglyphDatabase | None:
+        """The SimChar source's own database, if SimChar is among the sources."""
+        return self._source_databases.get("simchar")
+
+    @cached_property
+    def reverter(self) -> HomographReverter:
+        """The Section 6.4 reverter over :attr:`database`, built on first use."""
+        from .revert import HomographReverter
+
+        return HomographReverter(self.database)
 
     # -- construction ----------------------------------------------------------
 
@@ -222,13 +246,10 @@ class ShamFinder:
             cache_dir=cache_dir,
             force_rebuild=force_rebuild,
         ))
-        return cls(
-            built.database,
-            uc_database=built.per_source.get("uc"),
-            simchar_database=built.per_source.get("simchar"),
-            invisible_table=built.invisible,
-            source_config=built.source_config,
-        )
+        finder = cls(built.database, invisible_table=built.invisible,
+                     source_config=built.source_config)
+        finder._source_databases = built.per_source
+        return finder
 
     @classmethod
     def from_databases(cls, *databases: HomoglyphDatabase) -> "ShamFinder":

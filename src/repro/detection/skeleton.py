@@ -26,6 +26,7 @@ while doing orders of magnitude fewer comparisons.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 from ..homoglyph.database import HomoglyphDatabase
@@ -163,7 +164,8 @@ class SkeletonIndex:
         """Index several (already case-folded) reference labels, in order."""
         labels = list(folded_labels)
         buckets = self._buckets
-        for label, skeleton in zip(labels, map(self.classes.skeletonize, labels)):
+        skeletons = map(str.translate, labels, repeat(self.classes._table))   # skeletonize
+        for label, skeleton in zip(labels, skeletons):
             bucket = buckets.setdefault(skeleton, [])
             if type(bucket) is str:
                 bucket = self._bucket(skeleton)
@@ -180,6 +182,12 @@ class SkeletonIndex:
         view); each members list is a copy."""
         skeletons = list(self._buckets)
         return zip(skeletons, map(list, map(self._bucket, skeletons)))
+
+    def packed(self) -> dict[str, str]:
+        """Every bucket as its members joined with :data:`PACK_SEPARATOR`
+        (the artifact form), in insertion order."""
+        return {skeleton: bucket if type(bucket) is str else PACK_SEPARATOR.join(bucket)
+                for skeleton, bucket in self._buckets.items()}
 
     def skeletons(self) -> list[str]:
         """All bucket keys, without unpacking any members.

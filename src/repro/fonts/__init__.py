@@ -1,25 +1,40 @@
 """Font/glyph substrate: bitmap glyphs, Unifont .hex parsing, synthetic font."""
 
-from .equivalences import SHAPE_EQUIVALENCES, equivalence_groups, shape_equivalence
-from .glyph import GLYPH_SIZE, Glyph
-from .hexfont import HexFont, format_hex_line, parse_hex_line
-from .registry import DATA_DIR, FontProtocol, FontRegistry, default_font
-from .synthetic import SPARSE_CATEGORIES, ShapeSpec, SyntheticFont
+import importlib
 
-__all__ = [
-    "SHAPE_EQUIVALENCES",
-    "equivalence_groups",
-    "shape_equivalence",
-    "GLYPH_SIZE",
-    "Glyph",
-    "HexFont",
-    "format_hex_line",
-    "parse_hex_line",
-    "DATA_DIR",
-    "FontProtocol",
-    "FontRegistry",
-    "default_font",
-    "SPARSE_CATEGORIES",
-    "ShapeSpec",
-    "SyntheticFont",
-]
+#: Public name -> the submodule that defines it.  A submodule is imported on
+#: first use of one of its names (PEP 562), so importing one part of the
+#: package does not import the rest.
+_EXPORTS = {
+    "SHAPE_EQUIVALENCES": "equivalences",
+    "equivalence_groups": "equivalences",
+    "shape_equivalence": "equivalences",
+    "GLYPH_SIZE": "glyph",
+    "Glyph": "glyph",
+    "HexFont": "hexfont",
+    "format_hex_line": "hexfont",
+    "parse_hex_line": "hexfont",
+    "DATA_DIR": "registry",
+    "FontProtocol": "registry",
+    "FontRegistry": "registry",
+    "default_font": "registry",
+    "SPARSE_CATEGORIES": "synthetic",
+    "ShapeSpec": "synthetic",
+    "SyntheticFont": "synthetic",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{submodule}", __name__)
+    value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from .glyph import GLYPH_SIZE, Glyph
-from .hexfont import HexFont
-from .synthetic import SyntheticFont
+if TYPE_CHECKING:
+    from .glyph import Glyph
 
-__all__ = ["FontProtocol", "FontRegistry", "default_font", "DATA_DIR"]
+__all__ = ["FontProtocol", "FontRegistry", "default_font", "default_font_is_pending_synthetic",
+           "DATA_DIR"]
 
 #: Directory searched for ``unifont*.hex`` files.
 DATA_DIR = Path(os.environ.get("SHAMFINDER_DATA_DIR", Path(__file__).resolve().parents[3] / "data"))
@@ -90,17 +90,30 @@ def _find_hex_file() -> Path | None:
     return candidates[0] if candidates else None
 
 
-def default_font(*, glyph_size: int = GLYPH_SIZE, refresh: bool = False) -> FontProtocol:
+def default_font_is_pending_synthetic() -> bool:
+    """True when :func:`default_font` has not run yet and would create the
+    synthetic font at its default size: a font that code alone defines."""
+    return _GLOBAL_REGISTRY is None and _find_hex_file() is None
+
+
+def default_font(*, glyph_size: int | None = None, refresh: bool = False) -> FontProtocol:
     """Return the best available font.
 
     A real GNU Unifont ``.hex`` file in the data directory wins; otherwise
     the deterministic synthetic font is used.  The result is cached in a
     module-level registry so repeated calls share glyph caches.
+    *glyph_size* defaults to :data:`~.glyph.GLYPH_SIZE`.
     """
     global _GLOBAL_REGISTRY
     if _GLOBAL_REGISTRY is not None and not refresh:
         return _GLOBAL_REGISTRY.default
 
+    from .glyph import GLYPH_SIZE
+    from .hexfont import HexFont
+    from .synthetic import SyntheticFont
+
+    if glyph_size is None:
+        glyph_size = GLYPH_SIZE
     registry = FontRegistry()
     hex_path = _find_hex_file()
     if hex_path is not None:

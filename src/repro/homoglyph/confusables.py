@@ -20,11 +20,12 @@ of single-character pairs, which is what the detection algorithm consumes.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .database import SOURCE_UC, HomoglyphDatabase, HomoglyphPair
 
@@ -325,6 +326,9 @@ class ConfusablesTable:
         self._mapping = dict(mapping)
         #: Parser drop counts for the input this table came from.
         self.skipped = skipped if skipped is not None else SkippedEntries()
+        #: SHA-256 of the text :func:`load_confusables` parsed (``""`` for a
+        #: table built any other way)
+        self.source_digest = ""
 
     # -- TR39 operations ----------------------------------------------------
 
@@ -371,7 +375,12 @@ class ConfusablesTable:
         prototype are also paired with each other (they are mutually
         confusable through the shared skeleton).
         """
-        db = HomoglyphDatabase(name=self.name)
+        return HomoglyphDatabase.from_pairs(self.pairs(single_char_only=single_char_only),
+                                            name=self.name)
+
+    def pairs(self, *, single_char_only: bool = True) -> Iterator[HomoglyphPair]:
+        """The pairs :meth:`to_database` holds, in its insertion order (a
+        pair may come twice)."""
         by_prototype: dict[str, list[str]] = {}
         for source, target in self._mapping.items():
             if single_char_only and len(target) != 1:
@@ -379,14 +388,13 @@ class ConfusablesTable:
             if len(source) != 1:
                 continue
             if source != target:
-                db.add(HomoglyphPair(source, target, frozenset({SOURCE_UC})))
+                yield HomoglyphPair(source, target, frozenset({SOURCE_UC}))
             by_prototype.setdefault(target, []).append(source)
         for prototype, members in by_prototype.items():
             for i, first in enumerate(members):
                 for second in members[i + 1:]:
                     if first != second:
-                        db.add(HomoglyphPair(first, second, frozenset({SOURCE_UC})))
-        return db
+                        yield HomoglyphPair(first, second, frozenset({SOURCE_UC}))
 
 
 def parse_confusables(lines: Iterable[str], *, name: str = "UC") -> ConfusablesTable:
@@ -459,7 +467,8 @@ def load_confusables(path: str | os.PathLike | None = None, *, name: str = "UC")
             path = candidate
     if path is not None:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            table = parse_confusables(handle, name=name)
+            text = handle.read()
+        table = parse_confusables(text.split("\n"), name=name)
         dropped = table.skipped.dropped_fraction
         if dropped > _DROP_WARN_FRACTION:
             warnings.warn(
@@ -471,5 +480,8 @@ def load_confusables(path: str | os.PathLike | None = None, *, name: str = "UC")
                 "but this share suggests truncation or a wrong file",
                 stacklevel=2,
             )
-        return table
-    return parse_confusables(EMBEDDED_CONFUSABLES.splitlines(), name=name)
+    else:
+        text = EMBEDDED_CONFUSABLES
+        table = parse_confusables(text.splitlines(), name=name)
+    table.source_digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return table

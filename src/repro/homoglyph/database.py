@@ -21,9 +21,8 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..unicode.blocks import block_name
 from ..unicode.idna import is_pvalid
 
 __all__ = ["HomoglyphPair", "HomoglyphDatabase", "SOURCE_UC", "SOURCE_SIMCHAR",
@@ -101,6 +100,11 @@ class HomoglyphPair:
             "delta": self.delta,
         }
 
+    def as_row(self) -> list:
+        """Compact form, as the SimChar cache stores it: ``["0065", "00E9", 2, ["SimChar"]]``."""
+        return [f"{ord(self.first):04X}", f"{ord(self.second):04X}", self.delta,
+                sorted(self.sources)]
+
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HomoglyphPair":
         """Inverse of :meth:`as_dict`."""
@@ -142,6 +146,48 @@ class HomoglyphDatabase:
         self._pairs[key] = pair
         self._index.setdefault(pair.first, set()).add(pair.second)
         self._index.setdefault(pair.second, set()).add(pair.first)
+
+    def add_rows(self, rows: Iterable[Sequence]) -> None:
+        """Add pairs in their :meth:`HomoglyphPair.as_row` form, trusting them.
+
+        For rows that were validated pairs when a checksummed artifact
+        stored them (the SimChar cache): the pairs are not validated again,
+        each distinct source list becomes one shared ``frozenset``, and a
+        pair already present merges as in :meth:`add`.
+        """
+        pairs, index = self._pairs, self._index
+        chars: dict[str, str] = {}                  # hex code point -> character
+        shared: dict[tuple, frozenset[str]] = {}    # source list -> its frozenset
+        new, set_fields = object.__new__, object.__setattr__
+        self._digest = None
+        for first_hex, second_hex, delta, source_list in rows:
+            first = chars.get(first_hex)
+            if first is None:
+                first = chars[first_hex] = chr(int(first_hex, 16))
+            second = chars.get(second_hex)
+            if second is None:
+                second = chars[second_hex] = chr(int(second_hex, 16))
+            sources = shared.get(tuple(source_list))
+            if sources is None:
+                sources = shared[tuple(source_list)] = frozenset(source_list)
+            key = (ord(first), ord(second))
+            if key in pairs:
+                self.add(HomoglyphPair(first, second, sources, delta))
+                continue
+            # A frozen dataclass instance made without __init__: its fields
+            # are those of the validated pair the row was written from.
+            pair = new(HomoglyphPair)
+            set_fields(pair, "__dict__", {"first": first, "second": second,
+                                          "sources": sources, "delta": delta})
+            pairs[key] = pair
+            if first in index:
+                index[first].add(second)
+            else:
+                index[first] = {second}
+            if second in index:
+                index[second].add(first)
+            else:
+                index[second] = {first}
 
     def add_pair(self, first: str, second: str, *, source: str, delta: int | None = None) -> None:
         """Convenience wrapper building the :class:`HomoglyphPair` in place."""
@@ -270,6 +316,8 @@ class HomoglyphDatabase:
 
     def block_histogram(self, *, exclude_basic_latin: bool = True) -> Counter:
         """Characters per Unicode block (Table 4)."""
+        from ..unicode.blocks import block_name   # the block table loads only for this
+
         histogram: Counter = Counter()
         for char in self.characters:
             block = block_name(ord(char))

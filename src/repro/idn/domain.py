@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..unicode.scripts import is_mixed_script, scripts_of_text
 from .idna_codec import (
     ACE_PREFIX,
     IDNAError,
@@ -126,12 +125,16 @@ class DomainName:
     @cached_property
     def scripts(self) -> frozenset[str]:
         """Scripts used by the registrable label's Unicode form."""
-        return frozenset(scripts_of_text(self.registrable_unicode))
+        from ..unicode import scripts   # the script tables load only for this
+
+        return frozenset(scripts.scripts_of_text(self.registrable_unicode))
 
     @property
     def is_mixed_script(self) -> bool:
         """True when the registrable label mixes multiple scripts."""
-        return is_mixed_script(self.registrable_unicode)
+        from ..unicode import scripts
+
+        return scripts.is_mixed_script(self.registrable_unicode)
 
     # -- dunder -----------------------------------------------------------------------
 

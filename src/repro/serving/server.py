@@ -44,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -116,6 +115,13 @@ def _resolve(future: asyncio.Future, reply) -> None:
 # Per-worker-process serving state, seeded by the pool initializer (the
 # same idiom as the scan/build engines in metrics.pixel / detection.stream).
 _POOL_STATE: dict = {}
+
+
+def _end_reading(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Read nothing more from a connection: its handler sees end of input
+    after the bytes already received (a partial last line included)."""
+    writer.transport.pause_reading()   # no data may follow the EOF fed below
+    reader.feed_eof()
 
 
 def _pool_attach(index_path: str, fingerprint: str) -> OnlineDetector | None:
@@ -230,6 +236,9 @@ class WorkerPool:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        # Only --workers runs a process pool: its machinery loads here.
+        from concurrent.futures import ProcessPoolExecutor
+
         context = pool_context(start_method)
         self.workers = workers
         self.index_path = str(index_path)
@@ -308,6 +317,10 @@ class HomographServer:
         self._dispatch_sem: asyncio.Semaphore | None = None
         self._reload_lock: asyncio.Lock | None = None
         self._stop_event: asyncio.Event | None = None
+        #: Open connections' handler tasks and streams: shutdown ends their
+        #: reading, so each handler finishes on its own before the loop closes.
+        self._connections: dict[asyncio.Task, tuple[asyncio.StreamReader,
+                                                     asyncio.StreamWriter]] = {}
         self._draining = False
         self._counters = {
             "connections": 0, "active_connections": 0,
@@ -364,19 +377,33 @@ class HomographServer:
 
         Every request accepted before shutdown gets its reply; requests
         arriving during the drain are rejected with a retriable error.
+        Open connections stop reading (what they already received is
+        served), write their replies and close, so every connection
+        handler ends on its own rather than cancelled; one whose client
+        does not take its replies within ``drain_timeout`` is aborted.
         """
         if self._draining:
             return
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for reader, writer in list(self._connections.values()):
+            _end_reading(reader, writer)
         if self._queue is not None:
             await self._queue.put(None)           # batcher stop sentinel (FIFO: after all jobs)
         if self._batcher_task is not None:
             await self._batcher_task
         if self._dispatch_tasks:
             await asyncio.gather(*list(self._dispatch_tasks), return_exceptions=True)
+        if self._connections:
+            _done, stuck = await asyncio.wait(list(self._connections),
+                                              timeout=self.config.drain_timeout)
+            for task in stuck:
+                self._connections[task][1].transport.abort()
+            if stuck:
+                await asyncio.wait(stuck)
+        if self._server is not None:
+            await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, partial(self.detector.drain, self.config.drain_timeout),
@@ -538,6 +565,10 @@ class HomographServer:
     ) -> None:
         self._counters["connections"] += 1
         self._counters["active_connections"] += 1
+        task = asyncio.current_task()
+        self._connections[task] = (reader, writer)
+        if self._draining:
+            _end_reading(reader, writer)
         try:
             try:
                 first = await reader.readline()
@@ -556,6 +587,8 @@ class HomographServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                del self._connections[task]
 
     # -- JSONL protocol ------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 ``ShamFinder.prepare_references`` reads the registrable label of a plain
 name (lowercase LDH ASCII) straight off its text, and
-``repro.detection.index`` lays its offset directories out with one numpy
-running sum.  This module keeps the loops they replaced:
+``repro.detection.index`` lays its offset directories out from the
+separator bytes of each encoded section.  This module keeps the loops they replaced:
 :func:`prepare_references` builds a full :class:`~repro.idn.domain.DomainName`
 per reference and :func:`offset_directory` walks the records one by one.
 Differential tests pin the production paths to them.

@@ -547,6 +547,16 @@ def test_serve_workers_run_with_the_collector_enabled(tmp_path, capsys, union_db
     assert gc.isenabled()
 
 
+#: Modules only ``scan``/``track`` or a SimChar build run (with the
+#: ``repro.fonts`` and ``repro.metrics`` packages).
+_SCAN_OR_BUILD_ONLY = {
+    "repro.detection.stream", "repro.detection.revert",
+    "repro.homoglyph.simchar", "repro.homoglyph.latin", "repro.homoglyph.blocks",
+    "repro.unicode.blocks", "repro.unicode.codepoint", "repro.unicode.scripts",
+    "repro.unicode.ucd",
+}
+
+
 def test_serve_and_query_import_no_measurement_stack():
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -557,3 +567,7 @@ def test_serve_and_query_import_no_measurement_stack():
     assert "repro.cli" in loaded
     assert [name for name in loaded
             if name.startswith(("repro.measurement", "repro.dns", "repro.web"))] == []
+    # Scan-only and SimChar-build-only code loads where it is used.
+    assert [name for name in loaded if name in _SCAN_OR_BUILD_ONLY
+            or name.startswith(("repro.fonts", "repro.metrics"))] == []
+

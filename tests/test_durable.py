@@ -404,6 +404,30 @@ def test_simchar_cache_cut_at_every_offset(font, tmp_path):
     assert path.read_bytes() == full
 
 
+def test_simchar_memos_cut_or_flipped_at_every_offset(font, tmp_path):
+    builder = SimCharBuilder(font, repertoire=[ord(ch) for ch in "aoe"] + [0x0430, 0x043E],
+                             jobs=1)
+    finder = ShamFinder.with_default_databases(simchar_builder=builder, cache_dir=tmp_path)
+    digest = finder.database.content_digest()
+    cache = SimCharCache(tmp_path)
+    key_memo_path, = tmp_path.glob("simchar-key-*.json")
+    union_memo_path, = tmp_path.glob("simchar-union-*.json")
+    key_memo = key_memo_path.stem.removeprefix("simchar-key-")
+    union_memo = union_memo_path.stem.removeprefix("simchar-union-")
+    memos = [(key_memo_path, lambda: cache.load_key_memo(key_memo), key_for_builder(builder)),
+             (union_memo_path, lambda: cache.load_union_memo(union_memo), digest)]
+    intact = {path: path.read_bytes() for path, _read, _expected in memos}
+    for path, read, expected in memos:
+        for damaged in _cuts_and_flips(intact[path]):
+            path.write_bytes(damaged)
+            assert read() in (None, expected)
+        path.write_bytes(intact[path][: len(intact[path]) // 2])
+
+    rebuilt = ShamFinder.with_default_databases(simchar_builder=builder, cache_dir=tmp_path)
+    assert rebuilt.database.content_digest() == digest
+    assert all(path.read_bytes() == full for path, full in intact.items())   # rewritten
+
+
 def _index_content(prepared):
     # What verdicts read, plus the reported domain_count: the checksum
     # covers every header field, not only the body.

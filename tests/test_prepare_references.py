@@ -2,9 +2,10 @@
 
 ``ShamFinder.prepare_references`` reads a plain name's registrable label
 straight off its text, and ``repro.detection.index`` lays out its offset
-directories (little-endian uint64 END offsets) with one numpy running sum;
-``oracles.reference_prepare`` keeps the ``DomainName``-per-reference loop
-and the record-by-record offset loop they replaced.
+directories (little-endian uint64 END offsets) from the separator bytes of
+each encoded section; ``oracles.reference_prepare`` keeps the
+``DomainName``-per-reference loop and the record-by-record offset loop they
+replaced.
 """
 
 import struct
@@ -82,8 +83,10 @@ def test_prepare_references_takes_domainname_items_and_empty_lists():
 @example(["abc", "дом", "日本語", "𝔸x", ""])
 @example(["a\x1fb", "\x1e", "\n", "\x1f\x1f", "é\n\x1e"])
 def test_offset_directory_matches_the_record_loop(records):
-    directory = index_module._offset_directory(records)
-    assert np.frombuffer(directory, dtype="<u8").tolist() == offset_directory(records)
+    for separator in ("\x1f", "\x1e"):
+        section = separator.join(records).encode("utf-8")
+        directory = index_module._offset_directory(records, section, separator)
+        assert np.frombuffer(directory, dtype="<u8").tolist() == offset_directory(records)
 
 
 def test_artifact_bytes_match_the_oracle_layout(tmp_path, monkeypatch):
@@ -93,7 +96,8 @@ def test_artifact_bytes_match_the_oracle_layout(tmp_path, monkeypatch):
     produced = ReferenceIndexStore(tmp_path / "new").store(
         ReferenceIndex(FINDER.prepare_references(names), key))
     monkeypatch.setattr(index_module, "_offset_directory",
-                        lambda records: struct.pack(f"<{len(records)}Q", *offset_directory(records)))
+                        lambda records, _section, _separator:
+                        struct.pack(f"<{len(records)}Q", *offset_directory(records)))
     expected = ReferenceIndexStore(tmp_path / "oracle").store(
         ReferenceIndex(prepare_references(FINDER, names), key))
     assert produced.read_bytes() == expected.read_bytes()

@@ -412,3 +412,70 @@ def test_http_bulk_overload_maps_to_503(small_finder):
     status, payload = _run(scenario())
     assert status == 503
     assert payload["error"] == "overloaded" and payload["retry_after"] > 0
+
+
+def _send_and_read_until(sock: socket.socket, payload: bytes, marker: bytes) -> bytes:
+    sock.sendall(payload)
+    received = b""
+    while marker not in received:
+        chunk = sock.recv(65536)
+        assert chunk, received
+        received += chunk
+    return received
+
+
+def test_sigterm_with_open_connections_ends_every_handler(small_finder, tmp_path):
+    """Idle, half-line and pipelined connections open at SIGTERM: the
+    server exits 0, every connection is closed from the server side after
+    whole reply lines, and stderr holds no traceback (no handler ends
+    cancelled)."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    database = tmp_path / "db.json"
+    small_finder.database.save(database)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    process = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from repro.cli import main; sys.exit(main())",
+         "serve", "--listen", "127.0.0.1:0", "--database", str(database),
+         "--reference", *REFERENCE],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    sockets = []
+    try:
+        host, _, port = json.loads(process.stderr.readline())["listening"].rpartition(":")
+        for _ in range(2):
+            sockets.append(socket.create_connection((host, int(port)), timeout=30))  # idle
+        for partial in (b"goo", b'{"domain": "amaz'):
+            sockets.append(socket.create_connection((host, int(port)), timeout=30))
+            sockets[-1].sendall(partial)
+        homograph = _homograph("gооgle").encode()
+        for _ in range(2):
+            pipelined = socket.create_connection((host, int(port)), timeout=30)
+            sockets.append(pipelined)
+            # The pong proves the server is past its signal-handler set-up.
+            _send_and_read_until(pipelined, (b"google.com\n" + homograph + b"\n") * 20
+                                 + b'{"op": "ping"}\n', b'"pong"')
+            pipelined.sendall((homograph + b"\n") * 50)   # left unread
+        process.send_signal(signal.SIGTERM)
+        _out, err = process.communicate(timeout=120)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0, err.decode(errors="replace")
+    assert b"Traceback" not in err and b"Exception in callback" not in err, err.decode()
+    for sock in sockets:
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+        sock.close()
+        assert received == b"" or received.endswith(b"\n")
+        for line in received.splitlines():
+            json.loads(line)
