@@ -362,6 +362,32 @@ def _idn_dense_zone(path, seed: int = 20191017) -> tuple[int, int]:
     return idn_lines, junk
 
 
+def _hit_row_us_per_detection(finder, prepared, batches) -> float:
+    """The bucket-hit rows' cost per detection, best of three: the scalar
+    join of every label the kernel did not prove matchless, the detections
+    of every joined name and their sink lines."""
+    labels, rows = [], []
+
+    def join(label):
+        labels.append(label)
+        return finder.join_label(label, prepared)
+
+    for candidates in batches:
+        batch = finder.join_batch(candidates, prepared, join)
+        rows += [(name, matches) for name, _label, matches, error in batch.joined
+                 if error is None]
+    best = float("inf")
+    for _ in range(3):
+        begin = time.perf_counter()
+        for label in labels:
+            finder.join_label(label, prepared)
+        detections = [d for name, matches in rows for d in finder.detections_for(name, matches)]
+        "".join([detection.as_json() + "\n" for detection in detections])
+        best = min(best, time.perf_counter() - begin)
+    assert detections
+    return 1e6 * best / len(detections)
+
+
 def test_idn_dense_scan(tmp_path):
     db = _database()
     finder = ShamFinder(db)
@@ -393,7 +419,7 @@ def test_idn_dense_scan(tmp_path):
         return decoded
 
     decode_batch = batchfold.decode_batch
-    proved, step_ii_seconds = 0, []
+    proved, step_ii_seconds, batches = 0, [], []
     with mock.patch.object(batchfold, "decode_batch", timed_decode):
         for start in range(0, len(lines), 2000):
             chunk = lines[start:start + 2000]
@@ -402,15 +428,18 @@ def test_idn_dense_scan(tmp_path):
             step_ii_seconds.append(time.perf_counter() - begin)
             assert candidates == [line for line in chunk if is_idn_candidate(line)]
             proved += int(kernel.domain_certain_miss(candidates).sum())
+            batches.append(candidates)
     proved_share = proved / idn_lines
     step_ii_us = 1e6 * sum(step_ii_seconds) / len(step_ii_seconds)
     decode_ms = 1e3 * sum(decode_seconds) / len(decode_seconds) if decode_seconds else 0.0
+    hit_us = _hit_row_us_per_detection(finder, prepared, batches)
 
     rows, metrics = [], {"lines": serial[0].lines_done, "idn_lines": idn_lines,
                          "kernel_proved_share": round(proved_share, 4),
                          "identical_across_jobs": True,
                          "step_ii_us_per_chunk": round(step_ii_us, 1),
                          "decode_batch_ms_per_idn_batch": round(decode_ms, 3),
+                         "hit_row_us_per_detection": round(hit_us, 2),
                          "idn_decode_batches": len(decode_seconds), **cpu_split}
     for jobs, (stats, seconds, _sink) in runs.items():
         rate = stats.domains_seen / seconds if seconds else 0.0
@@ -420,7 +449,8 @@ def test_idn_dense_scan(tmp_path):
         metrics[f"jobs{jobs}_chunks"] = stats.chunks_done
     print_table(f"IDN-dense scan: {serial[0].lines_done:,} lines, "
                 f"{idn_lines:,} xn-- names ({junk} undecodable); Step II "
-                f"{step_ii_us:,.0f} us/chunk, decode_batch {decode_ms:.2f} ms/batch "
+                f"{step_ii_us:,.0f} us/chunk, decode_batch {decode_ms:.2f} ms/batch, "
+                f"hit rows {hit_us:.1f} us/detection "
                 f"over {len(decode_seconds)} batches; jobs=2 CPU "
                 f"{cpu_split['jobs2_parent_cpu_s']:.2f} s parent, "
                 f"{cpu_split['jobs2_worker_cpu_s']:.2f} s workers",

@@ -41,6 +41,11 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
+# Importing numpy starts one OpenBLAS thread per CPU, and those threads spin
+# while the import runs.  Nothing here calls BLAS, so one thread is enough;
+# a value the user set is kept.  Must precede the first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .detection.index import (
     ReferenceIndex,
     ReferenceIndexStore,

@@ -26,6 +26,8 @@ whose lowercase expands are kept as-is, so positions in a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Sequence
 
 from ..homoglyph.database import HomoglyphDatabase
@@ -36,6 +38,8 @@ from .skeleton import CharacterClasses, SkeletonIndex
 # fold_label moved to repro.idn.idna_codec (so the IDNA layer can use it
 # without importing detection); re-exported here for compatibility.
 __all__ = ["CharacterSubstitution", "MatchResult", "HomographMatcher", "fold_label"]
+
+_new, _set_fields = object.__new__, object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,8 @@ class MatchResult:
     #: before it matched — empty for the classic equal-length path.
     #: Positions index into the folded candidate label.
     invisibles: tuple[InvisibleFinding, ...] = ()
+    #: The database sources that list the substituted pairs.
+    sources: frozenset[str] = frozenset()
 
     @property
     def substitution_count(self) -> int:
@@ -113,24 +119,42 @@ class HomographMatcher:
         length-preservingly, so substitution positions refer to the
         original labels.
         """
-        return self._match_folded(fold_label(candidate), fold_label(reference))
+        candidate, reference = fold_label(candidate), fold_label(reference)
+        return (self._match_folded(candidate, reference)
+                or MatchResult(candidate, reference, False))
 
-    def _match_folded(self, candidate: str, reference: str) -> MatchResult:
-        """Algorithm 1 core over labels that are already case-folded."""
-        if len(candidate) != len(reference) or not candidate:
-            return MatchResult(candidate, reference, False)
-        if candidate == reference:
-            return MatchResult(candidate, reference, False)
+    def _match_folded(self, candidate: str, reference: str) -> MatchResult | None:
+        """Algorithm 1 core over labels that are already case-folded: the
+        match, or ``None`` when *candidate* is no homograph of *reference*.
 
-        substitutions: list[CharacterSubstitution] = []
-        for position, (cand_char, ref_char) in enumerate(zip(candidate, reference)):
-            if cand_char == ref_char:
-                continue
-            if self.database.are_homoglyphs(cand_char, ref_char):
-                substitutions.append(CharacterSubstitution(position, cand_char, ref_char))
-                continue
-            return MatchResult(candidate, reference, False)
-        return MatchResult(candidate, reference, True, tuple(substitutions))
+        Each differing position's pair is looked up once, and the match's
+        sources are those of the pairs found.  The result objects are made
+        only for a match, without their generated ``__init__`` (a frozen
+        dataclass sets each field through ``object.__setattr__``).
+        """
+        if len(candidate) != len(reference):
+            return None
+        differing = list(compress(count(), map(ne, candidate, reference)))
+        if not differing:
+            return None
+        get = self.database.get
+        substitutions = []
+        sources: frozenset[str] = frozenset()
+        for position in differing:
+            cand_char, ref_char = candidate[position], reference[position]
+            pair = get(cand_char, ref_char)
+            if pair is None:
+                return None
+            substitution = _new(CharacterSubstitution)
+            _set_fields(substitution, "__dict__", {
+                "position": position, "candidate_char": cand_char, "reference_char": ref_char})
+            substitutions.append(substitution)
+            sources = sources | pair.sources if sources else pair.sources
+        match = _new(MatchResult)
+        _set_fields(match, "__dict__", {
+            "candidate": candidate, "reference": reference, "is_homograph": True,
+            "substitutions": tuple(substitutions), "invisibles": (), "sources": sources})
+        return match
 
     def is_homograph(self, candidate: str, reference: str) -> bool:
         """True when *candidate* is an IDN homograph of *reference*."""
@@ -170,7 +194,7 @@ class HomographMatcher:
         matches: list[MatchResult] = []
         for reference in index.candidates_for(folded):
             result = self._match_folded(folded, reference)
-            if result.is_homograph:
+            if result is not None:
                 matches.append(result)
         if self.invisible_table is not None:
             matches.extend(self._match_invisible(folded, index))
@@ -203,14 +227,15 @@ class HomographMatcher:
                 matches.append(MatchResult(folded, reference, True, (), findings))
                 continue
             result = self._match_folded(stripped, reference)
-            if not result.is_homograph:
+            if result is None:
                 continue
             remapped = tuple(
                 CharacterSubstitution(positions[s.position], s.candidate_char,
                                       s.reference_char)
                 for s in result.substitutions
             )
-            matches.append(MatchResult(folded, reference, True, remapped, findings))
+            matches.append(MatchResult(folded, reference, True, remapped, findings,
+                                       result.sources))
         return matches
 
     # -- legacy length-index path ---------------------------------------------
@@ -234,7 +259,7 @@ class HomographMatcher:
         matches: list[MatchResult] = []
         for reference in reference_index.get(len(candidate), ()):
             result = self._match_folded(candidate, reference)
-            if result.is_homograph:
+            if result is not None:
                 matches.append(result)
         return matches
 

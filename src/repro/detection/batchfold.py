@@ -134,7 +134,8 @@ MIN_KERNEL_BATCH = 8
 #: Fewest eligible IDN rows for which :meth:`BatchFoldKernel.domain_misses`
 #: runs the batch Punycode decoder; smaller batches parse their IDNs one
 #: :class:`~repro.idn.domain.DomainName` at a time, which is cheaper there
-#: (the decoder's cost is mostly per lockstep digit, not per row).
+#: (the decoder's cost is mostly per lockstep step, one per insertion
+#: round of the batch's longest row, not per row).
 MIN_IDN_DECODE_BATCH = 256
 
 #: Per-ASCII-code lookup of the fast-parse label alphabet ``[a-z0-9_-]``.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _quote
 from typing import Iterable, Mapping
 
 from ..homoglyph.database import SOURCE_INVISIBLE, SOURCE_SIMCHAR, SOURCE_UC
@@ -81,6 +82,27 @@ class HomographDetection:
         if self.invisibles:
             payload["invisibles"] = [f.as_dict() for f in self.invisibles]
         return payload
+
+    def as_json(self) -> str:
+        """``json.dumps(self.as_dict(), ensure_ascii=False)``, written field
+        by field (one streaming-sink line, without its newline)."""
+        substitutions = ", ".join([
+            f'{{"position": {s.position}, "candidate": {_quote(s.candidate_char)}, '
+            f'"reference": {_quote(s.reference_char)}}}'
+            for s in self.substitutions
+        ])
+        sources = ", ".join(map(_quote, sorted(self.sources)))
+        line = (f'{{"idn": {_quote(self.idn)}, "unicode": {_quote(self.idn_unicode)}, '
+                f'"reference": {_quote(self.reference)}, "substitutions": [{substitutions}], '
+                f'"sources": [{sources}]')
+        if self.invisibles:
+            invisibles = ", ".join([
+                f'{{"position": {f.position}, "char": {_quote(f.char)}, '
+                f'"category": {_quote(f.category)}}}'
+                for f in self.invisibles
+            ])
+            line += f', "invisibles": [{invisibles}]'
+        return line + "}"
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HomographDetection":

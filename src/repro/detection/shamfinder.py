@@ -113,6 +113,18 @@ class PreparedReferences:
 LabelMatches = tuple
 
 
+_new, _set_fields = object.__new__, object.__setattr__
+
+
+def _detection_sources(match: MatchResult) -> frozenset[str]:
+    """The sources a detection through *match* credits: those of its
+    substituted pairs, plus the invisible table when it stripped
+    characters (or SimChar for a match with neither)."""
+    if match.invisibles:
+        return match.sources | {SOURCE_INVISIBLE}
+    return match.sources if match.substitutions else frozenset({SOURCE_SIMCHAR})
+
+
 @dataclass(frozen=True, eq=False)
 class BatchJoin:
     """What :meth:`ShamFinder.join_batch` found for one batch of inputs."""
@@ -443,45 +455,29 @@ class ShamFinder:
 
     def join_label(self, label: str, prepared: PreparedReferences) -> LabelMatches:
         """The scalar skeleton join for one registrable label."""
-        return tuple(
-            (match, prepared.references_for(match.reference))
-            for match in self.matcher.match_with_skeleton_index(label, prepared.index)
-        )
+        joined = []
+        for match in self.matcher.match_with_skeleton_index(label, prepared.index):
+            joined.append((match, prepared.references_for(match.reference)))
+        return tuple(joined)
 
     def detections_for(self, name: DomainName, matches: LabelMatches) -> list[HomographDetection]:
         """*name*'s detections from its label's *matches*, under its own TLD only."""
         tld = name.tld
-        return [
-            self._detection_from_match(name, ref, match)
-            for match, refs in matches
-            for ref in refs
-            if ref.rpartition(".")[2] == tld
-        ]
-
-    def _detection_from_match(
-        self,
-        idn: DomainName,
-        reference: str,
-        match: MatchResult,
-    ) -> HomographDetection:
-        """Materialise one detection; *reference* is a canonical ASCII domain."""
-        sources: set[str] = set()
-        for substitution in match.substitutions:
-            pair = self.database.get(substitution.candidate_char, substitution.reference_char)
-            if pair is not None:
-                sources.update(pair.sources)
-        if match.invisibles:
-            sources.add(SOURCE_INVISIBLE)
-        elif not match.substitutions:
-            sources.add(SOURCE_SIMCHAR)
-        return HomographDetection(
-            idn=idn.ascii,
-            idn_unicode=idn.unicode,
-            reference=reference,
-            substitutions=match.substitutions,
-            sources=frozenset(sources),
-            invisibles=match.invisibles,
-        )
+        detections = []
+        for match, refs in matches:
+            sources = _detection_sources(match)
+            for ref in refs:
+                if ref.rpartition(".")[2] != tld:
+                    continue
+                # Made as _match_folded makes a match: without the frozen
+                # dataclass's per-field __init__.
+                detection = _new(HomographDetection)
+                _set_fields(detection, "__dict__", {
+                    "idn": name.ascii, "idn_unicode": name.unicode, "reference": ref,
+                    "substitutions": match.substitutions, "sources": sources,
+                    "invisibles": match.invisibles})
+                detections.append(detection)
+        return detections
 
     # -- filtered views (Table 8 compares detection with UC only / SimChar only) -------
 

@@ -448,8 +448,7 @@ def _process_chunk(
     detections, idn_count, skipped = finder.detect_prepared(candidates, prepared)
     found: list[HomographDetection] | str = detections
     if render:
-        found = "".join([json.dumps(d.as_dict(), ensure_ascii=False) + "\n"
-                         for d in detections])
+        found = "".join([d.as_json() + "\n" for d in detections])
     return found, len(detections), raw_lines, seen, idn_count, skipped
 
 

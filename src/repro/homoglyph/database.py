@@ -234,8 +234,8 @@ class HomoglyphDatabase:
 
     def get(self, first: str, second: str) -> HomoglyphPair | None:
         """Return the stored pair record, if any."""
-        a, b = (first, second) if ord(first) <= ord(second) else (second, first)
-        return self._pairs.get((ord(a), ord(b)))
+        a, b = ord(first), ord(second)
+        return self._pairs.get((a, b) if a <= b else (b, a))
 
     def pairs(self) -> list[HomoglyphPair]:
         """All pairs in deterministic (code point) order."""

@@ -87,7 +87,7 @@ class DomainName:
     @property
     def tld(self) -> str:
         """The top-level domain (rightmost label), in ASCII form."""
-        return self.labels[-1]
+        return self.ascii.rpartition(".")[2]
 
     @property
     def registrable_label(self) -> str:

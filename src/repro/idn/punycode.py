@@ -10,6 +10,8 @@ uses as a cross-check.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 __all__ = ["encode", "decode", "decode_batch", "PunycodeError", "MAX_DECODE_LENGTH",
@@ -34,20 +36,77 @@ _DIGIT_VALUES = {
     for value, ch in enumerate(digits)
 }
 
-#: Digit value of every ASCII code point for :func:`decode_batch` (-1: not a digit).
-_DIGIT_TABLE = np.full(0x80, -1, dtype=np.int64)
-_DIGIT_TABLE[list(map(ord, _DIGIT_VALUES))] = list(_DIGIT_VALUES.values())
-
-#: ``_adapt``'s loop as a table: a delta below ``_ADAPT_STEPS[j]`` but not
-#: below ``_ADAPT_STEPS[j - 1]`` is divided by ``_ADAPT_DIVISORS[j]``, and
-#: ``j`` base steps are added to the bias.  The last entry exceeds any
-#: delta a 59-digit payload can reach.
-_ADAPT_DIVISORS = (_BASE - _TMIN) ** np.arange(10, dtype=np.int64)
-_ADAPT_STEPS = (_ADAPT_LIMIT + 1) * _ADAPT_DIVISORS
-
 #: Longest payload :func:`decode_batch` decodes: a 63-octet A-label less
 #: its ``xn--`` prefix.  Longer rows are flagged.
 MAX_BATCH_PAYLOAD = 59
+
+#: Longest delta :func:`decode_batch` reads at once, in digits: one
+#: little-endian ``uint64`` of digit values.  No longer delta decodes:
+#: whatever the bias, its smallest value (every digit but the last at its
+#: threshold) steps past 0x10FFFF even with 59 code points to divide it.
+_WINDOW = 8
+#: Biases the window tables cover: more than any window's delta adapts to.
+_BIASES = _BASE * 10
+
+
+class _WindowTables:
+    """The lookup tables of :func:`decode_batch`, built on its first call
+    (:func:`_window_tables`), so that importing this module builds none."""
+
+    def __init__(self) -> None:
+        #: Per ASCII code point (clipped: 0x80 stands for every non-ASCII
+        #: one) its digit value; 36 marks another printable character, 37
+        #: one :func:`decode` rejects anywhere.
+        self.digits = np.full(0x81, 37, dtype=np.uint8)
+        self.digits[0x20:0x80] = 36
+        self.digits[list(map(ord, _DIGIT_VALUES))] = list(_DIGIT_VALUES.values())
+        thresholds = np.minimum(np.maximum(
+            _BASE * np.arange(1, _WINDOW + 1) - np.arange(_BIASES)[:, None], _TMIN), _TMAX)
+        #: Per bias, the thresholds ``clamp(base * (j + 1) - bias)`` of a
+        #: delta's digits *j* as bytes ``threshold - 1 + 0x80`` of one
+        #: ``uint64``: subtracting a window of digits leaves the high bit of
+        #: byte *j* set exactly where digit *j* can end the delta.
+        self.thresholds = (thresholds + 0x7F).astype(np.uint8).view("<u8").ravel()
+        #: ``weights[j, bias]``, the weight of a delta's digit *j*.
+        self.weights = np.ones((_WINDOW, _BIASES), dtype=np.int64)
+        np.cumprod(_BASE - thresholds.T[:-1], axis=0, out=self.weights[1:])
+        #: Per set of delta-ending digits (one bit each), the first one, or
+        #: the window's width when there is none.
+        self.first_end = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                       bitorder="little").argmax(axis=1)
+        self.first_end[0] = _WINDOW
+        #: Per delta end, the mask of the window's bytes up to and including it.
+        self.up_to = np.array([(1 << 8 * (j + 1)) - 1 for j in range(_WINDOW)] + [0],
+                              dtype=np.uint64)
+        #: Per delta end, how far its row moves on; a delta longer than the
+        #: window moves the row past its end, as a truncated one does.
+        self.advance = np.arange(1, _WINDOW + 2, dtype=np.int32)
+        self.advance[_WINDOW] = MAX_BATCH_PAYLOAD + 1
+        #: ``_adapt`` as a table: a damped delta below ``steps[j]`` but not
+        #: below ``steps[j - 1]`` is divided by ``divisors[j]``, and ``j``
+        #: base steps are added to the bias.  The last step exceeds any
+        #: window's delta.
+        self.divisors = (_BASE - _TMIN) ** np.arange(_BIASES // _BASE, dtype=np.int64)
+        self.steps = (_ADAPT_LIMIT + 1) * self.divisors
+        #: ``_adapt``'s result for every damped delta below ``steps[1]``:
+        #: above ``_ADAPT_LIMIT``, a base step plus the result for the
+        #: delta divided by ``base - tmin`` once.
+        small = np.arange(_ADAPT_LIMIT + 1)
+        small = ((_BASE - _TMIN + 1) * small) // (small + _SKEW)
+        self.small_bias = np.concatenate([small, _BASE + np.repeat(
+            small[(_ADAPT_LIMIT + 1) // (_BASE - _TMIN):], _BASE - _TMIN)[1:]]).astype(np.uint8)
+        #: Per ``code point >> 11``, whether it is no scalar value: a
+        #: surrogate (0x1B) or past 0x10FFFF (clipped to the last entry).
+        self.bad_code_point = np.zeros(0x221, dtype=bool)
+        self.bad_code_point[[0x1B, 0x220]] = True
+
+
+_window_tables = cache(_WindowTables)
+
+#: Moves byte *j*'s high bit (shifted down to bit ``8 * j``) to bit
+#: ``56 + j``, so ``(bits * _GATHER) >> 56`` is one bit per window digit.
+_GATHER = np.uint64(sum(1 << (56 - 7 * j) for j in range(_WINDOW)))
+_HIGH_BITS = np.uint64(0x8080808080808080)
 
 #: Default input-length cap for :func:`decode`.  Decoding is quadratic in
 #: the number of deltas (every delta is an ``insert`` into the output), so a
@@ -235,125 +294,151 @@ def decode_batch(
     :data:`MAX_BATCH_PAYLOAD`.
 
     Bootstring is sequential within a string, so the rows advance in
-    lockstep instead: step *t* reads the *t*-th extended digit of every
-    row that has one, with the rows sorted longest-first so that the live
-    rows are always a prefix of the state arrays.  Only the rows whose
-    delta a step finishes divide, adapt the bias and record an ``(index,
-    code point)`` insertion.  Afterwards every insertion's final column
-    follows from the insertions made after it, and each row is laid out
-    once in a fixed-width buffer.
+    lockstep instead, one delta (one insertion) per step.  A step reads
+    the next :data:`_WINDOW` digit values of every live row as one
+    ``uint64``; the row's bias picks the thresholds, so one subtraction
+    marks the digits that could end the delta and the first of them does.
+    Every live row then divides, adapts its bias and records an ``(index,
+    code point)`` insertion, and the rows whose digits are used up leave
+    the state arrays.  Afterwards every insertion's final column follows
+    from the insertions made after it, and the inserted and basic code
+    points are scattered straight into the packed output.
     """
+    tables = _window_tables()
+    thresholds = tables.thresholds
     rows = len(lengths)
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
-    row_of = np.repeat(np.arange(rows), lengths)
-    offset = np.arange(codes.size, dtype=np.int64) - np.repeat(starts, lengths)
+    ends = np.cumsum(lengths)
+    if rows and (starts[0] != 0 or not np.array_equal(starts[1:], ends[:-1])):
+        # Pack the rows end to end, as the kernel's gather already does.
+        gather = np.arange(int(ends[-1]), dtype=np.int64)
+        gather += np.repeat(starts - (ends - lengths), lengths)
+        codes = codes[gather]
+    starts = ends - lengths
+    size = int(ends[-1]) if rows else 0
 
-    # The delimiter is the last "-": the basic part precedes it, the
-    # extended part follows it (all of the row when there is none).
-    last_hyphen = np.full(rows, -1, dtype=np.int64)
-    nonempty = lengths > 0
-    if codes.size:
-        last_hyphen[nonempty] = np.maximum.reduceat(
-            np.where(codes == 0x2D, offset, -1), starts[nonempty])
-    basic_len = np.maximum(last_hyphen, 0)
-    extended_from = last_hyphen + 1
-    extended_len = lengths - extended_from
-    digit = _DIGIT_TABLE[np.minimum(codes, 0x7F)]
-    in_extended = offset >= extended_from[row_of]
-    junk = (codes < 0x20) | (codes >= 0x80) | (in_extended & (digit < 0))
-    ok = ((extended_len > 0) & (lengths <= MAX_BATCH_PAYLOAD)
-          & (np.bincount(row_of[junk], minlength=rows) == 0))
+    # Every code point's digit value; the tail pads the last row's window.
+    digits = np.zeros(size + _WINDOW, dtype=np.uint8)
+    np.take(tables.digits, codes[:size], mode="clip", out=digits[:size])
+    windows = np.ndarray((size,), dtype="<u8", buffer=digits, strides=(1,))
+    # Non-digits are rare (at most a delimiter per row in a clean batch):
+    # the last "-" of a row is its delimiter, and any other non-digit after
+    # it, or a control or non-ASCII code point anywhere, flags the row.
+    others = np.flatnonzero(digits[:size] >= 36)
+    other_row = np.searchsorted(starts, others, side="right") - 1
+    hyphens = codes[others] == 0x2D
+    hyphen_row = other_row[hyphens]
+    last = np.ones(hyphen_row.size, dtype=bool)
+    last[:-1] = hyphen_row[1:] != hyphen_row[:-1]
+    extended_from = starts.copy()
+    extended_from[hyphen_row[last]] = others[hyphens][last] + 1
+    junk = np.zeros(rows, dtype=bool)
+    junk[other_row[(others >= extended_from[other_row]) | (digits[others] == 37)]] = True
+    basic_len = np.maximum(extended_from - starts - 1, 0)
+    ok = (ends > extended_from) & (lengths <= MAX_BATCH_PAYLOAD) & ~junk
 
+    # Decoder state per live row (RFC 3492 section 6.2), one row of a
+    # matrix each so that a step drops the finished rows in one pass:
+    # rank among the live rows, next digit, end of digits, index, code
+    # point, bias and basic length (int32 holds each exactly below 2**30
+    # code points).  A row whose
+    # window holds no delta end, whose delta runs past its digits or whose
+    # code point is no scalar value is flagged and dropped.  The RFC's
+    # overflow tests need no pass of their own: a delta whose index or
+    # weight passes maxint inserts a code point past 0x10FFFF (the output
+    # holds at most 59).
     live = np.flatnonzero(ok)
-    live = live[np.argsort(-extended_len[live], kind="stable")]
     count = live.size
-    rank = np.zeros(rows, dtype=np.int64)
-    rank[live] = np.arange(count)
-    steps = int(extended_len[live[0]]) if count else 0
-    digits = np.zeros((steps, count), dtype=np.int64)
-    take = in_extended & ok[row_of]
-    digits[(offset - extended_from[row_of])[take], rank[row_of[take]]] = digit[take]
-
-    # Decoder state per live row (RFC 3492 section 6.2), with k - bias
-    # kept as one number.  Only the weight is saturated, which keeps the
-    # index far inside int64 even on a flagged row.  The RFC's overflow
-    # tests need no pass of their own here: a delta whose index passes
-    # maxint inserts a code point past 0x10FFFF (the output holds at most
-    # 59 code points), and so does one whose weight passes maxint, which
-    # takes six digits after which the index exceeds maxint / 35 — unless
-    # 55 code points precede it, more than 59 characters can hold with
-    # those digits.  Code points past 0x10FFFF, and surrogates, are found
-    # in one pass at the end; a truncated row ends with a weight above 1.
-    index = np.zeros(count, dtype=np.int64)
-    old_index = np.zeros(count, dtype=np.int64)
-    weight = np.ones(count, dtype=np.int64)
-    k_less_bias = np.full(count, _BASE - _INITIAL_BIAS, dtype=np.int64)
-    n = np.full(count, _INITIAL_N, dtype=np.int64)
-    basic = basic_len[live]
-    # Unused slots hold a column past every row (a row decodes to at most
-    # 59 code points), so no insertion is counted before them.
-    inserted_at = np.full((steps, count), MAX_BATCH_PAYLOAD, dtype=np.int64)
-    inserted = np.zeros((steps, count), dtype=np.int64)
-    insertions = np.zeros(count, dtype=np.int64)
-    alive = np.searchsorted(-extended_len[live], -np.arange(steps), side="left")
-    for step, a in enumerate(alive.tolist()):
-        d = digits[step, :a]
-        index[:a] += d * weight[:a]
-        threshold = np.minimum(np.maximum(k_less_bias[:a], _TMIN), _TMAX)
-        weight[:a] = np.minimum(weight[:a] * (_BASE - threshold), _MAXINT + 1)
-        k_less_bias[:a] += _BASE
-        finished = np.flatnonzero(d < threshold)
-        i = index[finished]
-        slot = insertions[finished]
-        new_size = basic[finished] + slot + 1
-        step_n, position = np.divmod(i, new_size)
-        # _adapt(i - old index, new_size, first insertion), table-driven.
-        delta = (i - old_index[finished]) // np.where(slot, 2, _DAMP)
+    state = np.empty((7, count), dtype=np.int32 if size < 1 << 30 else np.int64)
+    state[0] = np.arange(count)
+    state[1] = extended_from[live]
+    state[2] = ends[live]
+    state[3] = 0
+    state[4] = _INITIAL_N
+    state[5] = _INITIAL_BIAS
+    state[6] = basic_len[live]
+    records = [(np.zeros(0, dtype=np.int64),) * 3]   # (rank, column, code point)
+    flagged = []
+    step = 0
+    while state.shape[1]:
+        rank, position, end, index, n, bias, basic = state
+        window = windows[position]
+        first = step == 0
+        stops = (thresholds[_INITIAL_BIAS] if first else thresholds.take(bias)) - window
+        stops &= _HIGH_BITS
+        stops >>= np.uint64(7)
+        stops *= _GATHER
+        stops >>= np.uint64(56)
+        ends_at = tables.first_end.take(stops)
+        window &= tables.up_to[ends_at]
+        # Only the columns up to the longest delta's end carry weight.
+        width = min(int(ends_at.max()) + 1, _WINDOW)
+        digit_rows = window.view(np.uint8).reshape(-1, _WINDOW).T[:width]
+        if first:
+            weights = tables.weights[:width, _INITIAL_BIAS, None] * digit_rows
+        else:
+            weights = tables.weights[:width].take(bias, axis=1)
+            weights *= digit_rows
+        delta = weights.sum(axis=0)
+        new_size = basic + (step + 1)
+        step_n, column = np.divmod(index + delta, new_size)
+        new_n = n + step_n
+        records.append((rank, column, new_n))
+        # _adapt(delta, new_size, first insertion), table-driven.
+        delta //= _DAMP if first else 2
         delta += delta // new_size
-        divisions = np.searchsorted(_ADAPT_STEPS, delta, side="right")
-        delta //= _ADAPT_DIVISORS[divisions]
-        k_less_bias[finished] = _BASE - _BASE * divisions - (
-            (_BASE - _TMIN + 1) * delta) // (delta + _SKEW)
-        new_n = n[finished] + step_n
-        inserted_at[slot, finished] = position
-        inserted[slot, finished] = new_n
-        insertions[finished] = slot + 1
-        n[finished] = new_n
-        position += 1
-        index[finished] = position
-        old_index[finished] = position
-        weight[finished] = 1
-    size = basic + insertions
-    events = int(insertions.max()) if count else 0
-    inserted, inserted_at = inserted[:events], inserted_at[:events]
-    bad = (weight != 1) | (      # weight != 1: the input ended inside a delta
-        (inserted > 0x10FFFF) | ((inserted >= 0xD800) & (inserted <= 0xDFFF))).any(axis=0)
+        bias[:] = tables.small_bias.take(delta, mode="clip")
+        large = delta >= tables.small_bias.size
+        if large.any():
+            delta = delta[large]
+            divisions = np.searchsorted(tables.steps, delta, side="right")
+            delta //= tables.divisors[divisions]
+            bias[large] = _BASE * divisions + ((_BASE - _TMIN + 1) * delta) // (delta + _SKEW)
+        n[:] = new_n
+        index[:] = column + 1
+        position += tables.advance.take(ends_at)
+        bad = position > end
+        bad |= tables.bad_code_point.take(new_n >> 11, mode="clip")
+        if bad.any():
+            flagged.append(rank[bad])
+            bad |= position == end
+            state = state.take(np.flatnonzero(~bad), axis=1)
+        else:
+            state = state.take(np.flatnonzero(position < end), axis=1)
+        step += 1
+
+    # Every insertion as a slot of a (step, rank) matrix whose unused
+    # slots hold a column past every row (a row decodes to at most 59
+    # code points), so that no insertion is counted before them.
+    ranks, columns, inserted = map(np.concatenate, zip(*records))
+    slots = ranks + np.repeat(np.arange(-1, step) * count, [len(r[0]) for r in records])
+    inserted_at = np.full((step, count), MAX_BATCH_PAYLOAD, dtype=np.uint8)
+    inserted_at.ravel()[slots] = columns
     # Replay: an insertion ends one column right of where it was made for
-    # every later insertion at or before it.  The inserted code points are
-    # scattered to those final columns and the basic code points fill the
-    # others in order.
-    for later in range(1, events):
+    # every later insertion at or before it.
+    for later in range(1, step):
         earlier = inserted_at[:later]
         earlier += earlier >= inserted_at[later]
-    width = int(size.max()) if count else 0
-    columns = np.arange(width)
-    buffer = np.zeros((count, width), dtype=np.uint32)
-    filled = np.zeros((count, width), dtype=bool)
-    made = np.arange(events)[:, None] < insertions
-    at = inserted_at[made]
-    made_rows = np.nonzero(made)[1]
-    buffer[made_rows, at] = inserted[made]
-    filled[made_rows, at] = True
-    basic_at = (starts[live, None] + columns)[columns < basic[:, None]]
-    buffer[~filled & (columns < size[:, None])] = codes[basic_at]
+    if flagged:
+        bad = np.zeros(count, dtype=bool)
+        bad[np.concatenate(flagged)] = True
+        ok[live[bad]] = False
+        kept = ~bad[ranks]
+        ranks, slots, inserted = ranks[kept], slots[kept], inserted[kept]
 
-    ok[live[bad]] = False
     out_lengths = np.zeros(rows, dtype=np.int64)
-    out_lengths[live] = np.where(bad, 0, size)
-    ordered = rank[np.flatnonzero(out_lengths)]
-    out_codes = buffer[ordered][columns < out_lengths[out_lengths > 0][:, None]]
+    out_lengths[live] = basic_len[live] + np.bincount(ranks, minlength=count)
+    out_lengths[~ok] = 0
     out_starts = np.zeros(rows, dtype=np.int64)
     np.cumsum(out_lengths[:-1], out=out_starts[1:])
+    out_codes = np.empty(int(out_lengths.sum()), dtype=np.uint32)
+    at = out_starts[live][ranks] + inserted_at.ravel()[slots]
+    out_codes[at] = inserted
+    basic = np.where(ok, basic_len, 0)
+    source = np.arange(int(basic.sum()), dtype=np.int64)
+    source += np.repeat(starts - (np.cumsum(basic) - basic), basic)
+    is_basic = np.ones(out_codes.size, dtype=bool)
+    is_basic[at] = False
+    out_codes[is_basic] = codes[source]
     return out_codes, out_starts, out_lengths, ok
-

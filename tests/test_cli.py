@@ -571,3 +571,19 @@ def test_serve_and_query_import_no_measurement_stack():
     assert [name for name in loaded if name in _SCAN_OR_BUILD_ONLY
             or name.startswith(("repro.fonts", "repro.metrics"))] == []
 
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_cli_import_runs_numpy_on_one_openblas_thread_unless_the_user_says_otherwise():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import os, repro.cli, numpy; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+
+    def run(**extra):
+        return subprocess.run([sys.executable, "-c", code], env={**env, **extra}, check=True,
+                              timeout=120, capture_output=True, text=True).stdout.split()
+
+    assert run() == ["1", "1"]
+    assert run(OPENBLAS_NUM_THREADS="2")[1] == "2"

@@ -1,5 +1,7 @@
 """Tests for the RFC 3492 Punycode implementation (cross-checked against the stdlib codec)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -372,3 +374,103 @@ def test_decode_batch_mixes_every_insertion_count():
     assert rows[0] is None
     assert rows[payloads.index("a" * 59)] == "\x80" * 59
     assert sum(row is not None for row in rows) == len(payloads) - 1
+
+
+# -- the batch decoder's delta window ------------------------------------------
+
+def _delta_lengths(payload):
+    """The digit count of each delta of a payload :func:`punycode.decode`
+    accepts, read the way the scalar decoder reads them."""
+    basic, _, extended = payload.rpartition("-")
+    lengths, bias, position = [], punycode._INITIAL_BIAS, 0
+    while position < len(extended):
+        start, index, weight, k = position, 0, 1, punycode._BASE
+        while True:
+            digit = punycode._DIGIT_VALUES[extended[position]]
+            position += 1
+            index += digit * weight
+            threshold = min(max(k - bias, punycode._TMIN), punycode._TMAX)
+            if digit < threshold:
+                break
+            weight *= punycode._BASE - threshold
+            k += punycode._BASE
+        lengths.append(position - start)
+        bias = punycode._adapt(index, len(basic) + len(lengths), len(lengths) == 1)
+    return lengths
+
+
+#: Encodings of a basic run followed by two code points from the bottom to
+#: the top of the code space: their deltas take every length from one
+#: digit to the window's eight.
+_LONG_DELTA_PAYLOADS = [
+    payload
+    for basic in ("", "abc", "a" * 12, "a" * 30, "a" * 44)
+    for first, second in itertools.product(
+        (0x80, 0xFC, 0x3B1, 0x65E5, 0x1F600, 0xE0100, 0x10FFFD), repeat=2)
+    if len(payload := punycode.encode(basic + chr(first) + chr(second)))
+    <= punycode.MAX_BATCH_PAYLOAD
+]
+
+
+def test_decode_batch_reads_deltas_of_every_window_length():
+    lengths = {length for payload in _LONG_DELTA_PAYLOADS for length in _delta_lengths(payload)}
+    assert lengths == set(range(1, punycode._WINDOW + 1))
+    rows = _decode_rows(_LONG_DELTA_PAYLOADS)
+    assert rows == _scalar_rows(_LONG_DELTA_PAYLOADS)
+    assert None not in rows
+
+
+def test_decode_batch_flags_a_last_delta_cut_at_every_digit():
+    # Every cut inside the last delta is a truncated input, which decode
+    # rejects; cutting the whole delta leaves a shorter valid payload.
+    payloads = []
+    for payload in _LONG_DELTA_PAYLOADS:
+        last = _delta_lengths(payload)[-1]
+        payloads += [payload[:-cut] for cut in range(1, last + 1)]
+    rows = _decode_rows(payloads)
+    assert rows == _scalar_rows(payloads)
+    assert sum(row is None for row in rows) >= len(payloads) - len(_LONG_DELTA_PAYLOADS)
+
+
+def test_window_holds_every_decodable_delta():
+    # A delta of one digit more than the window is at least its value with
+    # every digit but the last at its threshold: past any index a row of 59
+    # code points can divide into a code point up to 0x10FFFF.
+    largest_index = 0x110000 * punycode.MAX_BATCH_PAYLOAD
+    for bias in range(punycode._BIASES):
+        smallest, weight = 0, 1
+        for j in range(punycode._WINDOW):
+            threshold = min(max(punycode._BASE * (j + 1) - bias, punycode._TMIN),
+                            punycode._TMAX)
+            smallest += threshold * weight
+            weight *= punycode._BASE - threshold
+        assert smallest > largest_index, bias
+
+
+@pytest.mark.parametrize("payload", [
+    "9" * 9 + "a",                  # nine digits without a delta end, then one
+    "z" * 9 + "ab",
+    "abc-" + "9" * 12 + "a",
+    "a" * 30 + "-" + "9" * 8 + "a",   # eight digits that end nothing, then one
+    "a" * 30 + "-4a8335740a",       # an eight-digit delta that decodes
+])
+def test_decode_batch_on_deltas_at_and_past_the_window(payload):
+    # Beside rows that decode, so a wrong step would show in their output.
+    payloads = [payload, "bcher-kva", payload.upper(), "ggle-55da"]
+    rows = _decode_rows(payloads)
+    assert rows == _scalar_rows(payloads)
+    assert rows[1] == "bücher" and rows[3] == punycode.decode("ggle-55da")
+
+
+def test_decode_batch_reads_rows_anywhere_in_codes():
+    # Rows out of order, with gaps and overlaps, decode as when packed.
+    payloads = ["bcher-kva", "", "a" * 30 + "-4a8335740a", "99999999", "ggle-55da", "abc-"]
+    text = "??" + "".join(payloads) + "!"
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    offsets = np.cumsum([2] + [len(p) for p in payloads])
+    order = [4, 2, 2, 0, 5, 1, 3]
+    out, out_starts, out_lengths, ok = punycode.decode_batch(
+        codes, offsets[:-1][order], np.array([len(payloads[i]) for i in order]))
+    decoded = out.astype("<u4").tobytes().decode("utf-32-le")
+    rows = [decoded[s:s + n] if good else None for s, n, good in zip(out_starts, out_lengths, ok)]
+    assert rows == [_decode_rows(payloads)[i] for i in order]
