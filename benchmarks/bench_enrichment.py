@@ -8,7 +8,7 @@ host model and the crawler, then enriches a synthetic 10k-homograph
 population twice:
 
 * the serial legacy path (``MeasurementStudy`` stage methods, one domain
-  at a time, exactly what ``run_legacy`` composes), and
+  at a time, exactly what ``tests/oracles/legacy_study.py`` composes), and
 * the enrichment pipeline (``PipelineRunner`` over the default stage
   adapters, batched and overlapped on a shared 8-thread executor).
 

@@ -7,8 +7,11 @@ three quarters ASCII labels, one quarter internationalized labels with
 accented characters):
 
 * **cold start** — a full ``prepare_references`` build (per-reference IDNA
-  parse + case fold + skeletonisation) vs. loading the persisted
-  ``ReferenceIndex`` artifact.  The warm load must win by at least 10x.
+  parse + case fold + skeletonisation) vs. attaching the persisted
+  ``ReferenceIndex`` artifact.  The warm attach must win by at least 10x.
+  The first ``query_many`` batch after a fresh attach is timed on its own
+  (``first_query_ms``): it pays the key maps and the batch kernel the
+  attach leaves for first use.
 * **verdict identity** — ``OnlineDetector.query`` must return byte-identical
   matches (reference, substitutions and all) to
   ``HomographMatcher.find_homographs`` over the same references, and to the
@@ -47,6 +50,7 @@ BATCH_HIT_SHARE = 0.002          # mostly-miss, like a live CT-log feed (the
                                  # domains); hits exist to prove identity
 IDN_REFERENCE_SHARE = 4          # every 4th reference label carries an accent
 MIN_COLD_START_SPEEDUP = 10.0
+FIRST_BATCH = 256                # serve's default max_batch
 MIN_BATCH_SPEEDUP = 10.0
 
 #: Latin letters with Cyrillic/Greek lookalikes, chained so the union-find
@@ -173,13 +177,25 @@ def test_warm_index_cold_start_and_verdict_identity(tmp_path):
     assert [d.as_dict() for d in online_detections] == [d.as_dict() for d in prepared_detections]
     assert [d.as_dict() for d in loaded_detections] == [d.as_dict() for d in prepared_detections]
 
+    # -- first batch after a warm attach: the key maps and the batch kernel
+    # are built on first use, so their cost lands here, not in the attach.
+    first_finder = ShamFinder(db)
+    first_index, hit = cached_reference_index(first_finder, references, store)
+    assert hit
+    first_detector = OnlineDetector(first_finder, first_index)
+    start = time.perf_counter()
+    first_verdicts = first_detector.query_many(domains[:FIRST_BATCH])
+    first_query_ms = (time.perf_counter() - start) * 1e3
+    assert [v.as_dict() for v in first_verdicts] == [v.as_dict() for v in verdicts[:FIRST_BATCH]]
+
     artifact_bytes = store.path_for(built.key).stat().st_size
     print_table(
         f"Online query service: {REFERENCE_COUNT:,} references, "
         f"{len(domains):,} queries, {len(online_detections)} detections",
         [
             ("cold start (prepare_references)", f"{cold_seconds:.3f} s", "1.0x"),
-            ("warm start (index artifact load)", f"{warm_seconds:.3f} s", f"{speedup:.1f}x"),
+            ("warm start (index artifact attach)", f"{warm_seconds:.3f} s", f"{speedup:.1f}x"),
+            (f"first query_many ({FIRST_BATCH}) after attach", f"{first_query_ms:.1f} ms", ""),
             ("artifact size", f"{artifact_bytes / 1e6:.1f} MB", ""),
             ("query latency (uncached)", f"{uncached_us:.0f} µs", ""),
             ("query latency (LRU cached)", f"{cached_us:.0f} µs", ""),
@@ -196,6 +212,7 @@ def test_warm_index_cold_start_and_verdict_identity(tmp_path):
         "artifact_bytes": artifact_bytes,
         "query_us_uncached": round(uncached_us, 1),
         "query_us_cached": round(cached_us, 1),
+        "first_query_ms": round(first_query_ms, 2),
         "verdicts_identical_to_batch": True,
     })
 

@@ -5,7 +5,8 @@ reference domain.  This bench builds a synthetic 100k-candidate corpus over
 a homoglyph database with chained (non-transitive) classes and runs both
 one-vs-many strategies:
 
-* the legacy length-index scan (``find_homographs_pairwise``) — Algorithm 1
+* the legacy length-index scan (``find_homographs_pairwise``, the test
+  oracle in ``tests/oracles/pairwise_matcher.py``) — Algorithm 1
   against every same-length reference;
 * the skeleton hash-join (``find_homographs``) — union-find closure,
   canonical skeletons, exact re-check of bucket hits.
@@ -32,6 +33,7 @@ from unittest import mock
 
 from bench_util import print_table, record_bench
 
+from oracles.pairwise_matcher import find_homographs_pairwise
 from repro.detection import batchfold
 from repro.detection.algorithm import HomographMatcher
 from repro.detection.batchfold import kernel_for
@@ -109,7 +111,7 @@ def test_skeleton_index_speedup():
     candidates, references = _corpus()
 
     start = time.perf_counter()
-    legacy = matcher.find_homographs_pairwise(candidates, references)
+    legacy = find_homographs_pairwise(matcher, candidates, references)
     legacy_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

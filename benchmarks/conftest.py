@@ -11,6 +11,9 @@ table/figure; EXPERIMENTS.md records the paper-vs-measured comparison.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.detection.shamfinder import ShamFinder
@@ -19,6 +22,10 @@ from repro.homoglyph.confusables import load_confusables
 from repro.homoglyph.simchar import SimCharBuilder
 from repro.measurement.domainlists import ZoneConfig, generate_population
 from repro.measurement.study import MeasurementStudy
+
+# The legacy paths some benches race against live as test oracles
+# (``tests/oracles``).
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Scale of the benchmark population relative to the paper's 140M-domain zone.
 BENCH_SCALE = 0.25

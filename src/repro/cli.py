@@ -49,7 +49,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .detection.index import (
     ReferenceIndex,
     ReferenceIndexStore,
-    build_reference_index,
     cached_reference_index,
 )
 from .detection.service import OnlineDetector
@@ -228,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "JSONL outputs + checkpoints")
     measure.add_argument("--resume", action="store_true",
                          help="continue an interrupted study from --output-dir checkpoints")
-    measure.add_argument("--legacy", action="store_true",
-                         help="run the serial pre-pipeline study implementation")
 
     scan = sub.add_parser("scan", help="streaming scan of a domain-list file")
     scan.add_argument("--input", "-i", type=Path, required=True,
@@ -377,15 +374,12 @@ def _resolve_index(
     reference: list[str],
     index_dir: Path | None,
     build_index: bool,
-    *,
-    mmap_load: bool = False,
 ) -> ReferenceIndex | None:
-    """Load-or-build the reference index through an ``--index-dir`` store.
+    """Attach-or-build the reference index through an ``--index-dir`` store.
 
     A missing directory is only created under ``--build-index`` — a typo'd
     path must not silently trigger a full index build somewhere new.
     Returns ``None`` when no index dir was requested (in-memory prepare).
-    ``mmap_load`` prefers the zero-copy mmap attach (the serving path).
     """
     if index_dir is None:
         return None
@@ -400,9 +394,7 @@ def _resolve_index(
     elif not os.access(index_dir, os.R_OK):
         raise CLIError(f"index directory {index_dir} is not readable")
     store = ReferenceIndexStore(index_dir)
-    index, _hit = cached_reference_index(
-        finder, reference, store, force=build_index, mmap_load=mmap_load,
-    )
+    index, _hit = cached_reference_index(finder, reference, store, force=build_index)
     return index
 
 
@@ -568,8 +560,7 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
         reference = _resolve_reference(args)
         finder = _default_finder(args.database, args.cache_dir, args.font, args.databases)
         finder_ready = time.perf_counter()
-        index = _resolve_index(finder, reference, args.index_dir, args.build_index,
-                               mmap_load=True)
+        index = _resolve_index(finder, reference, args.index_dir, args.build_index)
         if index is None:
             detector = OnlineDetector.from_references(finder, reference,
                                                       include_revert=args.revert)
@@ -596,13 +587,8 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
         # Re-resolve the reference list so an edited --reference-file is
         # picked up, then rebuild/reload through the store when one exists.
         fresh = _resolve_reference(args)
-        if args.index_dir is not None:
-            store = ReferenceIndexStore(args.index_dir)
-            new_index, _hit = cached_reference_index(
-                finder, fresh, store, mmap_load=True,
-            )
-            return new_index
-        return build_reference_index(finder, fresh)
+        store = ReferenceIndexStore(args.index_dir) if args.index_dir is not None else None
+        return cached_reference_index(finder, fresh, store)[0]
 
     config = ServeConfig(host=host, port=port, batch_window=args.batch_window,
                          max_batch=args.max_batch, max_pending=args.max_pending,
@@ -698,29 +684,21 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if args.resume and args.output_dir is None:
         print("--resume requires --output-dir", file=sys.stderr)
         return 2
-    if args.legacy and (args.stages or args.output_dir or args.resume):
-        print("--legacy cannot be combined with --stages/--output-dir/--resume",
-              file=sys.stderr)
-        return 2
     config = ZoneConfig.paper_scaled(scale=args.scale, seed=args.seed)
     population = generate_population(config)
     finder = ShamFinder.with_default_databases(cache_dir=args.cache_dir)
     study = MeasurementStudy(population, finder)
     try:
-        if args.legacy:
-            results = study.run_legacy(streaming=args.streaming,
-                                       chunk_size=args.chunk_size, jobs=args.jobs)
-        else:
-            results = study.run(
-                streaming=args.streaming,
-                chunk_size=args.chunk_size,
-                jobs=args.jobs,
-                batch_size=args.batch_size,
-                stages=[s.strip() for s in args.stages.split(",") if s.strip()]
-                if args.stages else None,
-                output_dir=args.output_dir,
-                resume=args.resume,
-            )
+        results = study.run(
+            streaming=args.streaming,
+            chunk_size=args.chunk_size,
+            jobs=args.jobs,
+            batch_size=args.batch_size,
+            stages=[s.strip() for s in args.stages.split(",") if s.strip()]
+            if args.stages else None,
+            output_dir=args.output_dir,
+            resume=args.resume,
+        )
     except (PipelineError, ScanResumeError) as exc:
         print(f"cannot run study: {exc}", file=sys.stderr)
         return 2

@@ -6,14 +6,13 @@ position, the characters either match exactly or form a pair in the
 homoglyph database — and at least one position differs (otherwise the two
 labels are simply identical).
 
-Two one-vs-many strategies are provided:
-
-* the **legacy length index** — compare the candidate against every
-  reference of the same length (the paper's pruning step);
-* the **skeleton index** (:mod:`.skeleton`) — map labels to canonical
-  skeletons via the union-find closure of the database and hash-join on
-  the skeleton, re-checking bucket hits with the exact position-wise test.
-  Byte-identical results, orders of magnitude fewer comparisons.
+One-vs-many matching runs through the **skeleton index**
+(:mod:`.skeleton`): labels map to canonical skeletons via the union-find
+closure of the database and hash-join on the skeleton, and bucket hits
+are re-checked with the exact position-wise test.  The results are
+byte-identical to the paper's pairwise scan over same-length references
+(kept as a test oracle in ``tests/oracles/pairwise_matcher.py``), with
+orders of magnitude fewer comparisons.
 
 Case is folded with :func:`fold_label`, a *length-preserving* lowercase:
 ``str.lower()`` can change a label's length (U+0130 "İ" lowers to "i" plus
@@ -87,9 +86,9 @@ class HomographMatcher:
     the skeleton-index path additionally runs the strip-and-rematch check:
     candidates carrying zero-width/bidi/combining-stack payloads are
     stripped and compared again, so a label that *renders* as a reference
-    is caught even though its code point length differs.  The legacy
-    pairwise paths (:meth:`match`, :meth:`match_with_index`) implement the
-    paper's equal-length Algorithm 1 only and never consult the table.
+    is caught even though its code point length differs.  The single-pair
+    :meth:`match` implements the paper's equal-length Algorithm 1 only and
+    never consults the table.
     """
 
     def __init__(
@@ -238,31 +237,6 @@ class HomographMatcher:
                                        result.sources))
         return matches
 
-    # -- legacy length-index path ---------------------------------------------
-
-    @staticmethod
-    def build_reference_index(references: Iterable[str]) -> dict[int, list[str]]:
-        """Group reference labels by length (the paper's pruning step)."""
-        index: dict[int, list[str]] = {}
-        for reference in references:
-            reference = fold_label(reference)
-            index.setdefault(len(reference), []).append(reference)
-        return index
-
-    def match_with_index(
-        self,
-        candidate: str,
-        reference_index: dict[int, list[str]],
-    ) -> list[MatchResult]:
-        """Match a candidate against a pre-built length index (legacy scan)."""
-        candidate = fold_label(candidate)
-        matches: list[MatchResult] = []
-        for reference in reference_index.get(len(candidate), ()):
-            result = self._match_folded(candidate, reference)
-            if result is not None:
-                matches.append(result)
-        return matches
-
     # -- many-vs-many matching --------------------------------------------------------
 
     def find_homographs(
@@ -275,20 +249,4 @@ class HomographMatcher:
         results: list[MatchResult] = []
         for candidate in candidates:
             results.extend(self.match_with_skeleton_index(candidate, index))
-        return results
-
-    def find_homographs_pairwise(
-        self,
-        candidates: Sequence[str],
-        references: Sequence[str],
-    ) -> list[MatchResult]:
-        """Legacy pairwise scan (Algorithm 1's loops, length pruning only).
-
-        Kept as the ground truth the skeleton path is verified against by
-        the property suite and ``benchmarks/bench_scan.py``.
-        """
-        index = self.build_reference_index(references)
-        results: list[MatchResult] = []
-        for candidate in candidates:
-            results.extend(self.match_with_index(candidate, index))
         return results

@@ -26,25 +26,22 @@ line 1 is a JSON header (magic, version, fingerprint fields, counts,
 per-section byte lengths, and one checksum over every other header field
 and the body); the body is eight sections joined by newlines — four UTF-8
 text sections (folded labels, their reference-domain groups, bucket
-skeletons, bucket members) packed with C0 separators that cannot occur in
-IDNA labels, then their four offset directories, each an array of
-little-endian uint64 record END offsets.
+skeletons, bucket members), each sorted by key and packed with C0
+separators that cannot occur in IDNA labels, then their four offset
+directories, each an array of little-endian uint64 record END offsets.
 
-Two load paths share that one artifact:
-
-* :meth:`ReferenceIndexStore.load` — the *dict build*: two C-level
-  ``dict(zip(str.split(...)))`` passes over sections 0-3 (sliced out of
-  the body by their ``section_bytes``) instead of a
-  Python loop with IDNA parsing per reference (≥10x faster than
-  ``prepare_references`` at 100k references; ``benchmarks/bench_query.py``
-  asserts it).  The checksum is always verified.
-* :meth:`ReferenceIndexStore.load_mmap` — the *zero-copy map*: the file is
-  ``mmap``-ed and sections 0-3 are probed in place by binary search over
-  the sorted keys, using the offset directories (sections 4-7) for O(1)
-  record addressing.  Opening costs one header parse, not an O(n) body
-  scan, so N serving worker processes share one page-cache copy of the
-  index instead of each paying the dict build
-  (``benchmarks/bench_serve.py`` asserts the per-worker win).
+A stored index is read one way, :meth:`ReferenceIndexStore.load_mmap`
+(or :meth:`~ReferenceIndexStore.load_path`): the file is ``mmap``-ed and
+attached in place.  Attaching costs one header parse plus structural
+checks (and, under ``verify=True``, one checksum pass), not an O(n) body
+build, so N serving worker processes share one page-cache copy of the
+index.  Each key section (folded labels, bucket skeletons) gets a *key
+map* on first use — the section decoded once, split once, and
+``dict(zip(keys, range(count)))`` — so a probe is a dict lookup; values
+are read record by record through the offset directories (sections 4-7).
+:func:`cached_reference_index` writes every build it makes and then
+attaches to it, so ``scan``, ``track``, ``query`` and ``serve`` all probe
+the same representation.
 
 Only the current format is read: a file of another version (such as the
 pre-mmap version-1 layout, or version 2 with its zero-padded decimal
@@ -69,7 +66,7 @@ import numpy as np
 from ..durable import artifact_checksum, atomic_write
 from ..idn.domain import DomainName
 from .shamfinder import PreparedReferences, ShamFinder
-from .skeleton import PACK_SEPARATOR, CharacterClasses, SkeletonIndex
+from .skeleton import PACK_SEPARATOR, CharacterClasses
 
 __all__ = [
     "INDEX_FORMAT_VERSION",
@@ -102,6 +99,8 @@ _GROUP_SEPARATOR = "\x1e"
 #: :meth:`MmapPreparedReferences.close` can still release the map).
 _OFFSET = struct.Struct("<Q")
 _OFFSET_WIDTH = _OFFSET.size
+#: Two adjacent entries: the end of record *i - 1* and of record *i*.
+_SPAN = struct.Struct("<QQ")
 
 
 def reference_list_hash(reference: Iterable[str | DomainName]) -> str:
@@ -181,7 +180,8 @@ class ReferenceIndex:
     #: True when this instance came off disk rather than a fresh build.
     from_cache: bool = False
     #: True when the prepared state is an :class:`MmapPreparedReferences`
-    #: probing the artifact in place rather than materialised dicts.
+    #: probing the artifact in place rather than the builder's in-memory
+    #: :class:`~.shamfinder.PreparedReferences`.
     mapped: bool = False
 
     @property
@@ -213,50 +213,62 @@ def build_reference_index(
 
 
 class _PackedSection:
-    """One sorted, separator-joined artifact section probed in place.
+    """One sorted, separator-joined artifact section read in place.
 
     Records live in ``buf[start:start+length]`` joined by *separator*; the
     offset directory at ``dir_start`` holds each record's END byte offset
     (relative to the section start) as a little-endian uint64, so record
-    *i* is ``buf[off(i-1)+1 : off(i)]`` — O(1) addressing, no
-    materialisation.  Keys compare as raw UTF-8 bytes, whose order equals
-    code-point order, so binary search agrees with the writer's
-    ``sorted()``.
+    *i* is ``buf[off(i-1)+1 : off(i)]`` — O(1) addressing.  A key section
+    is probed through its key map (:meth:`find`), built on first use; a
+    value section is only read record by record.
     """
 
-    __slots__ = ("buf", "start", "length", "dir_start", "count")
+    __slots__ = ("buf", "start", "length", "dir_start", "count", "separator", "_keyed")
 
-    def __init__(self, buf, start: int, length: int, dir_start: int, count: int) -> None:
+    def __init__(self, buf, start: int, length: int, dir_start: int, count: int,
+                 separator: str) -> None:
         self.buf = buf
         self.start = start
         self.length = length
         self.dir_start = dir_start
         self.count = count
+        self.separator = separator
+        #: ``(records, position of each record)``, built by :meth:`_key_map`.
+        self._keyed: tuple[list[str], dict[str, int]] | None = None
 
-    def _end_offset(self, i: int) -> int:
-        return _OFFSET.unpack_from(self.buf, self.dir_start + i * _OFFSET_WIDTH)[0]
+    def record(self, i: int) -> str:
+        """Record *i*, decoded."""
+        if i:
+            lo, hi = _SPAN.unpack_from(self.buf, self.dir_start + (i - 1) * _OFFSET_WIDTH)
+            lo += 1   # past the separator
+        else:
+            lo, hi = 0, _OFFSET.unpack_from(self.buf, self.dir_start)[0]
+        return self.buf[self.start + lo:self.start + hi].decode("utf-8")
 
-    def record_bytes(self, i: int) -> bytes:
-        lo = 0 if i == 0 else self._end_offset(i - 1) + 1
-        return bytes(self.buf[self.start + lo:self.start + self._end_offset(i)])
+    def _key_map(self) -> tuple[list[str], dict[str, int]]:
+        """Every record decoded, and each one's position: one bytes copy
+        of the section, one split and one ``dict`` build.
 
-    def find(self, key: bytes) -> int:
-        """Index of *key*, or -1 — binary search over the sorted records."""
-        lo, hi = 0, self.count - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            record = self.record_bytes(mid)
-            if record == key:
-                return mid
-            if record < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return -1
+        Two threads racing here build equal maps, and either may win.
+        """
+        keyed = self._keyed
+        if keyed is None:
+            section = self.buf[self.start:self.start + self.length].decode("utf-8")
+            records = section.split(self.separator)
+            if len(records) != self.count:
+                # No records (one empty split), or a record holds the
+                # separator: decode record by record through the directory.
+                records = list(map(self.record, range(self.count)))
+            keyed = self._keyed = (records, dict(zip(records, range(self.count))))
+        return keyed
 
-    def records(self) -> Iterator[str]:
-        for i in range(self.count):
-            yield self.record_bytes(i).decode("utf-8")
+    def find(self, key: str) -> int:
+        """Position of *key*, or -1."""
+        return self._key_map()[1].get(key, -1)
+
+    def records(self) -> list[str]:
+        """Every record, decoded, in stored (sorted) order — shared, do not mutate."""
+        return self._key_map()[0]
 
 
 class _MmapLabelView:
@@ -264,7 +276,7 @@ class _MmapLabelView:
 
     Supports what the query path and the store actually use of
     ``PreparedReferences.labels``: ``len``, ``get``, containment, and
-    iteration — each ``get`` is one binary search on the mapped file.
+    iteration — each ``get`` is one key-map lookup plus one record read.
     """
 
     __slots__ = ("_keys", "_values")
@@ -277,16 +289,16 @@ class _MmapLabelView:
         return self._keys.count
 
     def __iter__(self) -> Iterator[str]:
-        return self._keys.records()
+        return iter(self._keys.records())
 
     def __contains__(self, label: object) -> bool:
-        return isinstance(label, str) and self._keys.find(label.encode("utf-8")) >= 0
+        return isinstance(label, str) and self._keys.find(label) >= 0
 
     def get(self, label: str, default=None):
-        i = self._keys.find(label.encode("utf-8"))
+        i = self._keys.find(label)
         if i < 0:
             return default
-        return self._values.record_bytes(i).decode("utf-8")
+        return self._values.record(i)
 
 
 class MmapSkeletonIndex:
@@ -311,22 +323,18 @@ class MmapSkeletonIndex:
 
     def candidates_for(self, folded_label: str) -> list[str]:
         """References that could match *folded_label* (superset of matches)."""
-        skeleton = self.classes.skeletonize(folded_label)
-        i = self._keys.find(skeleton.encode("utf-8"))
+        i = self._keys.find(self.classes.skeletonize(folded_label))
         if i < 0:
             return []
-        return self._values.record_bytes(i).decode("utf-8").split(PACK_SEPARATOR)
+        return self._values.record(i).split(PACK_SEPARATOR)
 
     def buckets(self) -> Iterator[tuple[str, list[str]]]:
         """Yield ``(skeleton, members)`` in stored (sorted) order."""
-        for i in range(self._keys.count):
-            yield (
-                self._keys.record_bytes(i).decode("utf-8"),
-                self._values.record_bytes(i).decode("utf-8").split(PACK_SEPARATOR),
-            )
+        for i, skeleton in enumerate(self._keys.records()):
+            yield skeleton, self._values.record(i).split(PACK_SEPARATOR)
 
     def skeletons(self) -> list[str]:
-        """All bucket keys, decoded once, without touching any members."""
+        """All bucket keys, decoded, without touching any members."""
         return list(self._keys.records())
 
     @property
@@ -342,15 +350,16 @@ class MmapPreparedReferences:
 
     Duck-types the query surface of
     :class:`~.shamfinder.PreparedReferences` (``labels``, ``index``,
-    ``domain_count``, :meth:`references_for`) without materialising any
-    dict: opening is one header parse, every probe is a binary search on
-    the shared page-cache copy of the file.  This is what lets N serving
+    ``domain_count``, :meth:`references_for`): opening is one header
+    parse, and every probe is a key-map lookup plus a record read on the
+    shared page-cache copy of the file.  This is what lets N serving
     worker processes attach to one index with no per-worker build
     (:mod:`repro.serving`).
 
     Instances hold the underlying map open for their lifetime; they are
     safe for concurrent readers and fork-inherited children, and
-    :meth:`close` (or GC) releases the map.
+    :meth:`close` (or GC) releases the map — the key maps hold decoded
+    copies, never a view of it.
     """
 
     def __init__(
@@ -408,9 +417,8 @@ class ReferenceIndexStore:
 
         The file is written to a temp name and renamed so a concurrently
         cold-starting reader never sees a partially written artifact.
-        Sections are sorted by key so the mmap reader can binary search;
-        per-bucket member order is preserved, so detection results are
-        byte-identical whichever way the artifact is loaded.
+        Sections are sorted by key; per-bucket member order is preserved,
+        so detection results are byte-identical to the in-memory build's.
         """
         self.index_dir.mkdir(parents=True, exist_ok=True)
         path = self.path_for(index.key)
@@ -443,64 +451,7 @@ class ReferenceIndexStore:
         atomic_write(path, [header_line, body])
         return path
 
-    # -- load ---------------------------------------------------------------
-
-    def load(self, key: IndexKey, finder: ShamFinder) -> ReferenceIndex | None:
-        """Load the artifact for *key*, or ``None`` on miss/corruption.
-
-        The character classes are rebuilt from *finder*'s database (cheap —
-        one union-find pass); everything per-reference — IDNA parse, case
-        fold, skeletonisation, bucketing — is adopted from the packed body
-        with C-level splits, which is where the cold-start win comes from.
-        """
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                header = _checked_header(json.loads(handle.readline()), key)
-                if header is None:
-                    return None
-
-                raw = handle.read()
-                if artifact_checksum(header, raw) != header["sha256"]:
-                    return None   # truncated or bit-rotted header field or body
-                starts = _section_starts(header, len(raw))
-                if starts is None:
-                    return None
-                sections = [raw[start:start + size].decode("utf-8")
-                            for start, size in zip(starts, header["section_bytes"][:4])]
-                label_count = header["label_count"]
-                bucket_count = header["bucket_count"]
-                entry_count = header["entry_count"]
-                labels = sections[0].split(_FIELD_SEPARATOR) if sections[0] else []
-                groups = sections[1].split(_GROUP_SEPARATOR) if sections[1] else []
-                bucket_keys = sections[2].split(_FIELD_SEPARATOR) if sections[2] else []
-                bucket_values = sections[3].split(_GROUP_SEPARATOR) if sections[3] else []
-                if len(labels) != label_count or len(groups) != label_count:
-                    return None
-                if len(bucket_keys) != bucket_count or len(bucket_values) != bucket_count:
-                    return None
-
-                label_map = dict(zip(labels, groups))
-                packed_buckets = dict(zip(bucket_keys, bucket_values))
-                if len(label_map) != label_count or len(packed_buckets) != bucket_count:
-                    return None   # duplicate keys: not something store() writes
-                # Each bucket holds (separator count + 1) members, so the
-                # total is one C-level count over the whole section.
-                if sections[3].count(PACK_SEPARATOR) + bucket_count != entry_count:
-                    return None
-
-                index = SkeletonIndex.from_packed(
-                    finder.matcher.classes, packed_buckets, entry_count,
-                )
-                prepared = PreparedReferences(
-                    labels=label_map, index=index, domain_count=header["domain_count"],
-                    index_dir=self.index_dir,
-                )
-                return ReferenceIndex(prepared=prepared, key=key, from_cache=True)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            # Missing file, undecodable bytes, bad JSON, wrong field types —
-            # all read as a miss so the caller rebuilds.
-            return None
+    # -- attach -------------------------------------------------------------
 
     def load_mmap(
         self,
@@ -511,10 +462,11 @@ class ReferenceIndexStore:
     ) -> ReferenceIndex | None:
         """Map the artifact for *key* in place, or ``None`` on miss.
 
-        Unlike :meth:`load`, nothing per-reference is materialised: the
-        file is ``mmap``-ed and probed by binary search, so opening costs a
-        header parse regardless of index size.  The body checksum is only
-        recomputed under ``verify=True`` (an O(n) pass) — a serving parent
+        Nothing per-reference is materialised: the file is ``mmap``-ed and
+        probed in place, so opening costs a header parse regardless of
+        index size (the key maps follow on first probe).  The body
+        checksum is only recomputed under ``verify=True`` (an O(n) pass)
+        — a serving parent
         typically verifies once and lets its forked/reattached workers
         trust the same inode.  Structural invariants (section lengths,
         directory widths, terminal offsets) are always checked, so a
@@ -622,14 +574,16 @@ def _attach(
         )[0] != section_bytes[data_i]:
             return None   # directory disagrees with its section
 
-    def section(count: int, data_i: int, dir_i: int) -> _PackedSection:
-        return _PackedSection(buf, starts[data_i], section_bytes[data_i], starts[dir_i], count)
+    def section(count: int, data_i: int, separator: str) -> _PackedSection:
+        return _PackedSection(buf, starts[data_i], section_bytes[data_i], starts[data_i + 4],
+                              count, separator)
 
-    labels = _MmapLabelView(section(label_count, 0, 4), section(label_count, 1, 5))
+    labels = _MmapLabelView(section(label_count, 0, _FIELD_SEPARATOR),
+                            section(label_count, 1, _GROUP_SEPARATOR))
     index = MmapSkeletonIndex(
         finder.matcher.classes,
-        section(bucket_count, 2, 6),
-        section(bucket_count, 3, 7),
+        section(bucket_count, 2, _FIELD_SEPARATOR),
+        section(bucket_count, 3, _GROUP_SEPARATOR),
         header["entry_count"],
     )
     prepared = MmapPreparedReferences(buf, labels, index, header["domain_count"], path)
@@ -693,24 +647,21 @@ def cached_reference_index(
     store: ReferenceIndexStore | None,
     *,
     force: bool = False,
-    mmap_load: bool = False,
 ) -> tuple[ReferenceIndex, bool]:
     """Prepare through the store: ``(index, was_cache_hit)``.
 
     ``force=True`` skips the read (but still writes), and ``store=None``
     degrades to a plain in-memory build — the same contract as the SimChar
-    cache's :func:`~repro.homoglyph.cache.cached_build`.  ``mmap_load=True``
-    serves the zero-copy map (with a full checksum verification, since
-    this is the first open) instead of the dict build.
+    cache's :func:`~repro.homoglyph.cache.cached_build`.  Whatever the
+    store holds is attached as a map with a full checksum verification
+    (this is its first open); a fresh build is written and then attached
+    the same way, unless the store cannot be written.
     """
     if store is None:
         return build_reference_index(finder, reference), False
     key = key_for(finder, reference)
     if not force:
-        if mmap_load:
-            cached = store.load_mmap(key, finder, verify=True)
-        else:
-            cached = store.load(key, finder)
+        cached = store.load_mmap(key, finder, verify=True)
         if cached is not None:
             return cached, True
     index = ReferenceIndex(prepared=finder.prepare_references(reference), key=key)
@@ -722,9 +673,7 @@ def cached_reference_index(
         warnings.warn(f"could not persist reference index to {store.index_dir}: {exc}",
                       stacklevel=2)
         return index, False
-    index = ReferenceIndex(prepared=replace(index.prepared, index_dir=store.index_dir), key=key)
-    if mmap_load:
-        mapped = store.load_mmap(key, finder, verify=True)
-        if mapped is not None:
-            return mapped, False
-    return index, False
+    mapped = store.load_mmap(key, finder, verify=True)
+    if mapped is None:   # replaced or removed since the write
+        return index, False
+    return replace(mapped, from_cache=False), False

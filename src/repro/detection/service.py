@@ -6,9 +6,9 @@ many threads, in microseconds.  :class:`OnlineDetector` layers that on the
 skeleton hash-join:
 
 * the reference state is a load-once :class:`~.index.ReferenceIndex`
-  (built in-process, loaded from a :class:`~.index.ReferenceIndexStore`
-  artifact, or ``mmap``-attached zero-copy), shared read-only by every
-  query;
+  (built in-process, or ``mmap``-attached in place from a
+  :class:`~.index.ReferenceIndexStore` artifact), shared read-only by
+  every query;
 * per-label match results are memoised in a small thread-safe LRU keyed by
   the *folded* registrable label, so repeated queries for the same label —
   the common case for a service fronting live traffic — skip the join
@@ -38,7 +38,6 @@ from ..idn.idna_codec import fold_label
 from .index import (
     ReferenceIndex,
     ReferenceIndexStore,
-    build_reference_index,
     cached_reference_index,
 )
 from .report import HomographDetection
@@ -175,22 +174,14 @@ class OnlineDetector:
         force_rebuild: bool = False,
         cache_size: int = 4096,
         include_revert: bool = False,
-        mmap_load: bool = False,
     ) -> "OnlineDetector":
         """Build a detector, going through the artifact *store* when given.
 
-        With a store, a warm start loads the prepared index from disk
+        With a store, a warm start attaches the stored index in place
         instead of re-running ``prepare_references`` — the cold-start path
-        ``benchmarks/bench_query.py`` measures.  ``mmap_load=True``
-        additionally prefers the zero-copy ``mmap`` attach (the serving
-        worker path; requires a store).
+        ``benchmarks/bench_query.py`` measures.
         """
-        if store is None:
-            index = build_reference_index(finder, reference)
-        else:
-            index, _hit = cached_reference_index(
-                finder, reference, store, force=force_rebuild, mmap_load=mmap_load,
-            )
+        index, _hit = cached_reference_index(finder, reference, store, force=force_rebuild)
         return cls(finder, index, cache_size=cache_size, include_revert=include_revert)
 
     # -- queries ------------------------------------------------------------
@@ -232,7 +223,7 @@ class OnlineDetector:
             batch = self.finder.join_batch(
                 items, snapshot.prepared,
                 lambda label: self._matches_for(label, snapshot),
-                cache_dir=snapshot.prepared.index_dir,
+                cache_dir=getattr(snapshot.prepared, "index_dir", None),
             )
             verdicts = []
             errors = 0
@@ -346,7 +337,6 @@ class OnlineDetector:
         reference: Sequence[str | DomainName],
         *,
         force_rebuild: bool = False,
-        mmap_load: bool = False,
     ) -> bool:
         """Rebuild/reload the index for *reference* through *store* and swap.
 
@@ -355,9 +345,7 @@ class OnlineDetector:
         keep being served from the old generation until the new one is
         ready.  Returns True when the fingerprint changed.
         """
-        index, _hit = cached_reference_index(
-            self.finder, reference, store, force=force_rebuild, mmap_load=mmap_load,
-        )
+        index, _hit = cached_reference_index(self.finder, reference, store, force=force_rebuild)
         return self.reload_index(index)
 
     def drain(self, timeout: float | None = None) -> bool:

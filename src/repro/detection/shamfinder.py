@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,11 +79,11 @@ def _plain_registrable_labels(texts: list[str]) -> list[str]:
 class PreparedReferences:
     """Reference list preprocessed for repeated/streamed detection.
 
-    Built once per scan by :meth:`ShamFinder.prepare_references` (or loaded
-    from a :mod:`.index` artifact) and shipped to every worker: the
-    case-folded registrable label of each reference mapped back to the
-    domains carrying it, plus the skeleton hash-join index over those
-    labels.
+    Built once per scan by :meth:`ShamFinder.prepare_references` and
+    shipped to every worker: the case-folded registrable label of each
+    reference mapped back to the domains carrying it, plus the skeleton
+    hash-join index over those labels.  A stored index is attached instead
+    (:class:`~.index.MmapPreparedReferences`, the same query surface).
     """
 
     #: case-folded registrable label → that label's reference domains in
@@ -95,10 +94,6 @@ class PreparedReferences:
     index: SkeletonIndex
     #: number of reference domains that parsed (the paper's |M|)
     domain_count: int
-    #: directory of the index artifact these were loaded from or saved to,
-    #: where the fold table's ``foldtable-*.bin`` sidecar lives too
-    #: (``None`` when never persisted)
-    index_dir: Path | None = field(default=None, compare=False, repr=False)
 
     def references_for(self, folded_label: str) -> tuple[str, ...]:
         """The reference domains (canonical ASCII) carrying *folded_label*."""

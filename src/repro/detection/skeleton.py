@@ -103,9 +103,9 @@ class CharacterClasses:
         return len(self._table)
 
 
-#: Separator for lazily-unpacked bucket members (see
-#: :meth:`SkeletonIndex.from_packed`).  Folded labels are domain labels, so
-#: a C0 control can never collide with content.
+#: Separator of a bucket's members in the packed artifact form
+#: (:meth:`SkeletonIndex.packed`, :mod:`.index`).  Folded labels are domain
+#: labels, so a C0 control can never collide with content.
 PACK_SEPARATOR = "\x1f"
 
 
@@ -114,47 +114,14 @@ class SkeletonIndex:
 
     Labels are stored pre-case-folded in insertion order, preserving the
     multiplicity and relative order of the legacy length-bucket scan so
-    both paths return identical match lists.
-
-    A bucket value is either a ``list`` of labels or — for an index loaded
-    from a packed artifact (:mod:`.index`) — a :data:`PACK_SEPARATOR`-joined
-    string that is split on first access.  Unpacking is idempotent, so the
-    index stays safe for concurrent readers; mutation (``add``) is not
-    concurrency-safe, same as before.
+    both paths return identical match lists.  Mutation (``add``) is not
+    concurrency-safe; a built index is only read.
     """
 
     def __init__(self, classes: CharacterClasses) -> None:
         self.classes = classes
-        self._buckets: dict[str, list[str] | str] = {}
+        self._buckets: dict[str, list[str]] = {}
         self._size = 0
-
-    @classmethod
-    def from_packed(
-        cls,
-        classes: CharacterClasses,
-        packed_buckets: dict[str, str],
-        size: int,
-    ) -> "SkeletonIndex":
-        """Adopt artifact-loaded buckets wholesale (trusted input).
-
-        *packed_buckets* maps each skeleton to its members joined with
-        :data:`PACK_SEPARATOR`; *size* is the total member count.  Buckets
-        stay packed until first probed, so a warm start pays two C-level
-        ``dict`` builds instead of a Python loop over every label.
-        """
-        index = cls(classes)
-        index._buckets = packed_buckets
-        index._size = size
-        return index
-
-    def _bucket(self, skeleton: str) -> list[str] | None:
-        bucket = self._buckets.get(skeleton)
-        if type(bucket) is str:
-            # Lazily unpack an artifact bucket.  The replacement is
-            # idempotent, so a concurrent-reader race is benign.
-            bucket = bucket.split(PACK_SEPARATOR)
-            self._buckets[skeleton] = bucket
-        return bucket
 
     def add(self, folded_label: str) -> None:
         """Index one (already case-folded) reference label."""
@@ -166,35 +133,29 @@ class SkeletonIndex:
         buckets = self._buckets
         skeletons = map(str.translate, labels, repeat(self.classes._table))   # skeletonize
         for label, skeleton in zip(labels, skeletons):
-            bucket = buckets.setdefault(skeleton, [])
-            if type(bucket) is str:
-                bucket = self._bucket(skeleton)
-            bucket.append(label)
+            buckets.setdefault(skeleton, []).append(label)
         self._size += len(labels)
 
     def candidates_for(self, folded_label: str) -> list[str]:
         """References that could match *folded_label* (superset of matches)."""
-        bucket = self._bucket(self.classes.skeletonize(folded_label))
-        return bucket if bucket is not None else []
+        return self._buckets.get(self.classes.skeletonize(folded_label), [])
 
     def buckets(self) -> Iterator[tuple[str, list[str]]]:
         """``(skeleton, members)`` pairs in insertion order (serialisation
         view); each members list is a copy."""
-        skeletons = list(self._buckets)
-        return zip(skeletons, map(list, map(self._bucket, skeletons)))
+        return zip(list(self._buckets), map(list, self._buckets.values()))
 
     def packed(self) -> dict[str, str]:
         """Every bucket as its members joined with :data:`PACK_SEPARATOR`
         (the artifact form), in insertion order."""
-        return {skeleton: bucket if type(bucket) is str else PACK_SEPARATOR.join(bucket)
+        return {skeleton: PACK_SEPARATOR.join(bucket)
                 for skeleton, bucket in self._buckets.items()}
 
     def skeletons(self) -> list[str]:
-        """All bucket keys, without unpacking any members.
+        """All bucket keys, in insertion order.
 
         The batch kernel (:mod:`.batchfold`) sorts these into its probe
-        array; unlike :meth:`buckets` this leaves packed artifact buckets
-        packed.
+        array.
         """
         return list(self._buckets)
 

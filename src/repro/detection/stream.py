@@ -881,9 +881,9 @@ class StreamingScanner:
         # them re-runs the fold table's full-code-space scan (fork children
         # inherit the kernel, spawn and forkserver children get the table
         # memoized on the finder they are sent), and whenever the prepared
-        # references came from an index directory, whose fold-table
+        # references are attached from an index directory, whose fold-table
         # sidecar a warm run then loads instead of rebuilding.
-        index_dir = self.prepared.index_dir
+        index_dir = getattr(self.prepared, "index_dir", None)
         if self.jobs > 1 or index_dir is not None:
             kernel_for(self.finder.matcher, self.prepared, cache_dir=index_dir)
         if self.jobs == 1:
@@ -906,7 +906,7 @@ class StreamingScanner:
         A fork child inherits the in-process object (mmap-backed or not).
         Spawn and forkserver children get their arguments pickled: an
         mmap-backed index is replaced by a re-attach spec (its artifact
-        path) and each worker re-opens the same inode; dict-backed state
+        path) and each worker re-opens the same inode; in-memory state
         pickles directly.
         """
         path = getattr(self.prepared, "path", None)

@@ -20,8 +20,8 @@ Steps 4-8 run through the pluggable enrichment pipeline
 :meth:`MeasurementStudy.run` is a thin composition of the detection step
 and a :class:`PipelineRunner` over the default stage adapters, with
 concurrent batches, optional per-stage JSONL sinks, and checkpoint/resume.
-The pre-pipeline serial implementation is kept as
-:meth:`MeasurementStudy.run_legacy`; both produce byte-identical
+The pre-pipeline serial composition of the same steps is kept as a test
+oracle (``tests/oracles/legacy_study.py``); both produce byte-identical
 :meth:`StudyResults.summary` output.
 """
 
@@ -346,42 +346,3 @@ class MeasurementStudy:
             resume=resume,
         )
         return runner.run(summary, results, progress=progress)
-
-    def run_legacy(self, *, streaming: bool = False, chunk_size: int = 2000, jobs: int = 1) -> StudyResults:
-        """The pre-pipeline serial implementation, kept for equivalence.
-
-        Probes one domain at a time with the full detection report in
-        memory; :meth:`run` must produce byte-identical
-        :meth:`StudyResults.summary` output.
-        """
-        results = StudyResults()
-        results.dataset_table = self.dataset_statistics()
-        results.idn_count = len(self.extract_idns())
-        results.language_table = self.language_statistics()
-
-        if streaming:
-            detection, timing, results.scan_stats = self.detect_homographs_streaming(
-                chunk_size=chunk_size, jobs=jobs,
-            )
-        else:
-            detection, timing = self.detect_homographs()
-        results.detection_report = detection
-        results.detection_timing = timing
-        results.detection_counts = detection.count_by_database()
-        results.top_targets = detection.top_targets(5)
-
-        detected = detection.detected_idns()
-        results.detected_idn_count = len(detected)
-        with_ns, without_a, with_a = self.probe_registrations(detected)
-        results.ns_count = len(with_ns)
-        results.no_a_count = len(without_a)
-
-        results.portscan = self.scan_ports(with_a)
-        active = results.portscan.reachable_domains()
-
-        results.popular_homographs = self.popular_homographs(active)
-        results.classification = self.classify_active(active, detection)
-        results.redirect_intents = results.classification.redirect_intent_counts()
-        results.blacklist_table = self.blacklist_analysis(detection)
-        results.reverted_outside_reference = self.revert_analysis(detection)
-        return results

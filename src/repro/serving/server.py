@@ -24,7 +24,7 @@ lets many clients share one warm reference index:
   to the packed index artifact via ``mmap``
   (:meth:`ReferenceIndexStore.load_path
   <repro.detection.index.ReferenceIndexStore.load_path>`): one page-cache
-  copy of the index, no per-worker dict build (``benchmarks/
+  copy of the index, no per-worker build (``benchmarks/
   bench_serve.py`` asserts both the attach cost and the scaling);
 * **hot reload** — SIGHUP or ``POST /reload`` builds/loads the new index
   *first*, then swaps: in-flight queries finish on the generation they
@@ -212,7 +212,7 @@ class WorkerPool:
     Each worker attaches to the packed ``refindex-*.idx`` artifact with
     :meth:`~repro.detection.index.ReferenceIndexStore.load_path` — an
     O(header) open against the shared page cache — instead of re-running
-    the dict build, so adding workers adds query throughput, not index
+    ``prepare_references``, so adding workers adds query throughput, not index
     copies.  The initializer arguments were always a picklable re-attach
     spec (artifact path + expected fingerprint), so the pool runs parallel
     under every start method: fork inherits the finder, spawn pickles it

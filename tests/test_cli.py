@@ -17,7 +17,8 @@ import pytest
 import repro
 from repro.cli import CLIError, _scan_progress, build_parser, main
 from repro.detection.batchfold import FoldTable
-from repro.detection.stream import ScanStats
+from repro.detection.index import MmapPreparedReferences
+from repro.detection.stream import ScanStats, StreamingScanner
 from repro.idn.idna_codec import to_ascii_label
 
 
@@ -116,12 +117,6 @@ def test_measure_resume_requires_output_dir(capsys):
     rc = main(["measure", "--resume"])
     assert rc == 2
     assert "--output-dir" in capsys.readouterr().err
-
-
-def test_measure_legacy_rejects_pipeline_options(capsys):
-    rc = main(["measure", "--legacy", "--stages", "dns"])
-    assert rc == 2
-    assert "--legacy" in capsys.readouterr().err
 
 
 def test_parser_accepts_scan_options(tmp_path):
@@ -424,6 +419,35 @@ def test_scan_reuses_index_dir(tmp_path, capsys, union_db):
                  "--index-dir", str(index_dir)]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["detection_count"] == 1
+
+
+def test_scan_and_track_with_an_index_dir_hold_a_mapped_index(tmp_path, capsys, union_db,
+                                                              monkeypatch):
+    held = []
+    init = StreamingScanner.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        held.append(self.prepared)
+
+    monkeypatch.setattr(StreamingScanner, "__init__", recording_init)
+    db_path = _saved_db(tmp_path, union_db)
+    input_path = tmp_path / "zone.txt"
+    input_path.write_text("xn--ggle-55da.com\nexample.com\n", encoding="utf-8")
+    zone = tmp_path / "day1.zone"
+    zone.write_text("xn--ggle-55da.com.\t172800\tIN\tNS\tns1.host.net.\n", encoding="utf-8")
+    common = ["--reference", "google.com", "--database", str(db_path),
+              "--index-dir", str(tmp_path / "index")]
+
+    for build in (["--build-index"], []):   # a fresh build, then a warm attach
+        assert main(["scan", "-i", str(input_path), "-o", str(tmp_path / "out.jsonl"),
+                     *common, *build]) == 0
+        assert json.loads(capsys.readouterr().out)["detection_count"] == 1
+    assert main(["track", "-s", f"2019-05-01={zone}", "--state-dir", str(tmp_path / "state"),
+                 *common]) == 0
+    capsys.readouterr()
+    assert len(held) == 3
+    assert all(isinstance(prepared, MmapPreparedReferences) for prepared in held)
 
 
 def test_warm_index_dir_scan_and_track_read_the_fold_table_sidecar(tmp_path, capsys, union_db,

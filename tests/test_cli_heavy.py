@@ -9,8 +9,12 @@ import json
 
 import pytest
 
+from oracles.legacy_study import run_legacy
 from repro.cli import main
+from repro.detection.shamfinder import ShamFinder
 from repro.homoglyph.database import HomoglyphDatabase
+from repro.measurement.domainlists import ZoneConfig, generate_population
+from repro.measurement.study import MeasurementStudy
 
 
 @pytest.mark.slow
@@ -112,10 +116,11 @@ def test_measure_streaming_pipeline_with_stage_subset(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_measure_legacy_matches_pipeline(capsys):
-    argv = ["measure", "--scale", "0.01", "--seed", "7", "--json"]
-    assert main(argv) == 0
+    assert main(["measure", "--scale", "0.01", "--seed", "7", "--json"]) == 0
     piped = json.loads(capsys.readouterr().out)
     piped.pop("stage_timings")
-    assert main(argv + ["--legacy"]) == 0
-    legacy = json.loads(capsys.readouterr().out)
+    # The same study, run by the serial pre-pipeline oracle.
+    study = MeasurementStudy(generate_population(ZoneConfig.paper_scaled(scale=0.01, seed=7)),
+                             ShamFinder.with_default_databases())
+    legacy = json.loads(json.dumps(run_legacy(study).summary(), ensure_ascii=False, default=str))
     assert legacy == piped

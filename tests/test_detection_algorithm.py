@@ -1,5 +1,6 @@
 """Tests for Algorithm 1 (the homograph matcher)."""
 
+from oracles.pairwise_matcher import build_reference_index, match_with_index
 from repro.detection.algorithm import HomographMatcher, fold_label
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 
@@ -66,9 +67,9 @@ def test_matching_is_case_insensitive():
 def test_match_against_and_reference_index():
     matcher = _matcher()
     references = ["google", "amazon", "facebook", "apple"]
-    index = matcher.build_reference_index(references)
+    index = build_reference_index(references)
     assert set(index) == {6, 8, 5}
-    matches = matcher.match_with_index("gоogle", index)
+    matches = match_with_index(matcher, "gоogle", index)
     assert [m.reference for m in matches] == ["google"]
     assert matcher.match_against("аmazon", references)[0].reference == "amazon"
     assert matcher.match_against("nomatch", references) == []

@@ -443,8 +443,6 @@ def test_reference_index_cut_or_flipped_at_every_offset(finder, tmp_path):
     full = path.read_bytes()
     for damaged in _cuts_and_flips(full):
         path.write_bytes(damaged)
-        loaded = store.load(built.key, finder)
-        assert loaded is None or _index_content(loaded.prepared) == expected
         mapped = store.load_mmap(built.key, finder, verify=True)
         if mapped is not None:
             assert _index_content(mapped.prepared) == expected
@@ -452,7 +450,8 @@ def test_reference_index_cut_or_flipped_at_every_offset(finder, tmp_path):
 
     path.write_bytes(full[: len(full) // 2])
     rebuilt, hit = cached_reference_index(finder, REFERENCES, store)
-    assert not hit and _index_content(rebuilt.prepared) == expected
+    assert not hit and rebuilt.mapped and _index_content(rebuilt.prepared) == expected
+    rebuilt.prepared.close()
     assert path.read_bytes() == full
     assert key_for(finder, REFERENCES) == built.key
 

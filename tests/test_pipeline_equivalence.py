@@ -1,7 +1,7 @@
 """Equivalence suite: legacy study == pipeline study == streaming+resume.
 
 The acceptance bar of the enrichment-pipeline refactor: the serial
-pre-pipeline ``MeasurementStudy.run_legacy()`` and every pipeline
+pre-pipeline study (``oracles.legacy_study.run_legacy``) and every pipeline
 configuration (in-memory, concurrent, sink-backed streaming, and a
 killed-then-resumed run) must produce **byte-identical**
 ``StudyResults.summary()`` output and identical intermediate tables on the
@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from oracles.legacy_study import run_legacy
 from repro.measurement.results import StudyResults
 
 
@@ -25,7 +26,7 @@ def _summary_bytes(results) -> bytes:
 
 @pytest.fixture(scope="module")
 def legacy_results(study):
-    return study.run_legacy()
+    return run_legacy(study)
 
 
 def _assert_equivalent(results, legacy):

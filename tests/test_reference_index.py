@@ -2,9 +2,11 @@
 
 import hashlib
 import json
-from dataclasses import asdict
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from oracles.reference_prepare import offset_directory
 from repro.detection.index import (
@@ -12,14 +14,15 @@ from repro.detection.index import (
     INDEX_MAGIC,
     IndexKey,
     MmapPreparedReferences,
+    ReferenceIndex,
     ReferenceIndexStore,
     build_reference_index,
     cached_reference_index,
     key_for,
     reference_list_hash,
 )
-from repro.detection.shamfinder import ShamFinder
-from repro.detection.skeleton import PACK_SEPARATOR
+from repro.detection.shamfinder import REFERENCE_SEPARATOR, PreparedReferences, ShamFinder
+from repro.detection.skeleton import PACK_SEPARATOR, SkeletonIndex
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.idn.idna_codec import to_ascii_label
 
@@ -83,10 +86,10 @@ def test_database_digest_ignores_name_but_not_pairs():
 def test_store_load_round_trip_is_detection_identical(tmp_path, small_finder):
     store = ReferenceIndexStore(tmp_path)
     built, hit = cached_reference_index(small_finder, REFERENCE, store)
-    assert not hit and not built.from_cache
+    assert not hit and not built.from_cache and built.mapped   # written, then attached
 
     loaded, hit = cached_reference_index(small_finder, REFERENCE, store)
-    assert hit and loaded.from_cache
+    assert hit and loaded.from_cache and loaded.mapped
     assert loaded.fingerprint == built.fingerprint
     assert loaded.domain_count == built.domain_count
     assert sorted(loaded.prepared.labels) == sorted(built.prepared.labels)
@@ -96,7 +99,7 @@ def test_store_load_round_trip_is_detection_identical(tmp_path, small_finder):
 def test_loaded_references_are_canonical(tmp_path, small_finder):
     store = ReferenceIndexStore(tmp_path)
     store.store(build_reference_index(small_finder, REFERENCE))
-    loaded = store.load(key_for(small_finder, REFERENCE), small_finder)
+    loaded = store.load_mmap(key_for(small_finder, REFERENCE), small_finder, verify=True)
     refs = [ref for label in loaded.prepared.labels
             for ref in loaded.prepared.references_for(label)]
     assert sorted(refs) == sorted(REFERENCE)
@@ -119,7 +122,7 @@ def test_force_rebuild_skips_read_but_refreshes(tmp_path, small_finder):
     assert not hit and not forced.from_cache
     assert path.stat().st_mtime_ns >= before
     # And the refreshed artifact still loads.
-    assert store.load(first.key, small_finder) is not None
+    assert store.load_mmap(first.key, small_finder, verify=True) is not None
 
 
 # -- corruption -> rebuild ----------------------------------------------------
@@ -133,25 +136,26 @@ def _stored_path(tmp_path, finder):
 
 def test_missing_artifact_is_a_miss(tmp_path, small_finder):
     store = ReferenceIndexStore(tmp_path)
-    assert store.load(key_for(small_finder, REFERENCE), small_finder) is None
+    assert store.load_mmap(key_for(small_finder, REFERENCE), small_finder, verify=True) is None
 
 
 def test_truncated_artifact_is_a_miss(tmp_path, small_finder):
     store, index, path = _stored_path(tmp_path, small_finder)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
-    assert store.load(index.key, small_finder) is None
-    # cached_reference_index transparently rebuilds and re-persists
+    assert store.load_mmap(index.key, small_finder, verify=True) is None
+    # cached_reference_index transparently rebuilds, re-persists and attaches
     rebuilt, hit = cached_reference_index(small_finder, REFERENCE, store)
-    assert not hit
-    assert store.load(index.key, small_finder) is not None
+    assert not hit and rebuilt.mapped
+    assert _detect(small_finder, rebuilt.prepared) == _detect(small_finder, index.prepared)
+    assert store.load_mmap(index.key, small_finder, verify=True) is not None
 
 
 def test_garbage_header_is_a_miss(tmp_path, small_finder):
     store, index, path = _stored_path(tmp_path, small_finder)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("not json at all\n" + "\n".join(lines[1:]) + "\n", encoding="utf-8")
-    assert store.load(index.key, small_finder) is None
+    assert store.load_mmap(index.key, small_finder, verify=True) is None
 
 
 def test_wrong_magic_or_version_is_a_miss(tmp_path, small_finder):
@@ -161,12 +165,12 @@ def test_wrong_magic_or_version_is_a_miss(tmp_path, small_finder):
 
     header["magic"] = "something-else"
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
-    assert store.load(index.key, small_finder) is None
+    assert store.load_mmap(index.key, small_finder, verify=True) is None
 
     header["magic"] = "shamfinder-reference-index"
     header["version"] = INDEX_FORMAT_VERSION + 1
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
-    assert store.load(index.key, small_finder) is None
+    assert store.load_mmap(index.key, small_finder, verify=True) is None
 
 
 def test_mismatched_key_is_a_miss(tmp_path, small_finder):
@@ -174,14 +178,14 @@ def test_mismatched_key_is_a_miss(tmp_path, small_finder):
     other_key = IndexKey(database_digest="0" * 16, reference_hash=index.key.reference_hash)
     # Pretend the same file answers for a different key (e.g. copied around).
     path.rename(store.path_for(other_key))
-    assert store.load(other_key, small_finder) is None
+    assert store.load_mmap(other_key, small_finder, verify=True) is None
 
 
 def test_label_count_mismatch_is_a_miss(tmp_path, small_finder):
     store, index, path = _stored_path(tmp_path, small_finder)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")  # drop one entry
-    assert store.load(index.key, small_finder) is None
+    assert store.load_mmap(index.key, small_finder, verify=True) is None
 
 
 def test_unwritable_store_degrades_to_a_warning(tmp_path, small_finder):
@@ -190,8 +194,10 @@ def test_unwritable_store_degrades_to_a_warning(tmp_path, small_finder):
     store = ReferenceIndexStore(target)
     with pytest.warns(UserWarning, match="could not persist reference index"):
         index, hit = cached_reference_index(small_finder, REFERENCE, store)
-    assert not hit
+    assert not hit and not index.mapped   # the builder's in-memory state, as built
     assert index.domain_count == len(REFERENCE)
+    assert _detect(small_finder, index.prepared) == _detect(
+        small_finder, build_reference_index(small_finder, REFERENCE).prepared)
 
 
 def test_entries_and_clear(tmp_path, small_finder):
@@ -284,32 +290,101 @@ def test_mmap_verify_catches_bit_rot(tmp_path, small_finder):
 
 
 def test_cached_reference_index_mmap_load(tmp_path, small_finder):
+    # Every build through a store is written, then attached as a map.
     store = ReferenceIndexStore(tmp_path)
-    built, hit = cached_reference_index(small_finder, REFERENCE, store, mmap_load=True)
-    assert not hit and built.mapped            # fresh build, re-opened as a map
-    again, hit = cached_reference_index(small_finder, REFERENCE, store, mmap_load=True)
-    assert hit and again.mapped
+    built, hit = cached_reference_index(small_finder, REFERENCE, store)
+    assert not hit and built.mapped and not built.from_cache
+    again, hit = cached_reference_index(small_finder, REFERENCE, store)
+    assert hit and again.mapped and again.from_cache
     assert again.fingerprint == built.fingerprint
-    assert _detect(small_finder, again.prepared) == _detect(small_finder, built.prepared)
+    expected = _detect(small_finder, build_reference_index(small_finder, REFERENCE).prepared)
+    assert _detect(small_finder, again.prepared) == _detect(small_finder, built.prepared) == expected
 
 
 def test_prepared_references_carry_their_index_dir(tmp_path, small_finder):
-    # The fold-table sidecar lives beside the artifact: every index that
-    # was saved to or read from a store says which directory that is.
+    # The fold-table sidecar lives beside the artifact: every index attached
+    # from a store says which directory that is; an in-memory build has none.
     store = ReferenceIndexStore(tmp_path / "idx")
-    assert small_finder.prepare_references(REFERENCE).index_dir is None
-    assert cached_reference_index(small_finder, REFERENCE, None)[0].prepared.index_dir is None
-    for mmap_load in (False, True):
-        for force in (True, False):   # fresh build, then a cache hit
-            index, hit = cached_reference_index(small_finder, REFERENCE, store,
-                                                force=force, mmap_load=mmap_load)
-            assert hit is not force and index.mapped is mmap_load
-            assert index.prepared.index_dir == store.index_dir
+    assert getattr(small_finder.prepare_references(REFERENCE), "index_dir", None) is None
+    unstored = cached_reference_index(small_finder, REFERENCE, None)[0]
+    assert getattr(unstored.prepared, "index_dir", None) is None
+    for force in (True, False):   # fresh build, then a cache hit
+        index, hit = cached_reference_index(small_finder, REFERENCE, store, force=force)
+        assert hit is not force and index.mapped
+        assert index.prepared.index_dir == store.index_dir
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory", encoding="utf-8")
     with pytest.warns(UserWarning):
         index, _ = cached_reference_index(small_finder, REFERENCE, ReferenceIndexStore(blocked))
-    assert index.prepared.index_dir is None   # never persisted
+    assert getattr(index.prepared, "index_dir", None) is None   # never persisted
+
+
+def test_close_releases_the_map_after_probes(tmp_path, small_finder):
+    store, index, path = _stored_path(tmp_path, small_finder)
+    mapped = store.load_mmap(index.key, small_finder, verify=True).prepared
+    assert _detect(small_finder, mapped) == _detect(small_finder, index.prepared)
+    assert list(mapped.labels) and mapped.index.skeletons() and list(mapped.index.buckets())
+    assert mapped.labels.get("google") and "google" in mapped.labels
+    mapped.close()
+    assert mapped._buf.closed   # the key maps hold copies, not views of the map
+    mapped.close()              # idempotent
+
+
+# -- key maps against the builder's in-memory state ----------------------------
+
+#: Label characters: confusable pairs (so skeletons collide and buckets hold
+#: several members), a multi-byte letter, and both section separators.
+_KEY_ALPHABET = "aаoоbé\x1f\x1e"
+
+
+def _packable(buckets):
+    """The buckets whose members survive packing: a bucket's members are
+    joined with :data:`PACK_SEPARATOR`, so a label holding it cannot be a
+    member (IDNA labels never hold a C0 control).  Its skeleton still
+    holds the separator, and must still probe as a key."""
+    return {skeleton: members for skeleton, members in buckets
+            if PACK_SEPARATOR not in skeleton}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])   # the finder is read-only
+@given(st.dictionaries(st.text(_KEY_ALPHABET, max_size=5),
+                       st.lists(st.sampled_from(["com", "net", "org"]), min_size=1, max_size=3),
+                       max_size=12),
+       st.lists(st.text(_KEY_ALPHABET, max_size=5), max_size=6))
+# Keys holding their section's separator: the key map is decoded through
+# the directory, and every other key must still probe.
+@example(groups={"apple": ["com"], "g\x1foogle": ["net"], "google": ["com", "org"]},
+         probes=["gооgle"])
+@example(groups={"\x1f": ["com"], "\x1e": ["net"]}, probes=[""])
+def test_key_mapped_index_matches_the_builder(small_finder, groups, probes):
+    labels = {label: REFERENCE_SEPARATOR.join(f"x{n}.{tld}" for n, tld in enumerate(tlds))
+              for label, tlds in groups.items()}
+    skeleton_index = SkeletonIndex(small_finder.matcher.classes)
+    skeleton_index.extend(labels)
+    built = PreparedReferences(labels=labels, index=skeleton_index,
+                               domain_count=sum(map(len, groups.values())))
+    key = key_for(small_finder, sorted(groups))
+    with tempfile.TemporaryDirectory() as directory:
+        store = ReferenceIndexStore(directory)
+        store.store(ReferenceIndex(prepared=built, key=key))
+        mapped = store.load_mmap(key, small_finder, verify=True).prepared
+        try:
+            assert len(mapped.labels) == len(built.labels)
+            assert list(mapped.labels) == sorted(built.labels)
+            for label in [*labels, *probes]:
+                assert (label in mapped.labels) == (label in built.labels)
+                assert mapped.labels.get(label) == built.labels.get(label)
+                assert mapped.references_for(label) == built.references_for(label)
+                if PACK_SEPARATOR not in label:   # see _packable
+                    assert mapped.index.candidates_for(label) == built.index.candidates_for(label)
+            assert mapped.index.skeletons() == sorted(built.index.skeletons())
+            assert _packable(mapped.index.buckets()) == _packable(built.index.buckets())
+            assert len(mapped.index) == len(built.index)
+            assert mapped.index.bucket_count == built.index.bucket_count
+            assert mapped.domain_count == built.domain_count
+        finally:
+            mapped.close()
 
 
 # -- format-version-1 artifacts ------------------------------------------------
@@ -352,14 +427,14 @@ def test_v1_artifact_reads_as_a_miss_and_is_rebuilt(tmp_path, small_finder):
     store = ReferenceIndexStore(tmp_path)
     built, v1_path = _write_v1_artifact(store, small_finder, REFERENCE)
     key = key_for(small_finder, REFERENCE)
-    assert store.load(key, small_finder) is None
     assert store.load_mmap(key, small_finder, verify=True) is None
 
     index, hit = cached_reference_index(small_finder, REFERENCE, store)
-    assert not hit
+    assert not hit and index.mapped
     assert index.key == key
     assert store.path_for(key).exists() and v1_path.exists()
     assert _detect(small_finder, index.prepared) == _detect(small_finder, built.prepared)
+    index.prepared.close()
 
 
 def _write_v2_artifact(store: ReferenceIndexStore, finder, reference):
@@ -400,16 +475,14 @@ def test_v2_artifact_reads_as_a_miss_and_is_rebuilt(tmp_path, small_finder):
     store = ReferenceIndexStore(tmp_path)
     built, v2_path = _write_v2_artifact(store, small_finder, REFERENCE)
     key = key_for(small_finder, REFERENCE)
-    assert store.load(key, small_finder) is None
     assert store.load_mmap(key, small_finder, verify=True) is None
     # Under the current name (as if renamed in place) it is still a miss.
     current = store.path_for(key)
     v2_path.rename(current)
-    assert store.load(key, small_finder) is None
     assert store.load_mmap(key, small_finder, verify=True) is None
     assert store.load_path(current, small_finder) is None
 
-    index, hit = cached_reference_index(small_finder, REFERENCE, store, mmap_load=True)
+    index, hit = cached_reference_index(small_finder, REFERENCE, store)
     assert not hit and index.mapped and index.key == key
     assert _detect(small_finder, index.prepared) == _detect(small_finder, built.prepared)
     index.prepared.close()

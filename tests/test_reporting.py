@@ -1,5 +1,6 @@
 """Tests for the markdown report renderer."""
 
+from oracles.legacy_study import run_legacy
 from repro.measurement.reporting import render_markdown_report
 
 
@@ -32,7 +33,7 @@ def test_report_renders_stage_timings(study_results):
 
 
 def test_report_without_stage_timings_omits_section(study):
-    report = render_markdown_report(study.run_legacy())
+    report = render_markdown_report(run_legacy(study))
     assert "Enrichment pipeline" not in report
 
 

@@ -285,9 +285,9 @@ def test_drain_waits_for_a_batch_the_kernel_is_still_proving(detector, monkeypat
 # -- fold-table sidecar ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("mmap_load", [False, True])
+@pytest.mark.parametrize("reopen_store", [False, True])
 def test_second_detector_over_a_warm_index_dir_reads_the_fold_table(tmp_path, monkeypatch,
-                                                                    mmap_load):
+                                                                    reopen_store):
     builds = []
     build = FoldTable.build.__func__
 
@@ -300,13 +300,16 @@ def test_second_detector_over_a_warm_index_dir_reads_the_fold_table(tmp_path, mo
     # enough domains for the batch kernel (MIN_KERNEL_BATCH)
     batch = [_homograph("gооgle"), _homograph("аmazon")] + [f"benign{n}.com" for n in range(10)]
     # Fresh finders, as in two server processes: nothing is shared in memory.
-    first = OnlineDetector.from_references(_small_finder(), REFERENCE, store=store,
-                                           mmap_load=mmap_load)
+    first = OnlineDetector.from_references(_small_finder(), REFERENCE, store=store)
+    assert first.index.mapped
     cold = first.query_many(batch)
     assert len(builds) == 1 and list(store.index_dir.glob("foldtable-*.bin"))
     # Built the way `serve` and `query` build theirs: from the loaded index alone.
+    # A second process opens its own store over the same directory.
+    if reopen_store:
+        store = ReferenceIndexStore(tmp_path / "idx")
     finder = _small_finder()
-    index, hit = cached_reference_index(finder, REFERENCE, store, mmap_load=mmap_load)
-    assert hit
+    index, hit = cached_reference_index(finder, REFERENCE, store)
+    assert hit and index.mapped
     assert OnlineDetector(finder, index).query_many(batch) == cold
     assert len(builds) == 1

@@ -276,13 +276,11 @@ def test_shutdown_drains_accepted_queries(small_finder):
 
 def test_reload_under_load_zero_dropped_consistent_fingerprints(small_finder, tmp_path):
     store = ReferenceIndexStore(tmp_path)
-    detector = OnlineDetector.from_references(
-        small_finder, REFERENCE, store=store, mmap_load=True)
+    detector = OnlineDetector.from_references(small_finder, REFERENCE, store=store)
     old_fp = detector.index.fingerprint
 
     def reloader():
-        index, _hit = cached_reference_index(
-            small_finder, REFERENCE_B, store, mmap_load=True)
+        index, _hit = cached_reference_index(small_finder, REFERENCE_B, store)
         return index
 
     domain = _homograph("gооgle")

@@ -12,6 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.pairwise_matcher import find_homographs_pairwise
 from repro.detection.algorithm import HomographMatcher, fold_label
 from repro.detection.skeleton import CharacterClasses, SkeletonIndex
 from repro.homoglyph.database import SOURCE_SIMCHAR, HomoglyphDatabase
@@ -81,7 +82,7 @@ def test_skeleton_join_requires_exact_recheck():
 def test_skeleton_path_identical_to_pairwise(pair_list, candidates, references):
     matcher = HomographMatcher(_database(pair_list))
     indexed = matcher.find_homographs(candidates, references)
-    pairwise = matcher.find_homographs_pairwise(candidates, references)
+    pairwise = find_homographs_pairwise(matcher, candidates, references)
     assert indexed == pairwise        # full MatchResult lists, order included
 
 
