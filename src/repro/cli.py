@@ -49,6 +49,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .detection.index import (
     ReferenceIndex,
     ReferenceIndexStore,
+    build_reference_index,
     cached_reference_index,
 )
 from .detection.service import OnlineDetector
@@ -374,15 +375,15 @@ def _resolve_index(
     reference: list[str],
     index_dir: Path | None,
     build_index: bool,
-) -> ReferenceIndex | None:
+) -> ReferenceIndex:
     """Attach-or-build the reference index through an ``--index-dir`` store.
 
     A missing directory is only created under ``--build-index`` — a typo'd
     path must not silently trigger a full index build somewhere new.
-    Returns ``None`` when no index dir was requested (in-memory prepare).
+    Without an index dir the index is built and held in memory.
     """
     if index_dir is None:
-        return None
+        return build_reference_index(finder, reference)
     if not index_dir.exists():
         if not build_index:
             raise CLIError(
@@ -478,8 +479,6 @@ def _online_detector(args: argparse.Namespace) -> OnlineDetector:
     reference = _resolve_reference(args)
     finder = _default_finder(args.database, args.cache_dir, args.font, args.databases)
     index = _resolve_index(finder, reference, args.index_dir, args.build_index)
-    if index is None:
-        return OnlineDetector.from_references(finder, reference, include_revert=args.revert)
     return OnlineDetector(finder, index, include_revert=args.revert)
 
 
@@ -561,11 +560,7 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
         finder = _default_finder(args.database, args.cache_dir, args.font, args.databases)
         finder_ready = time.perf_counter()
         index = _resolve_index(finder, reference, args.index_dir, args.build_index)
-        if index is None:
-            detector = OnlineDetector.from_references(finder, reference,
-                                                      include_revert=args.revert)
-        else:
-            detector = OnlineDetector(finder, index, include_revert=args.revert)
+        detector = OnlineDetector(finder, index, include_revert=args.revert)
         index_ready = time.perf_counter()
 
     pool = None
@@ -777,7 +772,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         jobs=args.jobs,
         idn_only=not args.all_domains,
-        prepared=index.prepared if index is not None else None,
+        prepared=index.prepared,
     )
 
     try:
@@ -816,7 +811,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
         args.state_dir,
         chunk_size=args.chunk_size,
         jobs=args.jobs,
-        prepared=index.prepared if index is not None else None,
+        prepared=index.prepared,
     )
 
     def progress(report: DayReport) -> None:

@@ -30,18 +30,19 @@ skeletons, bucket members), each sorted by key and packed with C0
 separators that cannot occur in IDNA labels, then their four offset
 directories, each an array of little-endian uint64 record END offsets.
 
-A stored index is read one way, :meth:`ReferenceIndexStore.load_mmap`
-(or :meth:`~ReferenceIndexStore.load_path`): the file is ``mmap``-ed and
-attached in place.  Attaching costs one header parse plus structural
-checks (and, under ``verify=True``, one checksum pass), not an O(n) body
-build, so N serving worker processes share one page-cache copy of the
-index.  Each key section (folded labels, bucket skeletons) gets a *key
-map* on first use — the section decoded once, split once, and
-``dict(zip(keys, range(count)))`` — so a probe is a dict lookup; values
-are read record by record through the offset directories (sections 4-7).
-:func:`cached_reference_index` writes every build it makes and then
-attaches to it, so ``scan``, ``track``, ``query`` and ``serve`` all probe
-the same representation.
+Every prepared reference list is probed in this layout: the builder's
+:class:`~.shamfinder.PreparedReferences` only feeds :func:`encode_index`,
+and :class:`MmapPreparedReferences` attaches to the encoded bytes — to
+the ``mmap`` of a stored file (:meth:`ReferenceIndexStore.load_mmap`),
+or in memory when there is no store or it cannot be written
+(:func:`build_reference_index`).  Attaching costs one header parse plus
+structural checks (and, under ``verify=True``, one checksum pass), not
+an O(n) body build, so N serving worker processes share one page-cache
+copy of a stored index.  Each key section (folded labels, bucket
+skeletons) gets a *key map* on first use — the section decoded once,
+split once, and ``dict(zip(keys, range(count)))`` — so a probe is a dict
+lookup; values are read record by record through the offset directories
+(sections 4-7).
 
 Only the current format is read: a file of another version (such as the
 pre-mmap version-1 layout, or version 2 with its zero-padded decimal
@@ -80,6 +81,7 @@ __all__ = [
     "key_for",
     "build_reference_index",
     "cached_reference_index",
+    "encode_index",
 ]
 
 #: Bump when the on-disk layout changes; old files then read as misses.
@@ -175,14 +177,16 @@ def key_for(finder: ShamFinder, reference: Sequence[str | DomainName]) -> IndexK
 class ReferenceIndex:
     """A prepared reference set bound to the fingerprint that produced it."""
 
-    prepared: "PreparedReferences | MmapPreparedReferences"
+    prepared: MmapPreparedReferences
     key: IndexKey
     #: True when this instance came off disk rather than a fresh build.
     from_cache: bool = False
-    #: True when the prepared state is an :class:`MmapPreparedReferences`
-    #: probing the artifact in place rather than the builder's in-memory
-    #: :class:`~.shamfinder.PreparedReferences`.
-    mapped: bool = False
+
+    @property
+    def mapped(self) -> bool:
+        """True when the prepared state maps a stored artifact file, False
+        when it holds the artifact bytes in memory."""
+        return self.prepared.path is not None
 
     @property
     def fingerprint(self) -> str:
@@ -202,11 +206,18 @@ class ReferenceIndex:
 
 def build_reference_index(
     finder: ShamFinder,
-    reference: Sequence[str | DomainName],
+    reference: Iterable[str | DomainName],
 ) -> ReferenceIndex:
-    """Prepare *reference* and bind the result to its fingerprint."""
-    prepared = finder.prepare_references(reference)
-    return ReferenceIndex(prepared=prepared, key=key_for(finder, reference))
+    """Prepare *reference*, bound to its fingerprint and attached to its
+    artifact bytes in memory (``path`` and ``index_dir`` are ``None``)."""
+    items = reference if isinstance(reference, list) else list(reference)
+    return _build(finder, items, key_for(finder, items))
+
+
+def _build(finder: ShamFinder, reference: list, key: IndexKey) -> ReferenceIndex:
+    classes = finder.matcher.classes
+    return _attach(encode_index(PreparedReferences.build(reference, classes), key),
+                   None, classes, key, verify=False)
 
 
 # -- mmap readers -------------------------------------------------------------
@@ -249,16 +260,16 @@ class _PackedSection:
         """Every record decoded, and each one's position: one bytes copy
         of the section, one split and one ``dict`` build.
 
-        Two threads racing here build equal maps, and either may win.
+        :func:`_attach` checked that the section holds one separator fewer
+        than its records.  Two threads racing here build equal maps, and
+        either may win.
         """
         keyed = self._keyed
         if keyed is None:
-            section = self.buf[self.start:self.start + self.length].decode("utf-8")
-            records = section.split(self.separator)
-            if len(records) != self.count:
-                # No records (one empty split), or a record holds the
-                # separator: decode record by record through the directory.
-                records = list(map(self.record, range(self.count)))
+            records = []
+            if self.count:
+                section = self.buf[self.start:self.start + self.length].decode("utf-8")
+                records = section.split(self.separator)
             keyed = self._keyed = (records, dict(zip(records, range(self.count))))
         return keyed
 
@@ -272,11 +283,11 @@ class _PackedSection:
 
 
 class _MmapLabelView:
-    """Read-only mapping view over the label section of a mapped artifact.
+    """Read-only mapping view over the label section of an attached artifact.
 
-    Supports what the query path and the store actually use of
-    ``PreparedReferences.labels``: ``len``, ``get``, containment, and
-    iteration — each ``get`` is one key-map lookup plus one record read.
+    Supports what the query path uses of a label → packed-domains mapping:
+    ``len``, ``get``, containment, and iteration — each ``get`` is one
+    key-map lookup plus one record read.
     """
 
     __slots__ = ("_keys", "_values")
@@ -302,11 +313,12 @@ class _MmapLabelView:
 
 
 class MmapSkeletonIndex:
-    """Read-only skeleton hash-join index probing a mapped artifact.
+    """Read-only skeleton hash-join index probing an attached artifact.
 
-    Duck-types the probe surface of :class:`~.skeleton.SkeletonIndex`
-    (``classes``, :meth:`candidates_for`, ``buckets``, ``len``); mutation
-    is not supported — rebuild and store a fresh artifact instead.
+    The query form of the builder's :class:`~.skeleton.SkeletonIndex`
+    (``classes``, :meth:`candidates_for`, :meth:`buckets`,
+    :meth:`skeletons`, ``len``); mutation is not supported — build a
+    fresh index instead.
     """
 
     def __init__(
@@ -346,41 +358,50 @@ class MmapSkeletonIndex:
 
 
 class MmapPreparedReferences:
-    """Prepared references probing the artifact through ``mmap`` in place.
+    """Prepared references probing the ``refindex`` artifact in place.
 
-    Duck-types the query surface of
-    :class:`~.shamfinder.PreparedReferences` (``labels``, ``index``,
-    ``domain_count``, :meth:`references_for`): opening is one header
-    parse, and every probe is a key-map lookup plus a record read on the
-    shared page-cache copy of the file.  This is what lets N serving
-    worker processes attach to one index with no per-worker build
-    (:mod:`repro.serving`).
+    The one query form of a prepared reference list (``labels``,
+    ``index``, ``domain_count``, :meth:`references_for`).  The artifact is
+    either the ``mmap`` of a stored file (``path`` set) or the encoded
+    bytes in memory (``path`` ``None``); both are probed the same way.
+    Opening is one header parse, and every probe is a key-map lookup plus
+    a record read — on a stored file, the shared page-cache copy, which is
+    what lets N serving worker processes attach to one index with no
+    per-worker build (:mod:`repro.serving`).
 
-    Instances hold the underlying map open for their lifetime; they are
-    safe for concurrent readers and fork-inherited children, and
-    :meth:`close` (or GC) releases the map — the key maps hold decoded
-    copies, never a view of it.
+    Instances hold their buffer for their lifetime; they are safe for
+    concurrent readers and fork-inherited children.  A pickled instance
+    re-attaches by its path when file-backed (the body is not copied) and
+    carries its bytes otherwise, so a spawned scan worker gets the same
+    index.  :meth:`close` (or GC) releases a map — the key maps hold
+    decoded copies, never a view of it.
     """
 
     def __init__(
         self,
-        buf: mmap.mmap,
+        buf: mmap.mmap | bytes,
         labels: _MmapLabelView,
         index: MmapSkeletonIndex,
         domain_count: int,
-        path: Path,
+        path: Path | None,
     ) -> None:
         self._buf = buf
         self.labels = labels
         self.index = index
         self.domain_count = domain_count
-        #: The artifact file backing the map (what serving workers reopen).
+        #: The artifact file backing the map (what serving workers reopen),
+        #: or ``None`` when the bytes live in memory.
         self.path = path
 
     @property
-    def index_dir(self) -> Path:
-        """The directory holding the artifact (and the fold-table sidecar)."""
-        return Path(self.path).parent
+    def index_dir(self) -> Path | None:
+        """The directory holding the artifact (and the fold-table sidecar),
+        or ``None`` when the index was never stored."""
+        return None if self.path is None else Path(self.path).parent
+
+    def __reduce__(self):
+        source = self._buf if self.path is None else str(self.path)
+        return _reattach, (source, self.index.classes)
 
     def references_for(self, folded_label: str) -> tuple[str, ...]:
         """The reference domains (canonical ASCII) carrying *folded_label*."""
@@ -390,7 +411,9 @@ class MmapPreparedReferences:
         return tuple(group.split(PACK_SEPARATOR))
 
     def close(self) -> None:
-        """Release the underlying map (idempotent)."""
+        """Release a file-backed index's map (idempotent); bytes need no release."""
+        if not isinstance(self._buf, mmap.mmap):
+            return
         try:
             self._buf.close()
         except (BufferError, ValueError):  # still referenced / already closed
@@ -413,42 +436,14 @@ class ReferenceIndexStore:
     # -- store --------------------------------------------------------------
 
     def store(self, index: ReferenceIndex) -> Path:
-        """Persist a prepared index; returns the written path.
+        """Write the artifact *index* is attached to, as it is; returns the path.
 
         The file is written to a temp name and renamed so a concurrently
         cold-starting reader never sees a partially written artifact.
-        Sections are sorted by key; per-bucket member order is preserved,
-        so detection results are byte-identical to the in-memory build's.
         """
         self.index_dir.mkdir(parents=True, exist_ok=True)
         path = self.path_for(index.key)
-        prepared = index.prepared
-
-        labels = sorted(prepared.labels)
-        groups = list(map(prepared.labels.get, labels))
-        buckets = prepared.index.packed()
-        bucket_keys = sorted(buckets)
-        bucket_values = list(map(buckets.__getitem__, bucket_keys))
-
-        records = (labels, groups, bucket_keys, bucket_values)
-        separators = (_FIELD_SEPARATOR, _GROUP_SEPARATOR, _FIELD_SEPARATOR, _GROUP_SEPARATOR)
-        sections = [separator.join(section).encode("utf-8")
-                    for separator, section in zip(separators, records)]
-        sections += map(_offset_directory, records, sections, separators)
-        body = b"\n".join(sections)
-        header = {
-            "magic": INDEX_MAGIC,
-            "version": INDEX_FORMAT_VERSION,
-            "key": index.key.as_dict(),
-            "label_count": len(labels),
-            "bucket_count": len(bucket_keys),
-            "entry_count": len(prepared.index),
-            "domain_count": prepared.domain_count,
-            "section_bytes": [len(section) for section in sections],
-        }
-        header["sha256"] = artifact_checksum(header, body)
-        header_line = (json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8")
-        atomic_write(path, [header_line, body])
+        atomic_write(path, [index.prepared._buf])
         return path
 
     # -- attach -------------------------------------------------------------
@@ -472,7 +467,7 @@ class ReferenceIndexStore:
         directory widths, terminal offsets) are always checked, so a
         truncated file still reads as a miss.
         """
-        return self._open_mmap(self.path_for(key), finder, expect_key=key, verify=verify)
+        return _open_mmap(self.path_for(key), finder.matcher.classes, key, verify)
 
     def load_path(
         self,
@@ -487,28 +482,7 @@ class ReferenceIndexStore:
         artifact *path* plus the expected fingerprint, and each worker maps
         the same inode zero-copy (:mod:`repro.serving.server`).
         """
-        return self._open_mmap(Path(path), finder, expect_key=None, verify=verify)
-
-    def _open_mmap(
-        self,
-        path: Path,
-        finder: ShamFinder,
-        *,
-        expect_key: IndexKey | None,
-        verify: bool,
-    ) -> ReferenceIndex | None:
-        try:
-            with open(path, "rb") as handle:
-                buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):   # missing file or empty file
-            return None
-        try:
-            index = _attach(buf, path, finder, expect_key, verify)
-        except (ValueError, KeyError, TypeError, AttributeError, struct.error):
-            index = None
-        if index is None:
-            buf.close()
-        return index
+        return _open_mmap(Path(path), finder.matcher.classes, None, verify)
 
     # -- maintenance --------------------------------------------------------
 
@@ -537,14 +511,48 @@ class ReferenceIndexStore:
         return removed
 
 
-def _attach(
-    buf: mmap.mmap,
+def _open_mmap(
     path: Path,
-    finder: ShamFinder,
+    classes: CharacterClasses,
     expect_key: IndexKey | None,
     verify: bool,
 ) -> ReferenceIndex | None:
-    """Probe views over the mapped artifact *buf*, or ``None`` if it is unsound."""
+    """Attach to the ``mmap`` of the artifact file at *path*, or ``None``
+    when it is missing or unsound."""
+    try:
+        with open(path, "rb") as handle:
+            buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):   # missing file or empty file
+        return None
+    try:
+        index = _attach(buf, path, classes, expect_key, verify)
+    except (ValueError, KeyError, TypeError, AttributeError, struct.error):
+        index = None
+    if index is None:
+        buf.close()
+    return index
+
+
+def _reattach(source: str | bytes, classes: CharacterClasses) -> MmapPreparedReferences:
+    """Unpickle an attached index: map the artifact file again when
+    *source* is its path, or attach to *source* when it is the bytes."""
+    if isinstance(source, bytes):
+        return _attach(source, None, classes, None, verify=False).prepared
+    index = _open_mmap(Path(source), classes, None, verify=False)
+    if index is None:
+        raise RuntimeError(f"could not attach reference index {source}")
+    return index.prepared
+
+
+def _attach(
+    buf: mmap.mmap | bytes,
+    path: Path | None,
+    classes: CharacterClasses,
+    expect_key: IndexKey | None,
+    verify: bool,
+) -> ReferenceIndex | None:
+    """Probe views over the artifact in *buf*, read from the file at *path*
+    (``None`` for bytes in memory), or ``None`` if it is unsound."""
     newline = buf.find(b"\n")
     if newline < 0:
         return None
@@ -573,6 +581,12 @@ def _attach(
             buf, starts[dir_i] + (count - 1) * _OFFSET_WIDTH,
         )[0] != section_bytes[data_i]:
             return None   # directory disagrees with its section
+    for count, data_i in ((label_count, 0), (bucket_count, 2)):
+        # A key section is split on its separator (_PackedSection._key_map):
+        # it must hold one fewer than its records, and be empty with none.
+        keys = buf[starts[data_i]:starts[data_i] + section_bytes[data_i]]
+        if count and keys.count(_FIELD_SEPARATOR.encode()) != count - 1 or not count and keys:
+            return None
 
     def section(count: int, data_i: int, separator: str) -> _PackedSection:
         return _PackedSection(buf, starts[data_i], section_bytes[data_i], starts[data_i + 4],
@@ -581,29 +595,63 @@ def _attach(
     labels = _MmapLabelView(section(label_count, 0, _FIELD_SEPARATOR),
                             section(label_count, 1, _GROUP_SEPARATOR))
     index = MmapSkeletonIndex(
-        finder.matcher.classes,
+        classes,
         section(bucket_count, 2, _FIELD_SEPARATOR),
         section(bucket_count, 3, _GROUP_SEPARATOR),
         header["entry_count"],
     )
     prepared = MmapPreparedReferences(buf, labels, index, header["domain_count"], path)
-    return ReferenceIndex(prepared=prepared, key=key, from_cache=True, mapped=True)
+    return ReferenceIndex(prepared=prepared, key=key, from_cache=path is not None)
+
+
+def encode_index(prepared: PreparedReferences, key: IndexKey) -> bytes:
+    """The ``refindex`` artifact of the builder's *prepared* state under *key*.
+
+    Sections are sorted by key; per-bucket member order is preserved, so
+    detection results are byte-identical to the builder's.  A record that
+    holds its section's separator (which no IDNA label or domain does)
+    raises ``ValueError`` naming it: it would read back split.
+    """
+    labels = sorted(prepared.labels)
+    groups = list(map(prepared.labels.get, labels))
+    buckets = prepared.index.packed()
+    bucket_keys = sorted(buckets)
+    bucket_values = list(map(buckets.__getitem__, bucket_keys))
+
+    records = (labels, groups, bucket_keys, bucket_values)
+    separators = (_FIELD_SEPARATOR, _GROUP_SEPARATOR, _FIELD_SEPARATOR, _GROUP_SEPARATOR)
+    sections = [separator.join(section).encode("utf-8")
+                for separator, section in zip(separators, records)]
+    sections += map(_offset_directory, records, sections, separators)
+    body = b"\n".join(sections)
+    header = {
+        "magic": INDEX_MAGIC,
+        "version": INDEX_FORMAT_VERSION,
+        "key": key.as_dict(),
+        "label_count": len(labels),
+        "bucket_count": len(bucket_keys),
+        "entry_count": len(prepared.index),
+        "domain_count": prepared.domain_count,
+        "section_bytes": [len(section) for section in sections],
+    }
+    del sections   # the body is copied once more below: two artifact-sized buffers, not three
+    header["sha256"] = artifact_checksum(header, body)
+    return (json.dumps(header, ensure_ascii=False) + "\n").encode("utf-8") + body
 
 
 def _offset_directory(records: Sequence[str], section: bytes, separator: str) -> bytes:
     """END byte offsets of *records* within *section* — their join with
-    *separator*, UTF-8 encoded — as ``<u8``."""
+    *separator*, UTF-8 encoded — as ``<u8``; ``ValueError`` naming a
+    record that holds *separator*."""
+    if not records:
+        return b""
     # Every record but the last ends where a separator byte starts.
     ends = np.flatnonzero(np.frombuffer(section, dtype=np.uint8) == ord(separator))
-    if len(ends) + 1 == len(records):
-        return np.append(ends, len(section)).astype("<u8").tobytes()
-    # No records, or one holds the separator: a running sum of the record
-    # sizes plus one, less one.
-    sizes = np.fromiter(map(len, map(str.encode, records)), dtype="<u8", count=len(records))
-    sizes += 1
-    ends = sizes.cumsum()
-    ends -= 1
-    return ends.tobytes()
+    if len(ends) + 1 != len(records):
+        held = next(record for record in records if separator in record)
+        raise ValueError(f"reference index record {held!r} holds its section separator "
+                         f"{separator!r}")
+    return np.append(ends, len(section)).astype("<u8").tobytes()
 
 
 def _section_starts(header: dict, body_length: int) -> list[int] | None:
@@ -655,7 +703,8 @@ def cached_reference_index(
     cache's :func:`~repro.homoglyph.cache.cached_build`.  Whatever the
     store holds is attached as a map with a full checksum verification
     (this is its first open); a fresh build is written and then attached
-    the same way, unless the store cannot be written.
+    the same way.  A build the store cannot take stays attached to its
+    bytes in memory.
     """
     if store is None:
         return build_reference_index(finder, reference), False
@@ -664,7 +713,7 @@ def cached_reference_index(
         cached = store.load_mmap(key, finder, verify=True)
         if cached is not None:
             return cached, True
-    index = ReferenceIndex(prepared=finder.prepare_references(reference), key=key)
+    index = _build(finder, reference, key)
     try:
         store.store(index)
     except OSError as exc:

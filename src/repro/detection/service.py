@@ -6,9 +6,9 @@ many threads, in microseconds.  :class:`OnlineDetector` layers that on the
 skeleton hash-join:
 
 * the reference state is a load-once :class:`~.index.ReferenceIndex`
-  (built in-process, or ``mmap``-attached in place from a
-  :class:`~.index.ReferenceIndexStore` artifact), shared read-only by
-  every query;
+  (the ``refindex`` artifact attached in place: built in-process and held
+  in memory, or ``mmap``-ed from a :class:`~.index.ReferenceIndexStore`
+  file), shared read-only by every query;
 * per-label match results are memoised in a small thread-safe LRU keyed by
   the *folded* registrable label, so repeated queries for the same label —
   the common case for a service fronting live traffic — skip the join
@@ -20,10 +20,9 @@ skeleton hash-join:
   revert target inlined.
 
 The network layer on top of this class lives in :mod:`repro.serving`; the
-hooks it relies on are :meth:`OnlineDetector.reload_index` /
-:meth:`~OnlineDetector.reload_from_store` (hot index swap without
-dropping in-flight queries) and :meth:`~OnlineDetector.drain` (graceful
-shutdown barrier).
+hooks it relies on are :meth:`OnlineDetector.reload_index` (hot index
+swap without dropping in-flight queries) and :meth:`~OnlineDetector.drain`
+(graceful shutdown barrier).
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ class OnlineDetector:
             batch = self.finder.join_batch(
                 items, snapshot.prepared,
                 lambda label: self._matches_for(label, snapshot),
-                cache_dir=getattr(snapshot.prepared, "index_dir", None),
+                cache_dir=snapshot.prepared.index_dir,
             )
             verdicts = []
             errors = 0
@@ -330,23 +329,6 @@ class OnlineDetector:
             with self._stats.lock:
                 self._stats.reloads += 1
         return changed
-
-    def reload_from_store(
-        self,
-        store: ReferenceIndexStore,
-        reference: Sequence[str | DomainName],
-        *,
-        force_rebuild: bool = False,
-    ) -> bool:
-        """Rebuild/reload the index for *reference* through *store* and swap.
-
-        The hot-reload hook the server's SIGHUP / admin endpoint calls: the
-        new index is fully built or loaded **before** the swap, so queries
-        keep being served from the old generation until the new one is
-        ready.  Returns True when the fingerprint changed.
-        """
-        index, _hit = cached_reference_index(self.finder, reference, store, force=force_rebuild)
-        return self.reload_index(index)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Wait until no queries are in flight; True when idle was reached.

@@ -37,10 +37,11 @@ from ..idn.idna_codec import IDNAError
 from .algorithm import HomographMatcher, MatchResult, fold_label
 from .batchfold import FAST_LABEL, MIN_KERNEL_BATCH, DecodedLabels, kernel_for
 from .report import DetectionReport, HomographDetection
-from .skeleton import PACK_SEPARATOR, SkeletonIndex
+from .skeleton import PACK_SEPARATOR, CharacterClasses, SkeletonIndex
 
 if TYPE_CHECKING:
     from ..homoglyph.simchar import SimCharBuilder
+    from .index import MmapPreparedReferences
     from .revert import HomographReverter
 
 __all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches", "BatchJoin",
@@ -77,30 +78,55 @@ def _plain_registrable_labels(texts: list[str]) -> list[str]:
 
 @dataclass(frozen=True)
 class PreparedReferences:
-    """Reference list preprocessed for repeated/streamed detection.
+    """The builder's form of a prepared reference list.
 
-    Built once per scan by :meth:`ShamFinder.prepare_references` and
-    shipped to every worker: the case-folded registrable label of each
-    reference mapped back to the domains carrying it, plus the skeleton
-    hash-join index over those labels.  A stored index is attached instead
-    (:class:`~.index.MmapPreparedReferences`, the same query surface).
+    The case-folded registrable label of each reference mapped back to the
+    domains carrying it, plus the skeleton hash-join index over those
+    labels.  It only feeds the ``refindex`` encoder
+    (:func:`~.index.encode_index`); every query probes the encoded
+    artifact (:class:`~.index.MmapPreparedReferences`, what
+    :meth:`ShamFinder.prepare_references` returns).
     """
 
     #: case-folded registrable label → that label's reference domains in
-    #: canonical ASCII form, packed with :data:`REFERENCE_SEPARATOR` (use
-    #: :meth:`references_for` rather than reading this directly)
+    #: canonical ASCII form, packed with :data:`REFERENCE_SEPARATOR`
     labels: dict[str, str]
     #: skeleton hash-join index over the label keys
     index: SkeletonIndex
     #: number of reference domains that parsed (the paper's |M|)
     domain_count: int
 
-    def references_for(self, folded_label: str) -> tuple[str, ...]:
-        """The reference domains (canonical ASCII) carrying *folded_label*."""
-        group = self.labels.get(folded_label)
-        if not group:
-            return ()
-        return tuple(group.split(REFERENCE_SEPARATOR))
+    @classmethod
+    def build(
+        cls,
+        reference: Iterable[str | DomainName],
+        classes: CharacterClasses,
+    ) -> "PreparedReferences":
+        """Parse *reference* and bucket its labels by skeleton under *classes*.
+
+        Invalid reference domains are dropped.  One regex pass over the
+        whole list reads the registrable label of every plain name
+        (lowercase LDH ASCII, no ``xn--``); only the other references are
+        parsed as :class:`DomainName`.
+        """
+        items = reference if isinstance(reference, list) else list(reference)
+        texts = list(map(str, items))
+        plain = _plain_registrable_labels(texts)
+        groups: dict[str, list[str]] = {}
+        domain_count = 0
+        for item, text, label in zip(items, texts, plain):
+            if not label:
+                try:
+                    name = item if isinstance(item, DomainName) else DomainName(text)
+                except (IDNAError, ValueError):
+                    continue
+                label, text = fold_label(name.registrable_unicode), name.ascii
+            groups.setdefault(label, []).append(text)
+            domain_count += 1
+        labels = {label: REFERENCE_SEPARATOR.join(refs) for label, refs in groups.items()}
+        index = SkeletonIndex(classes)
+        index.extend(labels)
+        return cls(labels=labels, index=index, domain_count=domain_count)
 
 
 #: One label's skeleton-join outcome: each match paired with the reference
@@ -169,8 +195,9 @@ class ShamFinder:
     * prepared: :meth:`prepare_references` once, then
       :meth:`detect_prepared` per batch — the shape every higher layer
       (``StreamingScanner``, ``OnlineDetector``, the serving workers)
-      builds on, and the state the ``refindex-*.idx`` artifact persists
-      (:mod:`repro.detection.index`).
+      builds on.  Prepared references are always the ``refindex``
+      artifact attached in place, held in memory or mapped from a
+      stored ``refindex-*.idx`` file (:mod:`repro.detection.index`).
 
     All detection paths produce byte-identical
     :class:`~.report.HomographDetection` results; the subsystem map in
@@ -325,40 +352,23 @@ class ShamFinder:
 
     def prepare_references(
         self,
-        reference: Sequence[str | DomainName],
-    ) -> PreparedReferences:
+        reference: Iterable[str | DomainName],
+    ) -> MmapPreparedReferences:
         """Parse and index a reference list for repeated detection calls.
 
         Invalid reference domains are dropped (as in :meth:`detect`);
-        labels are case-folded once and bucketed by skeleton so matching a
-        candidate is a hash lookup instead of a length-bucket scan.  One
-        regex pass over the whole list reads the registrable label of every
-        plain name (lowercase LDH ASCII, no ``xn--``); only the other
-        references are parsed as :class:`DomainName`.
+        labels are case-folded once and bucketed by skeleton, so matching
+        a candidate is a hash lookup.  The result is the ``refindex``
+        artifact attached in memory (:func:`~.index.build_reference_index`).
         """
-        items = reference if isinstance(reference, list) else list(reference)
-        texts = list(map(str, items))
-        plain = _plain_registrable_labels(texts)
-        groups: dict[str, list[str]] = {}
-        domain_count = 0
-        for item, text, label in zip(items, texts, plain):
-            if not label:
-                try:
-                    name = item if isinstance(item, DomainName) else DomainName(text)
-                except (IDNAError, ValueError):
-                    continue
-                label, text = fold_label(name.registrable_unicode), name.ascii
-            groups.setdefault(label, []).append(text)
-            domain_count += 1
-        labels = {label: REFERENCE_SEPARATOR.join(refs) for label, refs in groups.items()}
-        index = SkeletonIndex(self.matcher.classes)
-        index.extend(labels)
-        return PreparedReferences(labels=labels, index=index, domain_count=domain_count)
+        from .index import build_reference_index   # index imports this module
+
+        return build_reference_index(self, reference).prepared
 
     def detect_prepared(
         self,
         idns: Iterable[str | DomainName],
-        prepared: PreparedReferences,
+        prepared: MmapPreparedReferences,
     ) -> tuple[list[HomographDetection], int, int]:
         """Detection core over pre-indexed references.
 
@@ -383,7 +393,7 @@ class ShamFinder:
     def join_batch(
         self,
         items: Iterable[str | DomainName],
-        prepared: PreparedReferences,
+        prepared: MmapPreparedReferences,
         join: Callable[[str], LabelMatches],
         *,
         cache_dir=None,
@@ -448,7 +458,7 @@ class ShamFinder:
         ]
         return BatchJoin(fast, decoded, joined)
 
-    def join_label(self, label: str, prepared: PreparedReferences) -> LabelMatches:
+    def join_label(self, label: str, prepared: MmapPreparedReferences) -> LabelMatches:
         """The scalar skeleton join for one registrable label."""
         joined = []
         for match in self.matcher.match_with_skeleton_index(label, prepared.index):

@@ -114,7 +114,7 @@ class SkeletonIndex:
 
     Labels are stored pre-case-folded in insertion order, preserving the
     multiplicity and relative order of the legacy length-bucket scan so
-    both paths return identical match lists.  Mutation (``add``) is not
+    both paths return identical match lists.  Mutation (``extend``) is not
     concurrency-safe; a built index is only read.
     """
 
@@ -122,10 +122,6 @@ class SkeletonIndex:
         self.classes = classes
         self._buckets: dict[str, list[str]] = {}
         self._size = 0
-
-    def add(self, folded_label: str) -> None:
-        """Index one (already case-folded) reference label."""
-        self.extend((folded_label,))
 
     def extend(self, folded_labels: Iterable[str]) -> None:
         """Index several (already case-folded) reference labels, in order."""
@@ -150,14 +146,6 @@ class SkeletonIndex:
         (the artifact form), in insertion order."""
         return {skeleton: PACK_SEPARATOR.join(bucket)
                 for skeleton, bucket in self._buckets.items()}
-
-    def skeletons(self) -> list[str]:
-        """All bucket keys, in insertion order.
-
-        The batch kernel (:mod:`.batchfold`) sorts these into its probe
-        array.
-        """
-        return list(self._buckets)
 
     @property
     def bucket_count(self) -> int:

@@ -15,13 +15,14 @@ module streams it instead:
   C-level newline count from a guess at its length, so no per-line object
   is made before the worker;
 * **sharded matching** — chunks are fanned out over worker processes that
-  share one :class:`~.shamfinder.PreparedReferences` (case-folded labels +
-  skeleton hash-join index).  The calling thread drives the workers, one
-  pipe each, with a bounded number of chunks in flight.  Fork children
-  inherit the prepared state; spawn and forkserver children rebuild it
-  from a picklable spec (an mmap-backed index re-attaches from its
-  artifact path), so every start method runs parallel.  A worker's
-  exception, failed start-up or death raises in the caller;
+  share one prepared reference index (case-folded labels + skeleton
+  hash-join index, :class:`~.index.MmapPreparedReferences`).  The calling
+  thread drives the workers, one pipe each, with a bounded number of
+  chunks in flight.  Fork children inherit the prepared state; spawn and
+  forkserver children unpickle it (a stored index re-attaches from its
+  artifact path, an in-memory one arrives as its bytes), so every start
+  method runs parallel.  A worker's exception, failed start-up or death
+  raises in the caller;
 * **JSONL result sink** — each detection is appended as one JSON object
   per line (:meth:`HomographDetection.as_dict`), flushed commit by commit.
   The worker that matched a chunk renders its lines, so the parent only
@@ -63,7 +64,7 @@ from itertools import compress, islice, repeat
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -73,7 +74,10 @@ from ..idn.idna_codec import ACE_PREFIX, split_labels
 from ..parallel.pool import pool_context
 from .batchfold import kernel_for
 from .report import DetectionReport, HomographDetection
-from .shamfinder import PreparedReferences, ShamFinder
+from .shamfinder import ShamFinder
+
+if TYPE_CHECKING:
+    from .index import MmapPreparedReferences
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -201,12 +205,6 @@ class ScanWorkerError(RuntimeError):
     """A scan worker process ended before returning its chunks' results."""
 
 
-#: Spec tag marking a prepared-references value that must be re-attached
-#: from the artifact path instead of arriving ready-made: an mmap-backed
-#: index cannot be pickled into a spawned worker, but the file it maps can
-#: be re-opened there (one O(header) open against the shared page cache).
-_MMAP_SPEC = "__mmap_index__"
-
 #: Chunks in flight per worker: one being matched, the rest queued in the
 #: worker.  When the workers fill every CPU, the parent waits to be
 #: scheduled before it can commit and hand out more; a deep queue keeps the
@@ -218,19 +216,6 @@ _IN_FLIGHT_PER_WORKER = 16
 #: Seconds a worker whose pipe closed gets to finish exiting, so its exit
 #: status can be reported.
 _EXIT_WAIT_S = 5.0
-
-
-def _attach_prepared(finder: ShamFinder, prepared):
-    """Resolve a worker's prepared-references value (spec or ready state)."""
-    if isinstance(prepared, tuple) and len(prepared) == 2 and prepared[0] == _MMAP_SPEC:
-        from .index import ReferenceIndexStore
-
-        path = Path(prepared[1])
-        index = ReferenceIndexStore(path.parent).load_path(path, finder)
-        if index is None:
-            raise RuntimeError(f"scan worker could not attach reference index {path}")
-        return index.prepared
-    return prepared
 
 
 class _Failure:
@@ -263,10 +248,12 @@ def _receive_chunks(conn, chunks: queue.SimpleQueue) -> None:
         chunks.put(None)
 
 
-def _scan_worker(conn, inherited, finder: ShamFinder, prepared, idn_only: bool,
-                 render: bool) -> None:
+def _scan_worker(conn, inherited, state: tuple | bytes) -> None:
     """A scan worker: match each chunk that arrives on *conn*, reply in order.
 
+    *state* is ``(finder, prepared, idn_only, render)``, pickled unless
+    this is a fork child: unpickling it here rather than at process start
+    lets a failure (a stored index whose file is gone) reach the parent.
     Chunks are received on a thread of their own, so the parent is never
     blocked sending a chunk while this process is blocked sending a result.
     *inherited* holds the parent's ends of the pipes a fork child inherits;
@@ -278,7 +265,8 @@ def _scan_worker(conn, inherited, finder: ShamFinder, prepared, idn_only: bool,
     # Ctrl-C reaches the whole process group; the parent stops the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        prepared = _attach_prepared(finder, prepared)
+        finder, prepared, idn_only, render = (
+            state if isinstance(state, tuple) else pickle.loads(state))
         chunks: queue.SimpleQueue = queue.SimpleQueue()
         threading.Thread(target=_receive_chunks, args=(conn, chunks), daemon=True).start()
         for chunk in iter(chunks.get, None):
@@ -431,7 +419,7 @@ def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
 
 def _process_chunk(
     finder: ShamFinder,
-    prepared: PreparedReferences,
+    prepared: MmapPreparedReferences,
     chunk: tuple[str, int],
     idn_only: bool,
     render: bool,
@@ -581,12 +569,13 @@ class _ScanWorkers:
         self._workers: list[_Worker] = []
         self._owner: dict = {}
         fork = context.get_start_method() == "fork"
+        state = args if fork else pickle.dumps(args)
         try:
             for _ in range(jobs):
                 ours, theirs = context.Pipe()
                 inherited = [w.conn for w in self._workers] + [ours] if fork else []
                 process = context.Process(target=_scan_worker, daemon=True,
-                                          args=(theirs, inherited, *args))
+                                          args=(theirs, inherited, state))
                 process.start()
                 theirs.close()
                 self._workers.append(_Worker(process, ours, deque()))
@@ -714,7 +703,7 @@ class StreamingScanner:
         chunk_size: int = 2000,
         jobs: int = 1,
         idn_only: bool = True,
-        prepared: PreparedReferences | None = None,
+        prepared: MmapPreparedReferences | None = None,
         start_method: str | None = None,
     ) -> None:
         if chunk_size < 1:
@@ -883,7 +872,7 @@ class StreamingScanner:
         # memoized on the finder they are sent), and whenever the prepared
         # references are attached from an index directory, whose fold-table
         # sidecar a warm run then loads instead of rebuilding.
-        index_dir = getattr(self.prepared, "index_dir", None)
+        index_dir = self.prepared.index_dir
         if self.jobs > 1 or index_dir is not None:
             kernel_for(self.finder.matcher, self.prepared, cache_dir=index_dir)
         if self.jobs == 1:
@@ -891,28 +880,13 @@ class StreamingScanner:
                 yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only, render)]
             return
         context = pool_context(self.start_method)
-        workers = _ScanWorkers(context, self.jobs, chunks, (
-            self.finder, self._worker_prepared(context.get_start_method()),
-            self.idn_only, render))
+        workers = _ScanWorkers(context, self.jobs, chunks,
+                               (self.finder, self.prepared, self.idn_only, render))
         try:
             for first in workers:
                 yield [first, *workers.drain()]
         finally:
             workers.close()
-
-    def _worker_prepared(self, method: str):
-        """What the workers are sent as the prepared references.
-
-        A fork child inherits the in-process object (mmap-backed or not).
-        Spawn and forkserver children get their arguments pickled: an
-        mmap-backed index is replaced by a re-attach spec (its artifact
-        path) and each worker re-opens the same inode; in-memory state
-        pickles directly.
-        """
-        path = getattr(self.prepared, "path", None)
-        if method == "fork" or path is None:
-            return self.prepared
-        return (_MMAP_SPEC, str(path))
 
     @staticmethod
     def _fold(batch: list[tuple], stats: ScanStats) -> list:

@@ -393,7 +393,7 @@ class LongitudinalTracker:
         self.reference = list(reference)
         self.reference_fingerprint = reference_fingerprint(self.reference)
         self.state_dir = Path(state_dir)
-        # *prepared* (a PreparedReferences, e.g. from a loaded ReferenceIndex
+        # *prepared* (an attached index, e.g. from a stored ReferenceIndex
         # artifact) skips the per-run reference warm-up; the reference
         # fingerprint above still guards resume correctness.
         self.scanner = StreamingScanner(

@@ -434,7 +434,7 @@ class HomographServer:
                 return {"error": f"reload failed: {exc}"}
             previous = self.fingerprint
             if self.pool is not None:
-                path = getattr(new_index.prepared, "path", None)
+                path = new_index.prepared.path
                 if path is None:
                     return {
                         "error": "reload produced an unmapped index; "

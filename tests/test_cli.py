@@ -331,6 +331,7 @@ def test_query_stats_on_stderr(tmp_path, capsys, union_db):
     stats = json.loads(capsys.readouterr().err)
     assert stats["queries"] == 2
     assert stats["cache_hits"] == 1
+    assert stats["index_mapped"] is False   # no --index-dir: held in memory
 
 
 def test_query_index_dir_builds_and_reuses_artifact(tmp_path, capsys, union_db):
@@ -346,12 +347,12 @@ def test_query_index_dir_builds_and_reuses_artifact(tmp_path, capsys, union_db):
 
     assert main(base + ["--build-index"]) == 0
     stats = json.loads(capsys.readouterr().err)
-    assert stats["index_from_cache"] is False
+    assert stats["index_from_cache"] is False and stats["index_mapped"] is True
     assert list(index_dir.glob("refindex-*.idx"))
 
     assert main(base) == 0
     stats = json.loads(capsys.readouterr().err)
-    assert stats["index_from_cache"] is True
+    assert stats["index_from_cache"] is True and stats["index_mapped"] is True
 
 
 def test_query_missing_database_is_one_line_error(tmp_path, capsys):
@@ -446,8 +447,13 @@ def test_scan_and_track_with_an_index_dir_hold_a_mapped_index(tmp_path, capsys, 
     assert main(["track", "-s", f"2019-05-01={zone}", "--state-dir", str(tmp_path / "state"),
                  *common]) == 0
     capsys.readouterr()
-    assert len(held) == 3
+    # Without --index-dir the same type holds the artifact bytes in memory.
+    assert main(["scan", "-i", str(input_path), "-o", str(tmp_path / "out.jsonl"),
+                 *common[:4]]) == 0
+    assert json.loads(capsys.readouterr().out)["detection_count"] == 1
+    assert len(held) == 4
     assert all(isinstance(prepared, MmapPreparedReferences) for prepared in held)
+    assert [prepared.path is None for prepared in held] == [False, False, False, True]
 
 
 def test_warm_index_dir_scan_and_track_read_the_fold_table_sidecar(tmp_path, capsys, union_db,

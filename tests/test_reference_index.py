@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import pickle
+import struct
 import tempfile
 
 import pytest
@@ -9,15 +11,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles.reference_prepare import offset_directory
+from repro.detection import index as index_module
 from repro.detection.index import (
     INDEX_FORMAT_VERSION,
     INDEX_MAGIC,
     IndexKey,
     MmapPreparedReferences,
-    ReferenceIndex,
     ReferenceIndexStore,
     build_reference_index,
     cached_reference_index,
+    encode_index,
     key_for,
     reference_list_hash,
 )
@@ -109,7 +112,7 @@ def test_loaded_references_are_canonical(tmp_path, small_finder):
 
 def test_store_none_degrades_to_in_memory_build(small_finder):
     index, hit = cached_reference_index(small_finder, REFERENCE, None)
-    assert not hit and not index.from_cache
+    assert not hit and not index.from_cache and not index.mapped
     assert index.domain_count == len(REFERENCE)
 
 
@@ -194,10 +197,16 @@ def test_unwritable_store_degrades_to_a_warning(tmp_path, small_finder):
     store = ReferenceIndexStore(target)
     with pytest.warns(UserWarning, match="could not persist reference index"):
         index, hit = cached_reference_index(small_finder, REFERENCE, store)
-    assert not hit and not index.mapped   # the builder's in-memory state, as built
+    # Attached to its artifact bytes in memory: the same query type, no file.
+    assert not hit and not index.mapped and not index.from_cache
+    assert isinstance(index.prepared, MmapPreparedReferences)
+    assert index.prepared.path is None and index.prepared.index_dir is None
     assert index.domain_count == len(REFERENCE)
     assert _detect(small_finder, index.prepared) == _detect(
-        small_finder, build_reference_index(small_finder, REFERENCE).prepared)
+        small_finder, cached_reference_index(small_finder, REFERENCE,
+                                             ReferenceIndexStore(tmp_path / "ok"))[0].prepared)
+    index.prepared.close()   # nothing to release, and still probes
+    assert index.prepared.references_for("google") == ("google.com", "google.net")
 
 
 def test_entries_and_clear(tmp_path, small_finder):
@@ -305,9 +314,9 @@ def test_prepared_references_carry_their_index_dir(tmp_path, small_finder):
     # The fold-table sidecar lives beside the artifact: every index attached
     # from a store says which directory that is; an in-memory build has none.
     store = ReferenceIndexStore(tmp_path / "idx")
-    assert getattr(small_finder.prepare_references(REFERENCE), "index_dir", None) is None
+    assert small_finder.prepare_references(REFERENCE).index_dir is None
     unstored = cached_reference_index(small_finder, REFERENCE, None)[0]
-    assert getattr(unstored.prepared, "index_dir", None) is None
+    assert unstored.prepared.index_dir is None
     for force in (True, False):   # fresh build, then a cache hit
         index, hit = cached_reference_index(small_finder, REFERENCE, store, force=force)
         assert hit is not force and index.mapped
@@ -316,7 +325,7 @@ def test_prepared_references_carry_their_index_dir(tmp_path, small_finder):
     blocked.write_text("a file, not a directory", encoding="utf-8")
     with pytest.warns(UserWarning):
         index, _ = cached_reference_index(small_finder, REFERENCE, ReferenceIndexStore(blocked))
-    assert getattr(index.prepared, "index_dir", None) is None   # never persisted
+    assert index.prepared.index_dir is None   # never persisted
 
 
 def test_close_releases_the_map_after_probes(tmp_path, small_finder):
@@ -330,20 +339,21 @@ def test_close_releases_the_map_after_probes(tmp_path, small_finder):
     mapped.close()              # idempotent
 
 
-# -- key maps against the builder's in-memory state ----------------------------
+# -- key maps against the builder's state ---------------------------------------
 
 #: Label characters: confusable pairs (so skeletons collide and buckets hold
 #: several members), a multi-byte letter, and both section separators.
 _KEY_ALPHABET = "aаoоbé\x1f\x1e"
+_SEPARATORS = (PACK_SEPARATOR, "\x1e")
 
 
-def _packable(buckets):
-    """The buckets whose members survive packing: a bucket's members are
-    joined with :data:`PACK_SEPARATOR`, so a label holding it cannot be a
-    member (IDNA labels never hold a C0 control).  Its skeleton still
-    holds the separator, and must still probe as a key."""
-    return {skeleton: members for skeleton, members in buckets
-            if PACK_SEPARATOR not in skeleton}
+def _attached_both_ways(directory, finder, built, key):
+    """*built* encoded, attached to its bytes and mapped from a stored file."""
+    data = encode_index(built, key)
+    in_memory = index_module._attach(data, None, finder.matcher.classes, key, verify=True)
+    store = ReferenceIndexStore(directory)
+    store.store(in_memory)
+    return [in_memory.prepared, store.load_mmap(key, finder, verify=True).prepared]
 
 
 @settings(max_examples=150, deadline=None,
@@ -352,11 +362,13 @@ def _packable(buckets):
                        st.lists(st.sampled_from(["com", "net", "org"]), min_size=1, max_size=3),
                        max_size=12),
        st.lists(st.text(_KEY_ALPHABET, max_size=5), max_size=6))
-# Keys holding their section's separator: the key map is decoded through
-# the directory, and every other key must still probe.
+# Labels holding a section separator (no IDNA label does) are refused by
+# the encoder rather than written to read back split.
 @example(groups={"apple": ["com"], "g\x1foogle": ["net"], "google": ["com", "org"]},
          probes=["gооgle"])
 @example(groups={"\x1f": ["com"], "\x1e": ["net"]}, probes=[""])
+@example(groups={"g\x1eoogle": ["com"]}, probes=[])
+@example(groups={}, probes=["a"])
 def test_key_mapped_index_matches_the_builder(small_finder, groups, probes):
     labels = {label: REFERENCE_SEPARATOR.join(f"x{n}.{tld}" for n, tld in enumerate(tlds))
               for label, tlds in groups.items()}
@@ -365,26 +377,80 @@ def test_key_mapped_index_matches_the_builder(small_finder, groups, probes):
     built = PreparedReferences(labels=labels, index=skeleton_index,
                                domain_count=sum(map(len, groups.values())))
     key = key_for(small_finder, sorted(groups))
+    held = [label for label in labels if any(sep in label for sep in _SEPARATORS)]
+    if held:
+        with pytest.raises(ValueError, match="holds its section separator"):
+            encode_index(built, key)
+        return
     with tempfile.TemporaryDirectory() as directory:
-        store = ReferenceIndexStore(directory)
-        store.store(ReferenceIndex(prepared=built, key=key))
-        mapped = store.load_mmap(key, small_finder, verify=True).prepared
-        try:
-            assert len(mapped.labels) == len(built.labels)
-            assert list(mapped.labels) == sorted(built.labels)
-            for label in [*labels, *probes]:
-                assert (label in mapped.labels) == (label in built.labels)
-                assert mapped.labels.get(label) == built.labels.get(label)
-                assert mapped.references_for(label) == built.references_for(label)
-                if PACK_SEPARATOR not in label:   # see _packable
+        for mapped in _attached_both_ways(directory, small_finder, built, key):
+            try:
+                assert len(mapped.labels) == len(built.labels)
+                assert list(mapped.labels) == sorted(built.labels)
+                for label in [*labels, *probes]:
+                    assert (label in mapped.labels) == (label in built.labels)
+                    assert mapped.labels.get(label) == built.labels.get(label)
+                    group = built.labels.get(label)
+                    assert mapped.references_for(label) == (
+                        tuple(group.split(REFERENCE_SEPARATOR)) if group else ())
                     assert mapped.index.candidates_for(label) == built.index.candidates_for(label)
-            assert mapped.index.skeletons() == sorted(built.index.skeletons())
-            assert _packable(mapped.index.buckets()) == _packable(built.index.buckets())
-            assert len(mapped.index) == len(built.index)
-            assert mapped.index.bucket_count == built.index.bucket_count
-            assert mapped.domain_count == built.domain_count
-        finally:
-            mapped.close()
+                assert mapped.index.skeletons() == sorted(dict(built.index.buckets()))
+                assert dict(mapped.index.buckets()) == dict(built.index.buckets())
+                assert len(mapped.index) == len(built.index)
+                assert mapped.index.bucket_count == built.index.bucket_count
+                assert mapped.domain_count == built.domain_count
+            finally:
+                mapped.close()
+
+
+def test_a_key_holding_its_separator_reads_as_unsound(tmp_path, small_finder, monkeypatch):
+    # An artifact whose key section splits into more records than its
+    # header counts (as an encoder without the separator check would
+    # write one) must read as a miss, never as a mis-split index.
+    skeleton_index = SkeletonIndex(small_finder.matcher.classes)
+    skeleton_index.extend(["g\x1foogle", "apple"])
+    built = PreparedReferences(labels={"g\x1foogle": "g.com", "apple": "apple.com"},
+                               index=skeleton_index, domain_count=2)
+    monkeypatch.setattr(index_module, "_offset_directory",
+                        lambda records, _section, _separator:
+                        struct.pack(f"<{len(records)}Q", *offset_directory(records)))
+    key = key_for(small_finder, ["g.com", "apple.com"])
+    store = ReferenceIndexStore(tmp_path)
+    store.path_for(key).write_bytes(encode_index(built, key))
+    assert store.load_mmap(key, small_finder, verify=True) is None
+    assert store.load_path(store.path_for(key), small_finder) is None
+
+
+# -- the pickle rule -----------------------------------------------------------
+
+
+def test_pickling_re_attaches_by_path_or_carries_the_bytes(tmp_path, small_finder):
+    stored = cached_reference_index(small_finder, REFERENCE, ReferenceIndexStore(tmp_path))[0]
+    in_memory = build_reference_index(small_finder, REFERENCE)
+    body = stored.prepared.path.read_bytes()
+    assert stored.mapped and not in_memory.mapped
+
+    # File-backed: the pickle names the artifact, it does not carry it.
+    payload = pickle.dumps(stored)
+    assert str(stored.prepared.path).encode() in payload
+    assert INDEX_MAGIC.encode() not in payload and body[-64:] not in payload
+    # Bytes-backed: the pickle carries exactly the artifact bytes.
+    assert body in pickle.dumps(in_memory)
+
+    for index in (stored, in_memory):
+        again = pickle.loads(pickle.dumps(index))
+        assert again.key == index.key and again.mapped == index.mapped
+        assert again.prepared.path == index.prepared.path
+        assert _detect(small_finder, again.prepared) == _detect(small_finder, index.prepared)
+        again.prepared.close()
+
+
+def test_pickled_file_backed_index_whose_file_is_gone_fails_to_attach(tmp_path, small_finder):
+    stored = cached_reference_index(small_finder, REFERENCE, ReferenceIndexStore(tmp_path))[0]
+    payload = pickle.dumps(stored.prepared)
+    stored.prepared.path.unlink()
+    with pytest.raises(RuntimeError, match="could not attach reference index"):
+        pickle.loads(payload)
 
 
 # -- format-version-1 artifacts ------------------------------------------------
@@ -395,7 +461,7 @@ def _write_v1_artifact(store: ReferenceIndexStore, finder, reference):
     index = build_reference_index(finder, reference)
     prepared = index.prepared
     labels = list(prepared.labels)
-    groups = [prepared.labels[label] for label in labels]
+    groups = [prepared.labels.get(label) for label in labels]
     buckets = dict(prepared.index.buckets())
     sections = [
         PACK_SEPARATOR.join(labels),
@@ -442,7 +508,7 @@ def _write_v2_artifact(store: ReferenceIndexStore, finder, reference):
     index = build_reference_index(finder, reference)
     prepared = index.prepared
     labels = sorted(prepared.labels)
-    groups = [prepared.labels[label] for label in labels]
+    groups = [prepared.labels.get(label) for label in labels]
     buckets = dict(prepared.index.buckets())
     bucket_keys = sorted(buckets)
     bucket_values = [PACK_SEPARATOR.join(buckets[key]) for key in bucket_keys]

@@ -6,7 +6,9 @@ the outcome it pins:
 
 * every start method: the ``jobs=2`` sink and counters equal ``jobs=1``'s,
   also with an mmap-attached index (spawn and forkserver re-attach it),
-  and on IDN-dense chunks whose sink lines the workers render;
+  and on IDN-dense chunks whose sink lines the workers render; an index
+  held in memory (pickled with its bytes) and a stored one (pickled as
+  its path) give the same sink under one process, fork and spawn;
   ``scan_to_report`` still returns detection objects;
 * the fold table: a scan builds it once, in the parent, under every
   start method;
@@ -112,6 +114,23 @@ def test_workers_equal_one_process_under_every_start_method(finder, tmp_path, me
     assert (tmp_path / "two.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
     assert _counts(stats) == _counts(serial_stats)
     assert stats.detection_count > 0
+
+
+def test_in_memory_and_stored_indexes_give_one_sink_under_fork_and_spawn(finder, tmp_path):
+    in_memory = cached_reference_index(finder, REFERENCES, None)[0].prepared
+    stored = _attached_index(finder, tmp_path / "index").prepared
+    assert in_memory.path is None and stored.path is not None
+    corpus = _write_zone(tmp_path / "zone.txt", 400)
+    runs = [(1, None)] + [(2, method) for method in ("fork", "spawn") if method in METHODS]
+    sinks = {}
+    for name, prepared in (("in-memory", in_memory), ("stored", stored)):
+        for jobs, method in runs:
+            out = tmp_path / f"{name}-{jobs}-{method}.jsonl"
+            StreamingScanner(finder, REFERENCES, chunk_size=25, jobs=jobs, prepared=prepared,
+                             start_method=method).scan_file(corpus, out)
+            sinks[out.name] = out.read_bytes()
+    assert sinks["stored-1-None.jsonl"].count(b"\n") > 0   # detections were written
+    assert len(sinks) == 2 * len(runs) and len(set(sinks.values())) == 1
 
 
 def _write_idn_zone(path: Path, count: int) -> Path:
