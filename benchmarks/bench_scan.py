@@ -38,7 +38,13 @@ from repro.detection import batchfold
 from repro.detection.algorithm import HomographMatcher
 from repro.detection.batchfold import kernel_for
 from repro.detection.shamfinder import ShamFinder
-from repro.detection.stream import StreamingScanner, _step_ii, is_idn_candidate, read_sink
+from repro.detection.stream import (
+    StreamingScanner,
+    _sink_lines,
+    _step_ii,
+    is_idn_candidate,
+    read_sink,
+)
 from repro.homoglyph.database import SOURCE_SIMCHAR, SOURCE_UC, HomoglyphDatabase
 from repro.idn.idna_codec import to_ascii_label
 from repro.parallel.pool import pool_context, worker_pids
@@ -365,29 +371,29 @@ def _idn_dense_zone(path, seed: int = 20191017) -> tuple[int, int]:
 
 
 def _hit_row_us_per_detection(finder, prepared, batches) -> float:
-    """The bucket-hit rows' cost per detection, best of three: the scalar
-    join of every label the kernel did not prove matchless, the detections
-    of every joined name and their sink lines."""
-    labels, rows = [], []
+    """The bucket-hit rows' cost per detection, best of three, timed on the
+    path a rendering scan chunk runs (``stream._process_chunk``): the join
+    of every label the kernel did not prove matchless, under its name's
+    TLD, and the sink lines rendered from the hit rows."""
+    joins, hits = [], []
+    join_label = finder.join_label
 
-    def join(label):
-        labels.append(label)
-        return finder.join_label(label, prepared)
+    def recording_join(label, prepared, tld=None):
+        joins.append((label, tld))
+        return join_label(label, prepared, tld)
 
-    for candidates in batches:
-        batch = finder.join_batch(candidates, prepared, join)
-        rows += [(name, matches) for name, _label, matches, error in batch.joined
-                 if error is None]
+    with mock.patch.object(finder, "join_label", recording_join):
+        for candidates in batches:
+            hits += finder.hit_rows(candidates, prepared)[0]
     best = float("inf")
     for _ in range(3):
         begin = time.perf_counter()
-        for label in labels:
-            finder.join_label(label, prepared)
-        detections = [d for name, matches in rows for d in finder.detections_for(name, matches)]
-        "".join([detection.as_json() + "\n" for detection in detections])
+        for label, tld in joins:
+            join_label(label, prepared, tld)
+        lines = _sink_lines(hits)
         best = min(best, time.perf_counter() - begin)
-    assert detections
-    return 1e6 * best / len(detections)
+    assert lines
+    return 1e6 * best / len(lines)
 
 
 def test_idn_dense_scan(tmp_path):

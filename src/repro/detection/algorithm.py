@@ -36,7 +36,7 @@ from .skeleton import CharacterClasses, SkeletonIndex
 
 # fold_label moved to repro.idn.idna_codec (so the IDNA layer can use it
 # without importing detection); re-exported here for compatibility.
-__all__ = ["CharacterSubstitution", "MatchResult", "HomographMatcher", "fold_label"]
+__all__ = ["CharacterSubstitution", "MatchResult", "HomographMatcher", "fold_label", "substitution"]
 
 _new, _set_fields = object.__new__, object.__setattr__
 
@@ -77,6 +77,15 @@ class MatchResult:
     def substitution_count(self) -> int:
         """Number of positions where a homoglyph substitution occurred."""
         return len(self.substitutions)
+
+
+def substitution(position: int, candidate_char: str, reference_char: str) -> CharacterSubstitution:
+    """A :class:`CharacterSubstitution`, made without the frozen
+    dataclass's per-field ``__init__``."""
+    made = _new(CharacterSubstitution)
+    _set_fields(made, "__dict__", {
+        "position": position, "candidate_char": candidate_char, "reference_char": reference_char})
+    return made
 
 
 class HomographMatcher:
@@ -122,37 +131,48 @@ class HomographMatcher:
         return (self._match_folded(candidate, reference)
                 or MatchResult(candidate, reference, False))
 
-    def _match_folded(self, candidate: str, reference: str) -> MatchResult | None:
-        """Algorithm 1 core over labels that are already case-folded: the
-        match, or ``None`` when *candidate* is no homograph of *reference*.
+    def substitutions(self, candidate: str, reference: str) -> tuple[tuple, frozenset[str]] | None:
+        """Algorithm 1 over two case-folded labels, without objects:
+        ``(substitutions, sources)`` when *candidate* is a homograph of
+        *reference*, else ``None``.
 
-        Each differing position's pair is looked up once, and the match's
-        sources are those of the pairs found.  The result objects are made
-        only for a match, without their generated ``__init__`` (a frozen
-        dataclass sets each field through ``object.__setattr__``).
+        ``substitutions`` holds one ``(position, candidate_char,
+        reference_char)`` triple per differing position, in position
+        order; each position's pair is looked up once, and ``sources`` are
+        those of the pairs found.
         """
         if len(candidate) != len(reference):
             return None
-        differing = list(compress(count(), map(ne, candidate, reference)))
-        if not differing:
-            return None
         get = self.database.get
         substitutions = []
-        sources: frozenset[str] = frozenset()
-        for position in differing:
+        sources: frozenset[str] | None = None
+        for position in compress(count(), map(ne, candidate, reference)):
             cand_char, ref_char = candidate[position], reference[position]
             pair = get(cand_char, ref_char)
             if pair is None:
                 return None
-            substitution = _new(CharacterSubstitution)
-            _set_fields(substitution, "__dict__", {
-                "position": position, "candidate_char": cand_char, "reference_char": ref_char})
-            substitutions.append(substitution)
-            sources = sources | pair.sources if sources else pair.sources
+            substitutions.append((position, cand_char, ref_char))
+            sources = pair.sources if sources is None else sources | pair.sources
+        if sources is None:
+            return None
+        return tuple(substitutions), sources
+
+    def _match_folded(self, candidate: str, reference: str) -> MatchResult | None:
+        """:meth:`substitutions` as a :class:`MatchResult`, or ``None``.
+
+        The result objects are made only for a match, without their
+        generated ``__init__`` (a frozen dataclass sets each field through
+        ``object.__setattr__``).
+        """
+        found = self.substitutions(candidate, reference)
+        if found is None:
+            return None
+        substitutions, sources = found
         match = _new(MatchResult)
         _set_fields(match, "__dict__", {
             "candidate": candidate, "reference": reference, "is_homograph": True,
-            "substitutions": tuple(substitutions), "invisibles": (), "sources": sources})
+            "substitutions": tuple([substitution(*triple) for triple in substitutions]),
+            "invisibles": (), "sources": sources})
         return match
 
     def is_homograph(self, candidate: str, reference: str) -> bool:

@@ -20,7 +20,42 @@ from ..homoglyph.database import SOURCE_INVISIBLE, SOURCE_SIMCHAR, SOURCE_UC
 from ..homoglyph.invisible import InvisibleFinding
 from .algorithm import CharacterSubstitution
 
-__all__ = ["HomographDetection", "DetectionReport"]
+__all__ = ["HomographDetection", "DetectionReport", "detection_json"]
+
+
+def detection_json(
+    idn: str,
+    unicode: str,
+    reference: str,
+    substitutions: Iterable[tuple[int, str, str]],
+    sources: Iterable[str],
+    invisibles: Iterable[InvisibleFinding] = (),
+) -> str:
+    """One detection's sink line, without its newline, written field by
+    field: what ``json.dumps(detection.as_dict(), ensure_ascii=False)``
+    writes for the :class:`HomographDetection` of these fields.
+
+    *substitutions* are ``(position, candidate_char, reference_char)``
+    triples, so a scan renders its bucket-hit rows with no detection
+    object.
+    """
+    substituted = ", ".join([
+        f'{{"position": {position}, "candidate": {_quote(cand_char)}, '
+        f'"reference": {_quote(ref_char)}}}'
+        for position, cand_char, ref_char in substitutions
+    ])
+    credited = ", ".join(map(_quote, sorted(sources)))
+    line = (f'{{"idn": {_quote(idn)}, "unicode": {_quote(unicode)}, '
+            f'"reference": {_quote(reference)}, "substitutions": [{substituted}], '
+            f'"sources": [{credited}]')
+    if invisibles:
+        stripped = ", ".join([
+            f'{{"position": {f.position}, "char": {_quote(f.char)}, '
+            f'"category": {_quote(f.category)}}}'
+            for f in invisibles
+        ])
+        line += f', "invisibles": [{stripped}]'
+    return line + "}"
 
 
 @dataclass(frozen=True)
@@ -84,25 +119,12 @@ class HomographDetection:
         return payload
 
     def as_json(self) -> str:
-        """``json.dumps(self.as_dict(), ensure_ascii=False)``, written field
-        by field (one streaming-sink line, without its newline)."""
-        substitutions = ", ".join([
-            f'{{"position": {s.position}, "candidate": {_quote(s.candidate_char)}, '
-            f'"reference": {_quote(s.reference_char)}}}'
-            for s in self.substitutions
-        ])
-        sources = ", ".join(map(_quote, sorted(self.sources)))
-        line = (f'{{"idn": {_quote(self.idn)}, "unicode": {_quote(self.idn_unicode)}, '
-                f'"reference": {_quote(self.reference)}, "substitutions": [{substitutions}], '
-                f'"sources": [{sources}]')
-        if self.invisibles:
-            invisibles = ", ".join([
-                f'{{"position": {f.position}, "char": {_quote(f.char)}, '
-                f'"category": {_quote(f.category)}}}'
-                for f in self.invisibles
-            ])
-            line += f', "invisibles": [{invisibles}]'
-        return line + "}"
+        """``json.dumps(self.as_dict(), ensure_ascii=False)`` (one
+        streaming-sink line, without its newline; see :func:`detection_json`)."""
+        return detection_json(
+            self.idn, self.idn_unicode, self.reference,
+            [(s.position, s.candidate_char, s.reference_char) for s in self.substitutions],
+            self.sources, self.invisibles)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HomographDetection":

@@ -221,7 +221,7 @@ class OnlineDetector:
         try:
             batch = self.finder.join_batch(
                 items, snapshot.prepared,
-                lambda label: self._matches_for(label, snapshot),
+                lambda label, _name: self._matches_for(label, snapshot),
                 cache_dir=snapshot.prepared.index_dir,
             )
             verdicts = []
@@ -232,17 +232,21 @@ class OnlineDetector:
                 if fast:
                     label = batch.decoded.get(position)
                     verdicts.append(_fast_miss_verdict(text) if label is None
-                                    else self._idn_miss_verdict(text, label))
+                                    else self._decoded_verdict(text, label))
                     continue
                 name, label, matches, error = next(joined)
                 if error is not None:
                     errors += 1
                     verdicts.append(QueryVerdict(domain=text, error=str(error)))
                     continue
+                if not isinstance(name, DomainName):
+                    verdicts.append(self._decoded_verdict(text, label, matches))
+                    continue
                 is_idn = name.has_idn_registrable_label
                 verdicts.append(QueryVerdict(
                     domain=text, ascii=name.ascii, unicode=name.unicode, is_idn=is_idn,
-                    detections=tuple(self.finder.detections_for(name, matches)),
+                    detections=tuple(self.finder.detections_for(name.ascii, name.unicode,
+                                                                matches)),
                     revert=self._revert(label, name.tld) if is_idn else None,
                 ))
             with self._stats.lock:
@@ -265,13 +269,16 @@ class OnlineDetector:
             return None
         return f"{original}.{tld}"
 
-    def _idn_miss_verdict(self, text: str, label: str) -> QueryVerdict:
-        """The verdict of an IDN fast miss: *text* is its ASCII form and
-        *label* its decoded registrable U-label, which replaces the
+    def _decoded_verdict(self, text: str, label: str, matches: LabelMatches = ()) -> QueryVerdict:
+        """The verdict of an IDN whose registrable A-label the kernel
+        decoded, with its label's *matches* (none for a fast miss): *text*
+        is its ASCII form and *label* the U-label, which replaces the
         registrable A-label in the Unicode form."""
+        unicode = unicode_from_decoded(text, label)
         return QueryVerdict(
-            domain=text, ascii=text, unicode=unicode_from_decoded(text, label),
-            is_idn=True, revert=self._revert(label, text.rpartition(".")[2]),
+            domain=text, ascii=text, unicode=unicode, is_idn=True,
+            detections=tuple(self.finder.detections_for(text, unicode, matches)),
+            revert=self._revert(label, text.rpartition(".")[2]),
         )
 
     # -- the per-label join cache -------------------------------------------

@@ -9,6 +9,13 @@ ShamFinder ties the pieces together:
   domains using the homoglyph database (UC ∪ SimChar) and report the
   homographs with their differential characters.
 
+Step 3 runs per batch: one front-end sorts out the inputs the batch
+kernel proves matchless, and :meth:`ShamFinder.join_label` runs
+Algorithm 1 against each member of a label's skeleton bucket.  The join
+makes no objects: its rows carry the reference domains, substitutions
+and sources, a scan renders sink lines straight from them, and detection
+objects are made only where a caller wants them.
+
 The class also exposes the per-detection source attribution (which database
 covered the substitutions), the reverting helper (Section 6.4), and a
 timing probe used by the Section 4.2 computational-cost bench.
@@ -32,9 +39,9 @@ from ..homoglyph.database import (
 )
 from ..homoglyph.invisible import InvisibleTable
 from ..homoglyph.registry import BuildContext, DatabaseRegistry, default_registry
-from ..idn.domain import DomainName
+from ..idn.domain import DomainName, unicode_from_decoded
 from ..idn.idna_codec import IDNAError
-from .algorithm import HomographMatcher, MatchResult, fold_label
+from .algorithm import HomographMatcher, fold_label, substitution
 from .batchfold import FAST_LABEL, MIN_KERNEL_BATCH, DecodedLabels, kernel_for
 from .report import DetectionReport, HomographDetection
 from .skeleton import PACK_SEPARATOR, CharacterClasses, SkeletonIndex
@@ -44,8 +51,8 @@ if TYPE_CHECKING:
     from .index import MmapPreparedReferences
     from .revert import HomographReverter
 
-__all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches", "BatchJoin",
-           "REFERENCE_SEPARATOR"]
+__all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches", "HitRow",
+           "BatchJoin", "REFERENCE_SEPARATOR"]
 
 #: Separator packing a label's reference domains into one string — the
 #: same C0 byte the skeleton buckets pack with, imported so the artifact
@@ -129,21 +136,22 @@ class PreparedReferences:
         return cls(labels=labels, index=index, domain_count=domain_count)
 
 
-#: One label's skeleton-join outcome: each match paired with the reference
-#: domains (canonical ASCII, all TLDs) carrying the matched label.
+#: One label's skeleton-join outcome (:meth:`ShamFinder.join_label`): one
+#: row per bucket member the label is a homograph of, ``(reference_label,
+#: references, substitutions, sources, invisibles)``.  ``references`` are
+#: the reference domains (canonical ASCII) carrying the member,
+#: ``substitutions`` its ``(position, candidate_char, reference_char)``
+#: triples, ``sources`` those a detection credits, and ``invisibles`` the
+#: invisible findings stripped before the match (empty on the classic path).
 LabelMatches = tuple
+
+#: One input of a batch with a detection (:meth:`ShamFinder.hit_rows`):
+#: ``(ascii, unicode, matches)``, the name's two forms and its label's
+#: matches kept to reference domains under its own TLD.
+HitRow = tuple
 
 
 _new, _set_fields = object.__new__, object.__setattr__
-
-
-def _detection_sources(match: MatchResult) -> frozenset[str]:
-    """The sources a detection through *match* credits: those of its
-    substituted pairs, plus the invisible table when it stripped
-    characters (or SimChar for a match with neither)."""
-    if match.invisibles:
-        return match.sources | {SOURCE_INVISIBLE}
-    return match.sources if match.substitutions else frozenset({SOURCE_SIMCHAR})
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +167,9 @@ class BatchJoin:
     #: One ``(name, label, matches, error)`` per other input, in input
     #: order.  ``error`` is set, and ``name`` and ``label`` are
     #: ``None``, when the input is not a domain name; otherwise ``label``
-    #: is the name's registrable U-label.
+    #: is the name's registrable U-label and ``name`` the parsed
+    #: :class:`DomainName`, or for a bucket hit the kernel decoded, the
+    #: input as given (``str(name)`` is the ASCII form either way).
     joined: list[tuple]
 
 
@@ -372,50 +382,76 @@ class ShamFinder:
     ) -> tuple[list[HomographDetection], int, int]:
         """Detection core over pre-indexed references.
 
-        Returns ``(detections, idn_count, skipped_count)`` — the unit of
-        work one streaming-scan chunk performs (:mod:`.stream`).  The
-        batch goes through :meth:`join_batch`; the fast misses count in
-        ``idn_count`` exactly as parsing them would, and
-        ``skipped_count`` counts the inputs that are not domain names.
+        Returns ``(detections, idn_count, skipped_count)`` — what one
+        streaming-scan chunk finds (:mod:`.stream`), as objects.  The batch
+        goes through :meth:`hit_rows`; the fast misses count in
+        ``idn_count`` exactly as parsing them would, and ``skipped_count``
+        counts the inputs that are not domain names.
         """
-        batch = self.join_batch(idns, prepared, lambda label: self.join_label(label, prepared))
+        hits, idn_count, skipped = self.hit_rows(idns, prepared)
         detections: list[HomographDetection] = []
+        for ascii, unicode, matches in hits:
+            detections.extend(self.detections_for(ascii, unicode, matches))
+        return detections, idn_count, skipped
+
+    def hit_rows(
+        self,
+        idns: Iterable[str | DomainName],
+        prepared: MmapPreparedReferences,
+    ) -> tuple[list[HitRow], int, int]:
+        """:meth:`detect_prepared` without detection objects.
+
+        Returns ``(hits, idn_count, skipped_count)``: one :data:`HitRow`
+        per input with a detection, in input order.  Each label is joined
+        under its own name's TLD, so a bucket member with no reference
+        domain there is never compared.  A decoded bucket hit gets its
+        Unicode form from its two forms, and only when it has a detection.
+        """
+        batch = self.join_batch(
+            idns, prepared,
+            lambda label, name: self.join_label(label, prepared, str(name).rpartition(".")[2]))
+        hits: list[HitRow] = []
         idn_count = int(np.count_nonzero(batch.fast))
         skipped = 0
-        for name, _label, matches, error in batch.joined:
+        for name, label, matches, error in batch.joined:
             if error is not None:
                 skipped += 1
+                continue
+            idn_count += 1
+            if not matches:
+                continue
+            if isinstance(name, DomainName):
+                hits.append((name.ascii, name.unicode, matches))
             else:
-                idn_count += 1
-                detections.extend(self.detections_for(name, matches))
-        return detections, idn_count, skipped
+                hits.append((name, unicode_from_decoded(name, label), matches))
+        return hits, idn_count, skipped
 
     def join_batch(
         self,
         items: Iterable[str | DomainName],
         prepared: MmapPreparedReferences,
-        join: Callable[[str], LabelMatches],
+        join: Callable[[str, str | DomainName], LabelMatches],
         *,
         cache_dir=None,
     ) -> BatchJoin:
         """Step III's batch front-end: every input's outcome, in order.
 
-        Both :meth:`detect_prepared` (``scan``, ``track``, the Section 5
-        study) and ``OnlineDetector.query_many`` (``query``, ``serve``)
-        reach the skeleton join only through here.  The outcome is a
+        Both :meth:`hit_rows` (``scan``, ``track``, the Section 5 study)
+        and ``OnlineDetector.query_many`` (``query``, ``serve``) reach the
+        skeleton join only through here.  The outcome is a
         :class:`BatchJoin`: the fast misses as a mask, the rest as joined
         rows.
 
         From :data:`~.batchfold.MIN_KERNEL_BATCH` inputs up, the
         domain-level kernel pass finds the fast misses among the raw
         strings.  A bucket hit whose registrable A-label that pass decoded
-        is built from its two forms, the input and the U-label; the rest
-        are parsed, and if that many were, the label-level pass runs over
-        their labels.  *join* (``label -> matches``) runs only for labels
-        neither pass proved matchless — a proved label gets ``()``,
-        exactly what the join would return.  Smaller batches run the plain
-        scalar loop.  *cache_dir* is where the kernel's fold-table sidecar
-        lives.
+        is not parsed: its row holds the input as given and the U-label.
+        The rest are parsed, and if that many were, the label-level pass
+        runs over their labels.  *join* (``(label, name) -> matches``)
+        runs only for labels neither pass proved matchless — a proved
+        label gets ``()``, exactly what the join would return.  Smaller
+        batches run the plain scalar loop.  *cache_dir* is where the
+        kernel's fold-table sidecar lives.
         """
         items = items if isinstance(items, list) else list(items)
         fast = np.zeros(len(items), dtype=bool)
@@ -434,8 +470,6 @@ class ShamFinder:
             item = items[position]
             label = decoded.get(position)
             if label is not None:
-                if not isinstance(item, DomainName):
-                    item = DomainName.from_decoded(item, label)
                 rows.append((item, label, None))
                 continue
             try:
@@ -453,34 +487,79 @@ class ShamFinder:
             for rank, is_miss in zip(parsed, miss.tolist()):
                 proved[rank] = is_miss
         joined = [
-            (name, label, () if error is not None or proved[rank] else join(label), error)
+            (name, label, () if error is not None or proved[rank] else join(label, name), error)
             for rank, (name, label, error) in enumerate(rows)
         ]
         return BatchJoin(fast, decoded, joined)
 
-    def join_label(self, label: str, prepared: MmapPreparedReferences) -> LabelMatches:
-        """The scalar skeleton join for one registrable label."""
+    def join_label(
+        self,
+        label: str,
+        prepared: MmapPreparedReferences,
+        tld: str | None = None,
+    ) -> LabelMatches:
+        """The skeleton join for one registrable label, as plain rows.
+
+        Each member of the label's skeleton bucket is checked with
+        Algorithm 1 (:meth:`~.algorithm.HomographMatcher.substitutions`);
+        the ones that pass become :data:`LabelMatches` rows, in bucket
+        order, followed by the strip-and-rematch matches of a label
+        carrying invisible characters.  With *tld*, only reference domains
+        under *tld* are kept, and a member with none there is skipped
+        before the check; without one, only a member that passes is
+        looked up.
+        """
+        folded = fold_label(label)
+        references_for = prepared.references_for
+
+        def kept(member: str) -> tuple[str, ...]:
+            references = references_for(member)
+            if tld is None:
+                return references
+            return tuple([ref for ref in references if ref.rpartition(".")[2] == tld])
+
+        compare = self.matcher.substitutions
         joined = []
-        for match in self.matcher.match_with_skeleton_index(label, prepared.index):
-            joined.append((match, prepared.references_for(match.reference)))
+        for member in prepared.index.candidates_for(folded):
+            if tld is not None:
+                references = kept(member)
+                if not references:
+                    continue
+            found = compare(folded, member)
+            if found is not None:
+                joined.append((member, references if tld is not None else kept(member),
+                               *found, ()))
+        if self.invisible_table is not None:
+            for match in self.matcher._match_invisible(folded, prepared.index):
+                references = kept(match.reference)
+                if references:
+                    triples = tuple([(s.position, s.candidate_char, s.reference_char)
+                                     for s in match.substitutions])
+                    joined.append((match.reference, references, triples,
+                                   match.sources | {SOURCE_INVISIBLE}, match.invisibles))
         return tuple(joined)
 
-    def detections_for(self, name: DomainName, matches: LabelMatches) -> list[HomographDetection]:
-        """*name*'s detections from its label's *matches*, under its own TLD only."""
-        tld = name.tld
+    def detections_for(self, ascii: str, unicode: str,
+                       matches: LabelMatches) -> list[HomographDetection]:
+        """The detections of the name with forms *ascii* and *unicode*
+        through its label's *matches*, under its own TLD only.
+
+        Made as :class:`~.algorithm.MatchResult` is: without the frozen
+        dataclass's per-field ``__init__``.
+        """
+        tld = ascii.rpartition(".")[2]
         detections = []
-        for match, refs in matches:
-            sources = _detection_sources(match)
-            for ref in refs:
+        for _member, references, substitutions, sources, invisibles in matches:
+            made = None
+            for ref in references:
                 if ref.rpartition(".")[2] != tld:
                     continue
-                # Made as _match_folded makes a match: without the frozen
-                # dataclass's per-field __init__.
+                if made is None:
+                    made = tuple([substitution(*triple) for triple in substitutions])
                 detection = _new(HomographDetection)
                 _set_fields(detection, "__dict__", {
-                    "idn": name.ascii, "idn_unicode": name.unicode, "reference": ref,
-                    "substitutions": match.substitutions, "sources": sources,
-                    "invisibles": match.invisibles})
+                    "idn": ascii, "idn_unicode": unicode, "reference": ref,
+                    "substitutions": made, "sources": sources, "invisibles": invisibles})
                 detections.append(detection)
         return detections
 

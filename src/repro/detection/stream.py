@@ -25,8 +25,9 @@ module streams it instead:
   raises in the caller;
 * **JSONL result sink** — each detection is appended as one JSON object
   per line (:meth:`HomographDetection.as_dict`), flushed commit by commit.
-  The worker that matched a chunk renders its lines, so the parent only
-  writes text;
+  The worker that matched a chunk renders its lines straight from the
+  join's hit rows (:meth:`ShamFinder.hit_rows`, no detection object), so
+  the parent only writes text;
 * **checkpoint/resume** — every commit appends the results of one or more
   whole chunks and then atomically rewrites a small checkpoint recording
   how much input was consumed and how many result lines are durable.  One
@@ -73,8 +74,8 @@ from ..idn.domain import DomainName
 from ..idn.idna_codec import ACE_PREFIX, split_labels
 from ..parallel.pool import pool_context
 from .batchfold import kernel_for
-from .report import DetectionReport, HomographDetection
-from .shamfinder import ShamFinder
+from .report import DetectionReport, HomographDetection, detection_json
+from .shamfinder import HitRow, ShamFinder
 
 if TYPE_CHECKING:
     from .index import MmapPreparedReferences
@@ -429,15 +430,29 @@ def _process_chunk(
     Returns ``(found, detections, raw_lines, domains_seen, idn_count,
     skipped)``.  ``found`` is the chunk's detections, or with *render*
     their sink lines as one string, so a worker hands its parent text to
-    write instead of objects to unpickle and encode.
+    write instead of objects to unpickle and encode.  The lines are
+    rendered straight from the chunk's hit rows
+    (:meth:`ShamFinder.hit_rows`), with no detection object.
     """
     text, raw_lines = chunk
     candidates, seen = _step_ii(text, idn_only)
-    detections, idn_count, skipped = finder.detect_prepared(candidates, prepared)
-    found: list[HomographDetection] | str = detections
-    if render:
-        found = "".join([d.as_json() + "\n" for d in detections])
-    return found, len(detections), raw_lines, seen, idn_count, skipped
+    if not render:
+        detections, idn_count, skipped = finder.detect_prepared(candidates, prepared)
+        return detections, len(detections), raw_lines, seen, idn_count, skipped
+    hits, idn_count, skipped = finder.hit_rows(candidates, prepared)
+    lines = _sink_lines(hits)
+    return "".join(lines), len(lines), raw_lines, seen, idn_count, skipped
+
+
+def _sink_lines(hits: list[HitRow]) -> list[str]:
+    """One sink line per detection of *hits*, newline included, in the
+    order :meth:`ShamFinder.detect_prepared` lists the detections."""
+    return [
+        detection_json(ascii, unicode, reference, substitutions, sources, invisibles) + "\n"
+        for ascii, unicode, matches in hits
+        for _member, references, substitutions, sources, invisibles in matches
+        for reference in references
+    ]
 
 
 #: A chunk slicer: ``take(n)`` returns the next *n* input lines as one

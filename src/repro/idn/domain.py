@@ -57,21 +57,6 @@ class DomainName:
         """Build from either a Unicode or an ASCII/A-label representation."""
         return cls(text)
 
-    @classmethod
-    def from_decoded(cls, ascii: str, registrable_unicode: str) -> "DomainName":
-        """The name *ascii* whose registrable A-label decodes to
-        *registrable_unicode*, built without validating either.
-
-        Only for a canonical ASCII name (lowercase LDH labels that pass
-        every check) whose registrable label is its one A-label, paired
-        with that label's non-ASCII decode: the result then equals
-        ``DomainName(ascii)``.
-        """
-        name = object.__new__(cls)
-        object.__setattr__(name, "ascii", ascii)
-        object.__setattr__(name, "unicode", unicode_from_decoded(ascii, registrable_unicode))
-        return name
-
     # -- representations ------------------------------------------------------
 
     @property

@@ -38,7 +38,7 @@ from repro.detection.service import OnlineDetector, QueryVerdict, _fast_miss_ver
 from repro.detection.shamfinder import ShamFinder
 from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.homoglyph.invisible import default_invisible_table
-from repro.idn.domain import DomainName
+from repro.idn.domain import DomainName, unicode_from_decoded
 from repro.idn.idna_codec import IDNAError, to_ascii_label
 from repro.idn.punycode import encode
 
@@ -393,7 +393,7 @@ def test_idn_batch_equals_scalar(small_finder, prepared, detect_per_item):
                 if FAST_DOMAIN_RE.fullmatch(d) and d.rsplit(".", 2)[-2].startswith("xn--")]
     assert len(eligible) >= MIN_IDN_DECODE_BATCH
     batch = small_finder.join_batch(
-        corpus, prepared, lambda label: small_finder.join_label(label, prepared))
+        corpus, prepared, lambda label, _name: small_finder.join_label(label, prepared))
     idn_misses = [row for row in batch.decoded.rows.tolist() if batch.fast[row]]
     assert len(idn_misses) >= MIN_IDN_DECODE_BATCH // 2
 
@@ -436,7 +436,7 @@ def test_mixed_batch_outcomes_in_input_order(small_finder, prepared):
     batch = ["benign.com", "..", hit] + [f"SITE{i}.com" for i in range(MIN_KERNEL_BATCH)]
     joined = []
 
-    def join(label):
+    def join(label, _name):
         joined.append(label)
         return small_finder.join_label(label, prepared)
 
@@ -464,10 +464,11 @@ def test_mixed_batch_outcomes_in_input_order(small_finder, prepared):
 @example("", "xn--ab_c", "com")
 @example("", "xn--99999999", "com")
 def test_name_from_decoded_forms_equals_a_full_parse(kernel, subdomain, alabel, tld):
-    """A fast-parseable name whose registrable A-label the batch decodes,
-    rebuilt from (text, U-label), is the name a full parse builds; a
-    payload the batch does not decode (flagged, undecodable) gets no
-    label, so the front-end parses it."""
+    """A fast-parseable name whose registrable A-label the batch decodes
+    has the forms a full parse gives: the text is its ASCII form, the
+    U-label its registrable label, and ``unicode_from_decoded`` gives its
+    Unicode form; a payload the batch does not decode (flagged,
+    undecodable) gets no label, so the front-end parses it."""
     text = f"{subdomain}{alabel}.{tld}"
     assume(FAST_DOMAIN_RE.fullmatch(text) and len(text) <= MAX_FAST_DOMAIN)
     with _decoding_every_idn():
@@ -479,16 +480,14 @@ def test_name_from_decoded_forms_equals_a_full_parse(kernel, subdomain, alabel, 
         assert label is None
         return
     assert label is not None
-    built = DomainName.from_decoded(text, label)
-    for attribute in ("ascii", "unicode", "tld", "registrable_unicode", "labels",
-                      "unicode_labels", "has_idn_registrable_label"):
-        assert getattr(built, attribute) == getattr(parsed, attribute), attribute
-    assert built == parsed and hash(built) == hash(parsed)
+    assert parsed.ascii == text and parsed.tld == text.rpartition(".")[2]
+    assert parsed.registrable_unicode == label and parsed.has_idn_registrable_label
+    assert parsed.unicode == unicode_from_decoded(text, label)
 
 
 def test_only_decoded_bucket_hits_skip_the_parse(small_finder, prepared, monkeypatch):
-    """A bucket hit whose A-label the batch decoded is built from its forms
-    and goes straight to the join; a payload that is flagged or
+    """A bucket hit whose A-label the batch decoded keeps its input as its
+    row's name and goes straight to the join; a payload that is flagged or
     undecodable, an ineligible name and a plain ASCII hit are parsed, and
     only the parsed names reach the label-level pass."""
     from repro.idn import domain as domain_module
@@ -501,13 +500,9 @@ def test_only_decoded_bucket_hits_skip_the_parse(small_finder, prepared, monkeyp
     misses = [f"xn--{encode(f'bénin{i}')}.com" for i in range(MIN_KERNEL_BATCH)]
     batch = misses[:4] + hits[:2] + undecoded + parsed_names + hits[2:] + misses[4:]
 
-    built, parsed, checked = [], [], []
-    from_decoded, domain_forms = DomainName.from_decoded, domain_module.domain_forms
+    parsed, checked = [], []
+    domain_forms = domain_module.domain_forms
     certain_miss_mask = BatchFoldKernel.certain_miss_mask
-
-    def recording_from_decoded(text, label):
-        built.append(text)
-        return from_decoded(text, label)
 
     def recording_domain_forms(text):
         parsed.append(text)
@@ -517,23 +512,23 @@ def test_only_decoded_bucket_hits_skip_the_parse(small_finder, prepared, monkeyp
         checked.extend(labels)
         return certain_miss_mask(self, labels, **kwargs)
 
-    monkeypatch.setattr(DomainName, "from_decoded", staticmethod(recording_from_decoded))
     monkeypatch.setattr(domain_module, "domain_forms", recording_domain_forms)
     monkeypatch.setattr(BatchFoldKernel, "certain_miss_mask", recording_mask)
     joined = []
 
-    def join(label):
+    def join(label, _name):
         joined.append(label)
         return small_finder.join_label(label, prepared)
 
     with _decoding_every_idn():
         outcome = small_finder.join_batch(batch, prepared, join)
-    assert built == hits
     assert parsed == undecoded + parsed_names
     assert outcome.fast.tolist() == [text in misses for text in batch]
     positions = np.flatnonzero(~outcome.fast).tolist()
     assert positions == [i for i, text in enumerate(batch) if text not in misses]
     by_position = dict(zip(positions, outcome.joined))
+    assert [by_position[batch.index(text)][0] for text in hits] == hits
+    assert all(isinstance(by_position[batch.index(text)][0], str) for text in hits)
     hit_labels = [by_position[batch.index(text)][1] for text in hits]
     assert all(by_position[batch.index(text)][2] for text in hits)
     # The label-level pass sees exactly the names parsed here.
@@ -564,7 +559,8 @@ def _outcome_rows(finder, prepared, batch):
     """:meth:`ShamFinder.join_batch` over *batch*, one ``(ascii, unicode,
     label, matches, error)`` per input; a fast miss is spelled out as the
     name it is taken to be."""
-    outcome = finder.join_batch(batch, prepared, lambda label: finder.join_label(label, prepared))
+    outcome = finder.join_batch(batch, prepared,
+                                lambda label, _name: finder.join_label(label, prepared))
     joined = iter(outcome.joined)
     rows = []
     for position, text in enumerate(batch):
@@ -573,9 +569,12 @@ def _outcome_rows(finder, prepared, batch):
             if label is None:
                 rows.append((text, text, text.rsplit(".", 2)[-2], (), None))
             else:
-                rows.append((text, DomainName.from_decoded(text, label).unicode, label, (), None))
+                rows.append((text, unicode_from_decoded(text, label), label, (), None))
             continue
         name, label, matches, error = next(joined)
+        if isinstance(name, str):
+            rows.append((name, unicode_from_decoded(name, label), label, matches, None))
+            continue
         rows.append((name and name.ascii, name and name.unicode, label, matches,
                      error and str(error)))
     assert next(joined, None) is None

@@ -94,10 +94,10 @@ class _ChunkFailure(ValueError):
 class _FailingFinder(ShamFinder):
     """Raises inside Step III of the first chunk holding a candidate."""
 
-    def detect_prepared(self, candidates, prepared):
+    def hit_rows(self, candidates, prepared):
         if candidates:
             raise _ChunkFailure(f"cannot match {candidates[0]}")
-        return super().detect_prepared(candidates, prepared)
+        return super().hit_rows(candidates, prepared)
 
 
 # -- every start method -------------------------------------------------------

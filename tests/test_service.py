@@ -146,18 +146,18 @@ def test_reload_mid_query_does_not_reseed_cache_with_old_index(small_finder):
     # cache — that would serve retired-reference verdicts indefinitely.
     detector = OnlineDetector.from_references(small_finder, REFERENCE)
     changed = build_reference_index(small_finder, REFERENCE + ["other.com"])
-    original = detector.finder.matcher.match_with_skeleton_index
+    original = detector.finder.join_label
 
-    def reload_mid_join(label, index):
-        result = original(label, index)
+    def reload_mid_join(label, prepared, tld=None):
+        result = original(label, prepared, tld)
         detector.reload_index(changed)
         return result
 
-    detector.finder.matcher.match_with_skeleton_index = reload_mid_join
+    detector.finder.join_label = reload_mid_join
     try:
         assert detector.query(_homograph("gооgle")).is_homograph
     finally:
-        detector.finder.matcher.match_with_skeleton_index = original
+        del detector.finder.join_label
     assert detector.stats()["cached_labels"] == 0    # dropped, not stale-seeded
     # And the next query re-joins against the new index and caches normally.
     assert detector.query(_homograph("gооgle")).is_homograph
