@@ -20,7 +20,9 @@ lines, well under 1% ``xn--`` names), where the scan is bound by chunking,
 Step II and commits rather than by matching.  A fourth streams an
 IDN-dense zone (half ``xn--`` names), where Step III dominates and the
 batch kernel decodes and proves most A-labels matchless without parsing
-them one at a time.
+them one at a time.  A fifth re-issues that zone as daily snapshots with
+1% churn, where each scan process answers a name it has already matched
+from its outcome memo.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from unittest import mock
 from bench_util import print_table, record_bench
 
 from oracles.pairwise_matcher import find_homographs_pairwise
-from repro.detection import batchfold
+from repro.detection import batchfold, stream
 from repro.detection.algorithm import HomographMatcher
 from repro.detection.batchfold import kernel_for
 from repro.detection.shamfinder import ShamFinder
@@ -372,9 +374,12 @@ def _idn_dense_zone(path, seed: int = 20191017) -> tuple[int, int]:
 
 def _hit_row_us_per_detection(finder, prepared, batches) -> float:
     """The bucket-hit rows' cost per detection, best of three, timed on the
-    path a rendering scan chunk runs (``stream._process_chunk``): the join
-    of every label the kernel did not prove matchless, under its name's
-    TLD, and the sink lines rendered from the hit rows."""
+    path a rendering scan chunk runs for the names it has not seen
+    (``stream._process_chunk``): the join of every label the kernel did not
+    prove matchless, under its name's TLD, and the sink lines rendered from
+    the hit rows.  Every candidate of *batches* is joined here; a scan
+    process answers a repeated name from its outcome memo, so a repeated
+    name no longer reaches the join there."""
     joins, hits = [], []
     join_label = finder.join_label
 
@@ -464,3 +469,90 @@ def test_idn_dense_scan(tmp_path):
                 f"{cpu_split['jobs2_worker_cpu_s']:.2f} s workers",
                 rows, headers=("workers", "throughput", "chunks", "kernel-proved"))
     record_bench("scan_idn", metrics)
+
+
+SCAN_DAYS = 8
+#: Share of one day's lines replaced by new names on the next day.
+DAY_CHURN = 0.01
+
+
+def _idn_days(path, day_path, pool_path) -> list[str]:
+    """Write the IDN-dense zone re-issued as :data:`SCAN_DAYS` daily
+    snapshots, each the day before with :data:`DAY_CHURN` of its lines
+    replaced by lines of a second IDN-dense zone.  Returns the days' texts."""
+    rng = random.Random(20191017)
+    _idn_dense_zone(day_path)
+    _idn_dense_zone(pool_path, seed=20191018)
+    day = day_path.read_text(encoding="utf-8").splitlines()
+    pool = iter(pool_path.read_text(encoding="utf-8").splitlines())
+    texts = []
+    for number in range(SCAN_DAYS):
+        if number:
+            for position in rng.sample(range(len(day)), int(len(day) * DAY_CHURN)):
+                day[position] = next(pool)
+        texts.append("\n".join(day) + "\n")
+    path.write_text("".join(texts), encoding="utf-8")
+    return texts
+
+
+def _worker_peak_rss(reference_domains, input_path, output_path, memo_names, conn) -> None:
+    """In a fresh process: scan with two fork workers whose outcome memo
+    holds *memo_names* names, and send the workers' peak RSS in kB."""
+    finder = ShamFinder(_database())
+    scanner = StreamingScanner(finder, reference_domains, chunk_size=2000, jobs=2,
+                               start_method="fork")
+    with mock.patch.object(stream, "_MEMO_NAMES", memo_names):
+        scanner.scan_file(input_path, output_path)
+    conn.send(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+
+
+def test_multi_day_idn_scan(tmp_path):
+    db = _database()
+    finder = ShamFinder(db)
+    _candidates, references = _corpus()
+    reference_domains = [f"{label}.com" for label in references]
+    input_path = tmp_path / "idn-days.txt"
+    texts = _idn_days(input_path, tmp_path / "day.txt", tmp_path / "pool.txt")
+    candidates = [name for text in texts for name in _step_ii(text, True)[0]]
+    repeat_share = 1 - len(set(candidates)) / len(candidates)
+
+    runs, cpu_split = _scan_runs(finder, reference_domains, input_path, tmp_path, "idn-days")
+    serial, pooled = runs[1], runs[2]
+    assert pooled[2] == serial[2]
+    assert serial[0].idn_count + serial[0].skipped_count == len(candidates)
+    assert serial[0].detection_count > 0
+
+    # The workers' peak RSS, read in a spawned process whose only children
+    # are the scan's two workers (this process's RUSAGE_CHILDREN holds
+    # every child it waited for, and a fork worker of this process would
+    # count its corpus too): once with the memo's bound as it is, once with
+    # a memo that holds one chunk's names.
+    context = pool_context("spawn")
+    worker_kb = {}
+    for memo_names in (stream._MEMO_NAMES, 0):
+        ours, theirs = context.Pipe(duplex=False)
+        child = context.Process(target=_worker_peak_rss, args=(
+            reference_domains, input_path, tmp_path / "idn-days-rss.jsonl", memo_names, theirs))
+        child.start()
+        worker_kb[memo_names] = ours.recv()
+        child.join()
+        assert child.exitcode == 0
+    worker_mb, chunk_memo_mb = (worker_kb[stream._MEMO_NAMES] / 1024, worker_kb[0] / 1024)
+
+    metrics = {"days": SCAN_DAYS, "lines": serial[0].lines_done, "candidates": len(candidates),
+               "distinct_candidates": len(set(candidates)),
+               "repeat_share": round(repeat_share, 4), "identical_across_jobs": True,
+               "memo_bound_names": stream._MEMO_NAMES,
+               "jobs2_worker_maxrss_mb": round(worker_mb, 1),
+               "jobs2_worker_maxrss_mb_one_chunk_memo": round(chunk_memo_mb, 1), **cpu_split}
+    rows = []
+    for jobs, (stats, seconds, _sink) in runs.items():
+        rate = stats.domains_seen / seconds if seconds else 0.0
+        rows.append((f"jobs={jobs}", f"{rate:,.0f} domains/s", f"{stats.chunks_done}"))
+        metrics[f"jobs{jobs}_domains_per_second"] = round(rate, 1)
+    print_table(f"IDN-dense zone over {SCAN_DAYS} days ({DAY_CHURN:.0%} churn): "
+                f"{serial[0].lines_done:,} lines, {len(candidates):,} candidates, "
+                f"{repeat_share:.1%} repeats; jobs=2 worker peak RSS "
+                f"{worker_mb:.1f} MB ({chunk_memo_mb:.1f} MB with a one-chunk memo)",
+                rows, headers=("workers", "throughput", "chunks"))
+    record_bench("scan_days", metrics)

@@ -146,8 +146,9 @@ class PreparedReferences:
 LabelMatches = tuple
 
 #: One input of a batch with a detection (:meth:`ShamFinder.hit_rows`):
-#: ``(ascii, unicode, matches)``, the name's two forms and its label's
-#: matches kept to reference domains under its own TLD.
+#: ``(position, ascii, unicode, matches)``, the input's position in the
+#: batch, the name's two forms and its label's matches kept to reference
+#: domains under its own TLD.
 HitRow = tuple
 
 
@@ -390,41 +391,40 @@ class ShamFinder:
         """
         hits, idn_count, skipped = self.hit_rows(idns, prepared)
         detections: list[HomographDetection] = []
-        for ascii, unicode, matches in hits:
+        for _position, ascii, unicode, matches in hits:
             detections.extend(self.detections_for(ascii, unicode, matches))
-        return detections, idn_count, skipped
+        return detections, idn_count, len(skipped)
 
     def hit_rows(
         self,
         idns: Iterable[str | DomainName],
         prepared: MmapPreparedReferences,
-    ) -> tuple[list[HitRow], int, int]:
+    ) -> tuple[list[HitRow], int, list[int]]:
         """:meth:`detect_prepared` without detection objects.
 
-        Returns ``(hits, idn_count, skipped_count)``: one :data:`HitRow`
-        per input with a detection, in input order.  Each label is joined
-        under its own name's TLD, so a bucket member with no reference
-        domain there is never compared.  A decoded bucket hit gets its
-        Unicode form from its two forms, and only when it has a detection.
+        Returns ``(hits, idn_count, skipped)``: one :data:`HitRow` per
+        input with a detection, in input order, and the positions of the
+        inputs that are not domain names.  Each label is joined under its
+        own name's TLD, so a bucket member with no reference domain there
+        is never compared.  A decoded bucket hit gets its Unicode form
+        from its two forms, and only when it has a detection.
         """
         batch = self.join_batch(
             idns, prepared,
             lambda label, name: self.join_label(label, prepared, str(name).rpartition(".")[2]))
         hits: list[HitRow] = []
-        idn_count = int(np.count_nonzero(batch.fast))
-        skipped = 0
-        for name, label, matches, error in batch.joined:
+        skipped: list[int] = []
+        for position, (name, label, matches, error) in zip(
+                np.flatnonzero(~batch.fast).tolist(), batch.joined):
             if error is not None:
-                skipped += 1
+                skipped.append(position)
+            elif not matches:
                 continue
-            idn_count += 1
-            if not matches:
-                continue
-            if isinstance(name, DomainName):
-                hits.append((name.ascii, name.unicode, matches))
+            elif isinstance(name, DomainName):
+                hits.append((position, name.ascii, name.unicode, matches))
             else:
-                hits.append((name, unicode_from_decoded(name, label), matches))
-        return hits, idn_count, skipped
+                hits.append((position, name, unicode_from_decoded(name, label), matches))
+        return hits, len(batch.fast) - len(skipped), skipped
 
     def join_batch(
         self,

@@ -28,6 +28,12 @@ module streams it instead:
   The worker that matched a chunk renders its lines straight from the
   join's hit rows (:meth:`ShamFinder.hit_rows`, no detection object), so
   the parent only writes text;
+* **outcome memo** — every process that renders chunks keeps, for one
+  scan, each candidate it has matched with its sink lines.  Consecutive
+  daily zones are nearly the same names, so a multi-day input sends each
+  distinct name through Step III once per process.  The memo is bounded
+  by :data:`_MEMO_NAMES` and is never pickled or persisted, so resume and
+  every start method behave as without it;
 * **checkpoint/resume** — every commit appends the results of one or more
   whole chunks and then atomically rewrites a small checkpoint recording
   how much input was consumed and how many result lines are durable.  One
@@ -61,7 +67,7 @@ import traceback
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import compress, filterfalse, islice, repeat
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -255,6 +261,7 @@ def _scan_worker(conn, inherited, state: tuple | bytes) -> None:
     *state* is ``(finder, prepared, idn_only, render)``, pickled unless
     this is a fork child: unpickling it here rather than at process start
     lets a failure (a stored index whose file is gone) reach the parent.
+    A rendering worker keeps one outcome memo for all its chunks.
     Chunks are received on a thread of their own, so the parent is never
     blocked sending a chunk while this process is blocked sending a result.
     *inherited* holds the parent's ends of the pipes a fork child inherits;
@@ -268,10 +275,11 @@ def _scan_worker(conn, inherited, state: tuple | bytes) -> None:
     try:
         finder, prepared, idn_only, render = (
             state if isinstance(state, tuple) else pickle.loads(state))
+        memo: dict[str, str | None] | None = {} if render else None
         chunks: queue.SimpleQueue = queue.SimpleQueue()
         threading.Thread(target=_receive_chunks, args=(conn, chunks), daemon=True).start()
         for chunk in iter(chunks.get, None):
-            reply = _process_chunk(finder, prepared, chunk, idn_only, render)
+            reply = _process_chunk(finder, prepared, chunk, idn_only, memo)
             try:
                 conn.send(reply)
             except OSError:         # the parent is gone
@@ -418,30 +426,62 @@ def _step_ii(text: str, idn_only: bool) -> tuple[list[str], int]:
             if not name.startswith("#") and is_idn_candidate(name)], seen
 
 
+#: Distinct Step II candidates whose outcome one scan process remembers
+#: (:func:`_process_chunk`).  Daily zone snapshots are ~99% the same
+#: names, so a multi-day scan sends each distinct name through Step III
+#: once.  At ~96 bytes a name, 2**18 names is ~25 MB per process.
+_MEMO_NAMES = 1 << 18
+
+
 def _process_chunk(
     finder: ShamFinder,
     prepared: MmapPreparedReferences,
     chunk: tuple[str, int],
     idn_only: bool,
-    render: bool,
+    memo: dict[str, str | None] | None,
 ) -> tuple[list[HomographDetection] | str, int, int, int, int, int]:
     """Steps II + III over one ``(text, raw_lines)`` chunk.
 
     Returns ``(found, detections, raw_lines, domains_seen, idn_count,
-    skipped)``.  ``found`` is the chunk's detections, or with *render*
-    their sink lines as one string, so a worker hands its parent text to
-    write instead of objects to unpickle and encode.  The lines are
-    rendered straight from the chunk's hit rows
-    (:meth:`ShamFinder.hit_rows`), with no detection object.
+    skipped)``.  Without *memo*, ``found`` is the chunk's detections.
+    With one, it is their sink lines as one string, so a worker hands its
+    parent text to write instead of objects to unpickle and encode.
+    *memo* maps every candidate this process has matched to its sink
+    lines (``""`` for none), or to ``None`` if it is not a domain name;
+    only the candidates it lacks go through Step III, as one batch whose
+    lines are rendered straight from its hit rows
+    (:meth:`ShamFinder.hit_rows`).  The memo is cleared, not trimmed,
+    when those candidates would take it past :data:`_MEMO_NAMES`.
     """
     text, raw_lines = chunk
     candidates, seen = _step_ii(text, idn_only)
-    if not render:
+    if memo is None:
         detections, idn_count, skipped = finder.detect_prepared(candidates, prepared)
         return detections, len(detections), raw_lines, seen, idn_count, skipped
-    hits, idn_count, skipped = finder.hit_rows(candidates, prepared)
-    lines = _sink_lines(hits)
-    return "".join(lines), len(lines), raw_lines, seen, idn_count, skipped
+    outcomes: dict[str, str | None] = dict.fromkeys(
+        filterfalse(memo.__contains__, candidates), "")
+    if len(memo) + len(outcomes) > _MEMO_NAMES:
+        memo.clear()
+        outcomes = dict.fromkeys(candidates, "")
+    fresh = list(outcomes)
+    rendered: list[str] = []
+    not_names: list[int] = []
+    if fresh:
+        hits, _idn_count, not_names = finder.hit_rows(fresh, prepared)
+        for position in not_names:
+            outcomes[fresh[position]] = None
+        rendered = ["".join(_sink_lines([hit])) for hit in hits]
+        for hit, hit_lines in zip(hits, rendered):
+            outcomes[fresh[hit[0]]] = hit_lines
+        memo.update(outcomes)
+    if len(fresh) == len(candidates):
+        # Every candidate is new and distinct: the batch is the chunk.
+        lines, skipped = "".join(rendered), len(not_names)
+    else:
+        found = list(map(memo.__getitem__, candidates))
+        skipped = found.count(None)
+        lines = "".join(filter(None, found))
+    return lines, lines.count("\n"), raw_lines, seen, len(candidates) - skipped, skipped
 
 
 def _sink_lines(hits: list[HitRow]) -> list[str]:
@@ -449,7 +489,7 @@ def _sink_lines(hits: list[HitRow]) -> list[str]:
     order :meth:`ShamFinder.detect_prepared` lists the detections."""
     return [
         detection_json(ascii, unicode, reference, substitutions, sources, invisibles) + "\n"
-        for ascii, unicode, matches in hits
+        for _position, ascii, unicode, matches in hits
         for _member, references, substitutions, sources, invisibles in matches
         for reference in references
     ]
@@ -878,7 +918,8 @@ class StreamingScanner:
         next result, then add every later result that is already ready,
         so a parent that falls behind its workers commits many chunks at
         once instead of one checkpoint per chunk.  *render* makes each
-        result carry its sink lines (see :func:`_process_chunk`).
+        result carry its sink lines, answered from the process's outcome
+        memo where it can be (see :func:`_process_chunk`).
         """
         chunks = iter(partial(take, self.chunk_size), ("", 0))
         # Build the batch kernel up front: with several workers so none of
@@ -891,8 +932,9 @@ class StreamingScanner:
         if self.jobs > 1 or index_dir is not None:
             kernel_for(self.finder.matcher, self.prepared, cache_dir=index_dir)
         if self.jobs == 1:
+            memo: dict[str, str | None] | None = {} if render else None
             for chunk in chunks:
-                yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only, render)]
+                yield [_process_chunk(self.finder, self.prepared, chunk, self.idn_only, memo)]
             return
         context = pool_context(self.start_method)
         workers = _ScanWorkers(context, self.jobs, chunks,

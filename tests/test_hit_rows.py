@@ -149,13 +149,14 @@ def test_scan_lines_equal_the_object_path(batch, invisible, kernel):
         hits, hit_idns, hit_skipped = finder.hit_rows(batch, prepared)
         detections, det_idns, det_skipped = finder.detect_prepared(batch, prepared)
         chunk = stream._process_chunk(finder, prepared, ("\n".join(batch), len(batch)),
-                                      False, True)
+                                      False, {})
     text = oracle.sink_text(expected)
     assert "".join(stream._sink_lines(hits)) == text
-    assert (hit_idns, hit_skipped) == (det_idns, det_skipped) == (idn_count, skipped)
+    assert (hit_idns, len(hit_skipped)) == (det_idns, det_skipped) == (idn_count, skipped)
     assert detections == expected
     assert [d.as_json() + "\n" for d in detections] == text.splitlines(keepends=True)
     assert chunk[0] == text and chunk[1] == len(expected)
+    assert chunk[4:] == (idn_count, skipped)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,8 @@ the outcome it pins:
   ``scan_to_report`` still returns detection objects;
 * the fold table: a scan builds it once, in the parent, under every
   start method;
-* an exception inside a worker's chunk: re-raised with its own type;
+* an exception inside a worker's chunk: re-raised with its own type, also
+  from a chunk that follows ones the worker answered from its memo;
 * a worker that cannot attach the index: its own ``RuntimeError`` text;
 * a worker killed mid-scan: ``scan`` exits non-zero with one stderr line
   naming the exit status and ``--resume``, and the resumed scan ends with
@@ -97,6 +98,29 @@ class _FailingFinder(ShamFinder):
     def hit_rows(self, candidates, prepared):
         if candidates:
             raise _ChunkFailure(f"cannot match {candidates[0]}")
+        return super().hit_rows(candidates, prepared)
+
+
+LATE = DomainName("lаte.com").ascii
+
+
+class _RepeatedName(AssertionError):
+    pass
+
+
+class _LateFailingFinder(ShamFinder):
+    """Raises inside Step III of the chunk holding :data:`LATE`, and on any
+    name this process already sent to Step III (the worker's memo answers
+    those)."""
+
+    def hit_rows(self, candidates, prepared):
+        seen = self.__dict__.setdefault("seen", set())
+        repeated = seen.intersection(candidates)
+        if repeated:
+            raise _RepeatedName(f"{sorted(repeated)} reached Step III twice")
+        seen.update(candidates)
+        if LATE in candidates:
+            raise _ChunkFailure(f"cannot match {LATE}")
         return super().hit_rows(candidates, prepared)
 
 
@@ -237,6 +261,20 @@ def test_worker_exception_is_reraised_with_its_type(tmp_path, method):
     scanner = StreamingScanner(_FailingFinder(_database()), REFERENCES, chunk_size=10,
                                jobs=2, start_method=method)
     with pytest.raises(_ChunkFailure, match="cannot match"):
+        scanner.scan_file(corpus, tmp_path / "out.jsonl")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_worker_exception_after_its_memo_filled_is_reraised(tmp_path, method):
+    # Every chunk of the zone holds the same two twins, so after its first
+    # chunk a worker answers them from its memo; the last chunk's fresh
+    # name then fails inside Step III.
+    corpus = _write_zone(tmp_path / "zone.txt", 100)
+    with open(corpus, "a", encoding="utf-8") as handle:
+        handle.write(LATE + "\n")
+    scanner = StreamingScanner(_LateFailingFinder(_database()), REFERENCES, chunk_size=10,
+                               jobs=2, start_method=method)
+    with pytest.raises(_ChunkFailure, match=f"cannot match {LATE}"):
         scanner.scan_file(corpus, tmp_path / "out.jsonl")
 
 
