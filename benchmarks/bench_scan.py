@@ -497,7 +497,7 @@ def _idn_days(path, day_path, pool_path) -> list[str]:
 
 def _worker_peak_rss(reference_domains, input_path, output_path, memo_names, conn) -> None:
     """In a fresh process: scan with two fork workers whose outcome memo
-    holds *memo_names* names, and send the workers' peak RSS in kB."""
+    holds at most *memo_names* names, and send the workers' peak RSS in kB."""
     finder = ShamFinder(_database())
     scanner = StreamingScanner(finder, reference_domains, chunk_size=2000, jobs=2,
                                start_method="fork")
@@ -526,7 +526,7 @@ def test_multi_day_idn_scan(tmp_path):
     # are the scan's two workers (this process's RUSAGE_CHILDREN holds
     # every child it waited for, and a fork worker of this process would
     # count its corpus too): once with the memo's bound as it is, once with
-    # a memo that holds one chunk's names.
+    # a bound of 0, where the memo keeps no name.
     context = pool_context("spawn")
     worker_kb = {}
     for memo_names in (stream._MEMO_NAMES, 0):
@@ -537,14 +537,14 @@ def test_multi_day_idn_scan(tmp_path):
         worker_kb[memo_names] = ours.recv()
         child.join()
         assert child.exitcode == 0
-    worker_mb, chunk_memo_mb = (worker_kb[stream._MEMO_NAMES] / 1024, worker_kb[0] / 1024)
+    worker_mb, empty_memo_mb = (worker_kb[stream._MEMO_NAMES] / 1024, worker_kb[0] / 1024)
 
     metrics = {"days": SCAN_DAYS, "lines": serial[0].lines_done, "candidates": len(candidates),
                "distinct_candidates": len(set(candidates)),
                "repeat_share": round(repeat_share, 4), "identical_across_jobs": True,
                "memo_bound_names": stream._MEMO_NAMES,
                "jobs2_worker_maxrss_mb": round(worker_mb, 1),
-               "jobs2_worker_maxrss_mb_one_chunk_memo": round(chunk_memo_mb, 1), **cpu_split}
+               "jobs2_worker_maxrss_mb_empty_memo": round(empty_memo_mb, 1), **cpu_split}
     rows = []
     for jobs, (stats, seconds, _sink) in runs.items():
         rate = stats.domains_seen / seconds if seconds else 0.0
@@ -553,6 +553,6 @@ def test_multi_day_idn_scan(tmp_path):
     print_table(f"IDN-dense zone over {SCAN_DAYS} days ({DAY_CHURN:.0%} churn): "
                 f"{serial[0].lines_done:,} lines, {len(candidates):,} candidates, "
                 f"{repeat_share:.1%} repeats; jobs=2 worker peak RSS "
-                f"{worker_mb:.1f} MB ({chunk_memo_mb:.1f} MB with a one-chunk memo)",
+                f"{worker_mb:.1f} MB ({empty_memo_mb:.1f} MB with an empty memo)",
                 rows, headers=("workers", "throughput", "chunks"))
     record_bench("scan_days", metrics)

@@ -450,8 +450,9 @@ def _process_chunk(
     lines (``""`` for none), or to ``None`` if it is not a domain name;
     only the candidates it lacks go through Step III, as one batch whose
     lines are rendered straight from its hit rows
-    (:meth:`ShamFinder.hit_rows`).  The memo is cleared, not trimmed,
-    when those candidates would take it past :data:`_MEMO_NAMES`.
+    (:meth:`ShamFinder.hit_rows`).  A chunk's new names join the memo only
+    if all of them fit under :data:`_MEMO_NAMES`; a full memo keeps the
+    names it holds, which the next days' zones repeat.
     """
     text, raw_lines = chunk
     candidates, seen = _step_ii(text, idn_only)
@@ -460,27 +461,25 @@ def _process_chunk(
         return detections, len(detections), raw_lines, seen, idn_count, skipped
     outcomes: dict[str, str | None] = dict.fromkeys(
         filterfalse(memo.__contains__, candidates), "")
-    if len(memo) + len(outcomes) > _MEMO_NAMES:
-        memo.clear()
-        outcomes = dict.fromkeys(candidates, "")
-    fresh = list(outcomes)
-    rendered: list[str] = []
-    not_names: list[int] = []
-    if fresh:
+    known = memo
+    if outcomes:
+        fresh = list(outcomes)
         hits, _idn_count, not_names = finder.hit_rows(fresh, prepared)
         for position in not_names:
             outcomes[fresh[position]] = None
-        rendered = ["".join(_sink_lines([hit])) for hit in hits]
-        for hit, hit_lines in zip(hits, rendered):
-            outcomes[fresh[hit[0]]] = hit_lines
-        memo.update(outcomes)
-    if len(fresh) == len(candidates):
-        # Every candidate is new and distinct: the batch is the chunk.
-        lines, skipped = "".join(rendered), len(not_names)
-    else:
-        found = list(map(memo.__getitem__, candidates))
-        skipped = found.count(None)
-        lines = "".join(filter(None, found))
+        for hit in hits:
+            outcomes[fresh[hit[0]]] = "".join(_sink_lines([hit]))
+        if len(memo) + len(outcomes) <= _MEMO_NAMES:
+            memo.update(outcomes)
+        else:
+            # The memo is full: the chunk reads its new names from
+            # ``outcomes`` and copies in the ones the memo holds.
+            held = list(filter(memo.__contains__, candidates))
+            outcomes.update(zip(held, map(memo.__getitem__, held)))
+            known = outcomes
+    found = list(map(known.__getitem__, candidates))
+    skipped = found.count(None)
+    lines = "".join(filter(None, found))
     return lines, lines.count("\n"), raw_lines, seen, len(candidates) - skipped, skipped
 
 

@@ -8,7 +8,7 @@ candidates through ``ShamFinder.hit_rows`` and ``stream._sink_lines``.  Both
 must give the same sink bytes and counters for inputs that repeat names
 across chunks and within one, hold undecodable A-labels and
 Unicode-spelled lines, send Step III fresh batches on both sides of the
-kernel and decode thresholds, clear the memo mid-scan, and are interrupted
+kernel and decode thresholds, fill the memo mid-scan, and are interrupted
 and resumed; under one process, fork and spawn.
 """
 
@@ -121,7 +121,7 @@ def test_one_process_scan_equals_the_memo_free_scan(tmp_path, lines, chunk_size,
                                                     bound):
     """Sink bytes and counters equal the oracle's, with the batch decoder
     forced on or left at its threshold, and the memo bound at its value or
-    small enough that the memo clears mid-scan."""
+    small enough that the memo fills mid-scan."""
     path, out = tmp_path / "days.txt", tmp_path / "out.jsonl"
     _write(path, lines)
     expected, counts = oracle.scan(FINDER, PREPARED, lines, chunk_size)
@@ -181,19 +181,24 @@ def test_fresh_batches_fall_on_both_sides_of_the_thresholds(tmp_path):
     assert sorted(sent) == sorted(set(_candidates(lines)))
 
 
-def test_a_memo_cleared_mid_scan_sends_names_again(tmp_path):
-    """With the bound below one day's candidates the memo clears, repeated
-    names reach Step III again, and the sink does not change."""
+def test_a_full_memo_keeps_its_names_and_sends_the_rest_again(tmp_path):
+    """With the bound at the first chunk's candidates, below one day's,
+    those names fill the memo and never reach Step III again; the names
+    that found it full do, every day, and the sink does not change."""
     lines = _zone_days()
     path, out = tmp_path / "days.txt", tmp_path / "out.jsonl"
     _write(path, lines)
     expected, counts = oracle.scan(FINDER, PREPARED, lines, 200)
     finder = _Recording(_database())
-    with mock.patch.object(stream, "_MEMO_NAMES", 150):
+    first = set(_candidates(lines[:200]))
+    assert len(first) < len(set(_candidates(lines[:400])))
+    with mock.patch.object(stream, "_MEMO_NAMES", len(first)):
         stats = _scan(finder, path, out, 200)
     assert out.read_text(encoding="utf-8") == expected
     assert _counts(stats) == counts
     sent = [name for batch in finder.batches for name in batch]
+    assert sorted(finder.batches[0]) == sorted(first)
+    assert first.isdisjoint(name for batch in finder.batches[1:] for name in batch)
     assert len(sent) > len(set(sent)) == len(set(_candidates(lines)))
 
 
