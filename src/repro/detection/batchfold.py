@@ -28,9 +28,9 @@ For whole *domains* the kernel goes one step further (both passes run in
 lowercase LDH shape checks, label splitting, registrable label extraction
 — as numpy passes over one concatenated code point array, so a 20k-domain
 batch costs ~25 numpy operations instead of 20k regex matches and string
-slices.  The eligibility rules are exactly :data:`FAST_DOMAIN_RE` (the
-executable oracle the property suite compares against); ineligible domains
-are parsed and go to the label-level pass.
+slices.  The label rules are :mod:`repro.idn.idna_codec`'s, and
+``tests/oracles/fast_domain.py`` spells the eligibility out as a regex;
+ineligible domains are parsed and go to the label-level pass.
 
 Why the table is exact: CPython's ``str.lower()`` has exactly one
 context-sensitive mapping — Final_Sigma for U+03A3 — so for every other
@@ -58,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import unicodedata
 import weakref
 from pathlib import Path
@@ -68,6 +67,7 @@ import numpy as np
 
 from ..durable import atomic_write
 from ..homoglyph.invisible import _MARK_CATEGORIES, InvisibleTable
+from ..idn.idna_codec import LDH_CHARS, MAX_DOMAIN_OCTETS, MAX_LABEL_OCTETS
 from ..idn.punycode import decode_batch
 from .skeleton import CharacterClasses
 
@@ -77,9 +77,6 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
 __all__ = [
     "FOLD_TABLE_VERSION",
     "FOLD_TABLE_MAGIC",
-    "FAST_LABEL",
-    "FAST_DOMAIN_RE",
-    "MAX_FAST_DOMAIN",
     "MIN_KERNEL_BATCH",
     "MIN_IDN_DECODE_BATCH",
     "FoldTable",
@@ -107,26 +104,6 @@ _SCAN_CHUNK = 0x2000
 #: them exactly.
 _UNSAFE_CODES = (0x03A3, *range(0xD800, 0xE000))
 
-#: Domains the batch path can parse without :class:`~repro.idn.domain
-#: .DomainName`: at least two lowercase LDH labels, each obeying the
-#: hyphen rules (no leading/trailing hyphen, no ``--`` in positions 3-4)
-#: and the 63-octet cap — except that the registrable (second-to-last)
-#: label may be a lowercase ``xn--`` A-label, whose payload the batch
-#: decoder then decodes.  An ``xn--`` TLD or subdomain label, or an
-#: uppercase ``XN--``, takes the scalar parse.  A match that is not an
-#: IDN has ``DomainName(text).ascii == text`` with ``registrable_unicode
-#: == labels[-2]``; an IDN match has the same ``ascii`` whenever its
-#: payload decodes, and ``registrable_unicode`` is that decode.  This
-#: regex is the executable *oracle*; :meth:`BatchFoldKernel.domain_misses`
-#: implements the same predicate with numpy passes and the property
-#: suite asserts they agree.
-FAST_LABEL = r"(?!-)(?![a-z0-9_-]{2}--)[a-z0-9_-]{1,63}(?<!-)"
-_FAST_ALABEL = r"xn--[a-z0-9_-]{1,59}(?<!-)"
-FAST_DOMAIN_RE = re.compile(
-    rf"(?:{FAST_LABEL}\.)*(?:{FAST_LABEL}|{_FAST_ALABEL})\.{FAST_LABEL}")
-
-MAX_FAST_DOMAIN = 253
-
 #: Below this many inputs the kernel's fixed costs beat its savings, so
 #: :meth:`~.shamfinder.ShamFinder.join_batch` runs the scalar loop.
 MIN_KERNEL_BATCH = 8
@@ -138,11 +115,9 @@ MIN_KERNEL_BATCH = 8
 #: round of the batch's longest row, not per row).
 MIN_IDN_DECODE_BATCH = 256
 
-#: Per-ASCII-code lookup of the fast-parse label alphabet ``[a-z0-9_-]``.
+#: Per-ASCII-code lookup of the label alphabet (:data:`LDH_CHARS`).
 _LDH_LOOKUP = np.zeros(128, dtype=bool)
-for _char in "abcdefghijklmnopqrstuvwxyz0123456789-_":
-    _LDH_LOOKUP[ord(_char)] = True
-del _char
+_LDH_LOOKUP[[ord(char) for char in LDH_CHARS]] = True
 
 #: Polynomial hash base (the FNV-1a prime) and a length-mixing constant
 #: (the 64-bit golden ratio).  ``hash(label) = Σ code_i · P^i + len · G``
@@ -630,16 +605,21 @@ class BatchFoldKernel:
     ) -> tuple[np.ndarray, "DecodedLabels"]:
         """Certain misses among whole domain strings, fully vectorized.
 
+        A fast-parseable name is at most 253 octets of two or more
+        :data:`~repro.idn.idna_codec.PLAIN_LABEL` labels, except that the
+        registrable (second-to-last) one may be a lowercase ``xn--``
+        A-label; ``tests/oracles/fast_domain.py`` spells this as a regex.
+
         Returns ``(mask, decoded)``.  ``mask[i]`` is True exactly when
-        ``texts[i]`` is fast-parseable (:data:`FAST_DOMAIN_RE`) *and* its
-        registrable label is a certain miss — i.e. the scalar ``query`` is
-        guaranteed to return an empty, error-free verdict whose ASCII form
-        equals the input.  For a non-IDN that verdict's Unicode form is
-        the input too.  Everything else (bad A-labels, uppercase, junk,
-        bucket hits) gets False and must run scalar.  ``decoded`` holds
-        the registrable U-label of every fast-parseable IDN whose payload
-        the batch decoded, miss or bucket hit: the one piece of its name
-        the input does not spell.
+        ``texts[i]`` is fast-parseable *and* its registrable label is a
+        certain miss — i.e. the scalar ``query`` is guaranteed to return
+        an empty, error-free verdict whose ASCII form equals the input.
+        For a non-IDN that verdict's Unicode form is the input too.
+        Everything else (bad A-labels, uppercase, junk, bucket hits) gets
+        False and must run scalar.  ``decoded`` holds the registrable
+        U-label of every fast-parseable IDN whose payload the batch
+        decoded, miss or bucket hit: the one piece of its name the input
+        does not spell.
 
         One concatenated code point pass replaces 20k regex matches and
         string slices: domain/label boundaries come from separator
@@ -693,7 +673,7 @@ class BatchFoldKernel:
         label_lengths = separator_pos - label_starts
 
         hyphen = np.uint32(0x2D)
-        label_ok = (label_lengths >= 1) & (label_lengths <= 63)
+        label_ok = (label_lengths >= 1) & (label_lengths <= MAX_LABEL_OCTETS)
         label_ok &= codes[label_starts] != hyphen
         label_ok &= codes[np.maximum(separator_pos - 1, 0)] != hyphen
         long_enough = label_lengths >= 4
@@ -721,7 +701,7 @@ class BatchFoldKernel:
         all_labels_ok = np.logical_and.reduceat(label_ok, first_label)
 
         eligible = (all_labels_ok & ~domain_char_bad & (label_counts >= 2)
-                    & (domain_lengths <= MAX_FAST_DOMAIN))
+                    & (domain_lengths <= MAX_DOMAIN_OCTETS))
         chosen = np.flatnonzero(eligible)
         if chosen.size == 0:
             return out, decoded

@@ -23,7 +23,6 @@ timing probe used by the Section 4.2 computational-cost bench.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,9 +39,9 @@ from ..homoglyph.database import (
 from ..homoglyph.invisible import InvisibleTable
 from ..homoglyph.registry import BuildContext, DatabaseRegistry, default_registry
 from ..idn.domain import DomainName, unicode_from_decoded
-from ..idn.idna_codec import IDNAError
+from ..idn.idna_codec import IDNAError, plain_registrable_labels
 from .algorithm import HomographMatcher, fold_label, substitution
-from .batchfold import FAST_LABEL, MIN_KERNEL_BATCH, DecodedLabels, kernel_for
+from .batchfold import MIN_KERNEL_BATCH, DecodedLabels, kernel_for
 from .report import DetectionReport, HomographDetection
 from .skeleton import PACK_SEPARATOR, CharacterClasses, SkeletonIndex
 
@@ -61,27 +60,6 @@ __all__ = ["ShamFinder", "DetectionTiming", "PreparedReferences", "LabelMatches"
 #: the index artifact with C-level ``str.split`` instead of per-entry
 #: object construction.
 REFERENCE_SEPARATOR = PACK_SEPARATOR
-
-#: Matches every line of a newline-joined name list once: group 1 is the
-#: registrable label of a *plain* name — labels of the batch kernel's
-#: fast-parse rule (lowercase LDH, 1-63 octets, no hyphen at either end or
-#: in positions 3-4, so no ``xn--`` either), at most 253 octets — and
-#: empty for any other line.  A plain name is its own canonical ASCII and
-#: Unicode form, so it needs no :class:`DomainName` parse.
-_PLAIN_NAMES = re.compile(
-    rf"^(?:(?=[^\n]{{1,253}}$)(?:{FAST_LABEL}\.)*?({FAST_LABEL})(?:\.{FAST_LABEL})?$"
-    r"|[^\n]*)$",
-    re.MULTILINE,
-)
-
-
-def _plain_registrable_labels(texts: list[str]) -> list[str]:
-    """Per text, its registrable label if it is a plain name, else ``""``."""
-    joined = "\n".join(texts)
-    if joined.count("\n") != len(texts) - 1:
-        return [""] * len(texts)   # a text holds a line break (or the list is empty)
-    return _PLAIN_NAMES.findall(joined)
-
 
 @dataclass(frozen=True)
 class PreparedReferences:
@@ -113,12 +91,13 @@ class PreparedReferences:
 
         Invalid reference domains are dropped.  One regex pass over the
         whole list reads the registrable label of every plain name
-        (lowercase LDH ASCII, no ``xn--``); only the other references are
-        parsed as :class:`DomainName`.
+        (lowercase LDH ASCII, no ``xn--``;
+        :func:`~repro.idn.idna_codec.plain_registrable_labels`); only the
+        other references are parsed as :class:`DomainName`.
         """
         items = reference if isinstance(reference, list) else list(reference)
         texts = list(map(str, items))
-        plain = _plain_registrable_labels(texts)
+        plain = plain_registrable_labels(texts)
         groups: dict[str, list[str]] = {}
         domain_count = 0
         for item, text, label in zip(items, texts, plain):

@@ -76,8 +76,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequen
 import numpy as np
 
 from ..durable import Checkpoint, CheckpointedLog, SinkRecovery, json_record, recover_sink
-from ..idn.domain import DomainName
-from ..idn.idna_codec import ACE_PREFIX, split_labels
+from ..idn.domain import is_idn_candidate
+from ..idn.idna_codec import ACE_PREFIX
 from ..parallel.pool import pool_context
 from .batchfold import kernel_for
 from .report import DetectionReport, HomographDetection, detection_json
@@ -290,37 +290,6 @@ def _scan_worker(conn, inherited, state: tuple | bytes) -> None:
             conn.send(_Failure(exc))
 
 
-def is_idn_candidate(domain: str) -> bool:
-    """Cheap Step II test: is the *registrable* label an IDN label?
-
-    Matching happens on the registrable label (the paper's Figure 2), so
-    this agrees with ``DomainName(domain).has_idn_registrable_label`` for
-    every name that parses: an ASCII name under an IDN TLD
-    (``example.xn--p1ai``) is *not* a candidate, a Unicode-spelled
-    registrable label (``bücher.de``) is.  An all-ASCII name is judged by
-    its spelling alone, without a parse; a name with any non-ASCII
-    character is parsed.  A name that does not parse is a candidate when
-    its registrable label is spelled as an A-label, so the matcher counts
-    it in ``skipped_count``.
-    """
-    if domain.isascii():
-        # Cheap substring reject for the ~99% non-IDN zone bulk, sparing
-        # them the label dissection below.
-        lowered = domain.lower()
-        return ACE_PREFIX in lowered and _registrable_is_ace(lowered)
-    try:
-        return DomainName(domain).has_idn_registrable_label
-    except ValueError:
-        return _registrable_is_ace(domain.lower())
-
-
-def _registrable_is_ace(lowered: str) -> bool:
-    # Split (and strip the label) exactly as DomainName does.
-    labels = split_labels(lowered)
-    registrable = labels[-2] if len(labels) >= 2 else labels[0]
-    return registrable.strip().startswith(ACE_PREFIX)
-
-
 #: What ``str.strip`` removes from an ASCII line, besides the line break,
 #: and the comment mark: a chunk holding none of these has no padded or
 #: comment line.
@@ -357,9 +326,9 @@ def _dense_pick(text: str, lowered: str) -> list[str] | None:
     *text* holds bare ASCII domains and *lowered* is its lower-case copy.
     The registrable label of a line starts one past its second-to-last
     dot, or at the line start when it has fewer dots, as
-    :func:`_registrable_is_ace` splits it (a trailing root dot would move
-    it).  One pass finds the dots and line breaks; each line's
-    second-to-last separator is then an index into them.
+    :func:`~repro.idn.domain.is_idn_candidate` splits it (a trailing root
+    dot would move it).  One pass finds the dots and line breaks; each
+    line's second-to-last separator is then an index into them.
     """
     raw = lowered.encode("ascii") + b"\0\0\0"
     data = np.frombuffer(raw, np.uint8)

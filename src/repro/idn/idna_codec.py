@@ -12,18 +12,25 @@ validates labels against the IDNA2008 rules the registries enforce:
 
 The implementation is intentionally independent of the ``idna`` PyPI
 package (not available offline) and of the lenient built-in ``"idna"``
-codec.
+codec.  The fast paths that read names without a parse (batch kernel,
+reference prepare, Step II) import their ASCII label rule from here.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
+from typing import Sequence
 
 from ..unicode.idna import DerivedProperty, derived_property
 from . import punycode
 
 __all__ = [
     "ACE_PREFIX",
+    "LDH_CHARS",
+    "MAX_LABEL_OCTETS",
+    "MAX_DOMAIN_OCTETS",
+    "PLAIN_LABEL",
     "IDNAError",
     "fold_label",
     "is_ace_label",
@@ -31,6 +38,8 @@ __all__ = [
     "to_unicode_label",
     "domain_forms",
     "split_labels",
+    "registrable_of",
+    "plain_registrable_labels",
     "encode_domain",
     "decode_domain",
     "validate_ulabel",
@@ -39,9 +48,29 @@ __all__ = [
 #: ASCII-Compatible-Encoding prefix marking an encoded IDN label.
 ACE_PREFIX = "xn--"
 
-_MAX_LABEL_OCTETS = 63
-_MAX_DOMAIN_OCTETS = 253
-_LDH_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
+#: The longest label and the longest name, in octets of their ASCII form.
+MAX_LABEL_OCTETS = 63
+MAX_DOMAIN_OCTETS = 253
+#: The characters of a lower-cased ASCII label: letters, digits, hyphen
+#: and the underscore service labels (``_dmarc``) carry.
+LDH_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
+
+_LDH_CLASS = "[" + re.escape("".join(sorted(LDH_CHARS))) + "]"
+
+#: A *plain* label as a regex: lower-case LDH, 1-63 octets, no hyphen at
+#: either end or in positions 3-4 (so no ``xn--`` A-label).  A plain label
+#: is its own A-label and U-label.
+PLAIN_LABEL = (rf"(?!-)(?!{_LDH_CLASS}{{2}}--)"
+               rf"{_LDH_CLASS}{{1,{MAX_LABEL_OCTETS}}}(?<!-)")
+
+#: Matches every line of a newline-joined name list once: group 1 is the
+#: registrable label of a plain name (plain labels, at most 253 octets)
+#: and empty for any other line.
+_PLAIN_NAMES = re.compile(
+    rf"^(?:(?=[^\n]{{1,{MAX_DOMAIN_OCTETS}}}$)"
+    rf"(?:{PLAIN_LABEL}\.)*?({PLAIN_LABEL})(?:\.{PLAIN_LABEL})?$|[^\n]*)$",
+    re.MULTILINE,
+)
 
 
 class IDNAError(ValueError):
@@ -85,7 +114,7 @@ def validate_ulabel(label: str, *, allow_contextual: bool = True) -> str:
     if not label:
         raise IDNAError("empty label")
     normalised = unicodedata.normalize("NFC", label.casefold())
-    if len(normalised.encode("utf-8")) > _MAX_LABEL_OCTETS * 4:
+    if len(normalised.encode("utf-8")) > MAX_LABEL_OCTETS * 4:
         raise IDNAError("label too long")
     for ch in normalised:
         prop = derived_property(ord(ch))
@@ -116,11 +145,11 @@ def _label_forms(label: str) -> tuple[str, str]:
         return alabel, _decode_alabel(alabel)
     if label.isascii():
         lowered = label.lower()
-        if not _LDH_CHARS.issuperset(lowered):
+        if not LDH_CHARS.issuperset(lowered):
             raise IDNAError(f"label contains non-LDH ASCII characters: {label!r}")
         _check_hyphens(lowered, is_alabel=False)
-        if len(lowered) > _MAX_LABEL_OCTETS:
-            raise IDNAError(f"label exceeds 63 octets: {label!r}")
+        if len(lowered) > MAX_LABEL_OCTETS:
+            raise IDNAError(f"label exceeds {MAX_LABEL_OCTETS} octets: {label!r}")
         return lowered, lowered
     ulabel = validate_ulabel(label)
     if ulabel.isascii():
@@ -129,8 +158,8 @@ def _label_forms(label: str) -> tuple[str, str]:
         _check_hyphens(ulabel, is_alabel=False)
         return ulabel, ulabel
     alabel = ACE_PREFIX + punycode.encode(ulabel)
-    if len(alabel) > _MAX_LABEL_OCTETS:
-        raise IDNAError(f"A-label exceeds 63 octets: {alabel!r}")
+    if len(alabel) > MAX_LABEL_OCTETS:
+        raise IDNAError(f"A-label exceeds {MAX_LABEL_OCTETS} octets: {alabel!r}")
     return alabel, ulabel
 
 
@@ -161,11 +190,11 @@ def to_unicode_label(label: str) -> str:
 
 def _decode_alabel(label: str) -> str:
     """The U-label of the lower-cased ACE *label*, checked like any A-label."""
-    if len(label) > _MAX_LABEL_OCTETS:
+    if len(label) > MAX_LABEL_OCTETS:
         # A real A-label never exceeds 63 octets; crafted oversized payloads
         # would otherwise reach the (quadratic) Punycode decoder.
-        raise IDNAError(f"A-label exceeds {_MAX_LABEL_OCTETS} octets: {label[:80]!r}...")
-    if not _LDH_CHARS.issuperset(label):
+        raise IDNAError(f"A-label exceeds {MAX_LABEL_OCTETS} octets: {label[:80]!r}...")
+    if not LDH_CHARS.issuperset(label):
         raise IDNAError(f"A-label contains non-LDH characters: {label!r}")
     encoded = label[len(ACE_PREFIX):]
     if not encoded:
@@ -187,8 +216,8 @@ def domain_forms(domain: str) -> tuple[str, str]:
     """
     forms = [_label_forms(label) for label in split_labels(domain)]
     ascii_form = ".".join(alabel for alabel, _ in forms)
-    if len(ascii_form) > _MAX_DOMAIN_OCTETS:
-        raise IDNAError(f"domain exceeds {_MAX_DOMAIN_OCTETS} octets: {domain!r}")
+    if len(ascii_form) > MAX_DOMAIN_OCTETS:
+        raise IDNAError(f"domain exceeds {MAX_DOMAIN_OCTETS} octets: {domain!r}")
     unicode_form = ".".join(ulabel for _, ulabel in forms)
     # An all-ASCII name keeps one string for both forms, not two equal copies.
     return ascii_form, ascii_form if unicode_form == ascii_form else unicode_form
@@ -208,12 +237,31 @@ def decode_domain(domain: str) -> str:
 def split_labels(domain: str) -> list[str]:
     """The raw labels of *domain*, as every parse here splits them.
 
-    The trailing root dot is dropped, then the ideographic and fullwidth
-    dots users may type separate labels exactly like ``"."``.
+    The ideographic and fullwidth dots users may type separate labels
+    exactly like ``"."``, so they are read as ``"."`` first; then the
+    trailing root dot is dropped, however it is spelled
+    (``xn--gogle-jye.com。`` splits like ``xn--gogle-jye.com.``).
     """
-    domain = domain.strip().rstrip(".")
-    if not domain:
-        raise IDNAError("empty domain name")
+    domain = domain.strip()
     for dot in ("。", "．", "｡"):
         domain = domain.replace(dot, ".")
+    domain = domain.rstrip(".")
+    if not domain:
+        raise IDNAError("empty domain name")
     return domain.split(".")
+
+
+def registrable_of(labels: Sequence[str]) -> str:
+    """The registrable label among a name's *labels*: the one under the
+    TLD (the paper's Figure 2), or the only label of a one-label name."""
+    return labels[-2] if len(labels) >= 2 else labels[0]
+
+
+def plain_registrable_labels(texts: list[str]) -> list[str]:
+    """Per text, its registrable label if it is a plain name, else ``""``:
+    at most 253 octets of :data:`PLAIN_LABEL` labels, which is its own
+    canonical ASCII and Unicode form.  One regex pass reads the list."""
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1:
+        return [""] * len(texts)   # a text holds a line break (or the list is empty)
+    return _PLAIN_NAMES.findall(joined)

@@ -7,7 +7,7 @@ arbitrary labels — including the fold edge cases (U+0130, ß, Σ/σ/ς),
 invisible characters, combining marks, and out-of-table code points that
 force the scalar fallback — through both paths and checks agreement, and
 the domain-level fast-parse is pinned against its executable regex oracle
-:data:`~repro.detection.batchfold.FAST_DOMAIN_RE`.
+``FAST_DOMAIN_RE`` (``tests/oracles/fast_domain.py``).
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles.fast_domain import FAST_DOMAIN_RE
 
 from repro.detection import batchfold
 from repro.detection.algorithm import fold_label
 from repro.detection.batchfold import (
-    FAST_DOMAIN_RE,
-    MAX_FAST_DOMAIN,
     MIN_IDN_DECODE_BATCH,
     MIN_KERNEL_BATCH,
     BatchFoldKernel,
@@ -40,6 +39,7 @@ from repro.homoglyph.database import SOURCE_UC, HomoglyphDatabase
 from repro.homoglyph.invisible import default_invisible_table
 from repro.idn.domain import DomainName, unicode_from_decoded
 from repro.idn.idna_codec import IDNAError, to_ascii_label
+from repro.idn.idna_codec import MAX_DOMAIN_OCTETS as MAX_FAST_DOMAIN
 from repro.idn.punycode import encode
 
 REFERENCES = ["google.com", "amazon.com", "paypal.com", "secure-login.com"]

@@ -68,6 +68,17 @@ def test_query_unparsable_domain_reports_error(detector):
     assert detector.stats()["errors"] == 1
 
 
+def test_a_trailing_ideographic_dot_queries_like_the_root_dot(detector):
+    homograph = _homograph("gооgle")
+    expected = detector.query(homograph + ".")
+    assert expected.is_homograph and expected.error is None
+    for dot in ("。", "．", "｡"):
+        verdict = detector.query(homograph + dot)
+        assert verdict.error is None
+        assert [d.as_dict() for d in verdict.detections] == [
+            d.as_dict() for d in expected.detections]
+
+
 def test_identical_label_is_not_a_homograph(detector):
     assert not detector.query("google.com").is_homograph
 
